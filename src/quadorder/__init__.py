@@ -36,7 +36,6 @@ from .modarith import (
     TRIAL_BOUND_ENV,
     Factorization,
     factorize,
-    gcd,
     is_prime,
     legendre,
     require_odd_prime,
@@ -63,6 +62,7 @@ from .ordersolver import (
     bound_norm_minus1,
     build_chain_s1,
     build_chain_s_minus1,
+    check,
     divisor_bound,
     ell_symbol,
     q_of_p,
@@ -98,7 +98,6 @@ __all__ = [
     "TRIAL_BOUND_ENV",
     "Factorization",
     "factorize",
-    "gcd",
     "is_prime",
     "legendre",
     "require_odd_prime",
@@ -121,6 +120,7 @@ __all__ = [
     "bound_norm_minus1",
     "build_chain_s1",
     "build_chain_s_minus1",
+    "check",
     "divisor_bound",
     "ell_symbol",
     "q_of_p",

@@ -5,6 +5,10 @@ starts 2, x and the cofactor family u starts 1, x (with u_{-1} = 0).
 They are the scaled Chebyshev polynomials in the pair (x, s), and for a
 2x2 integer matrix with trace x and determinant s they give the trace
 and the corner entry of the n-th power.
+
+Single terms come from one Lucas-doubling kernel, exactly or modulo m;
+the sequences u_seq and t_seq walk the recurrence one step at a time and
+are kept as the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -56,60 +60,61 @@ def _seq(params: ChebyParams, n_max: int, w0: int, w1: int) -> list[int]:
     return seq[: n_max + 1]
 
 
+def _lucas(x: int, s: int, n: int, m: int | None = None) -> tuple[int, int]:
+    """(t_n, u_{n-1}) by the U-ladder, over the integers or mod m.
+
+    With U_k = u_{k-1} the ladder carries (U_k, U_{k+1}) through the bits
+    of n using U_{2k} = U_k(2U_{k+1} - x*U_k) and
+    U_{2k+1} = U_{k+1}^2 - s*U_k^2; at the end t_n = 2U_{n+1} - x*U_n.
+    Joye-Quisquater 1996, "Efficient computation of full Lucas sequences".
+    """
+    if m is not None:
+        x, s = x % m, s % m
+    u, v = 0, 1
+    for bit in bin(n)[2:]:
+        u, v = u * (2 * v - x * u), v * v - s * u * u
+        if bit == "1":
+            u, v = v, x * v - s * u
+        if m is not None:
+            u, v = u % m, v % m
+    t = 2 * v - x * u
+    return (t if m is None else t % m), u
+
+
+def _vanishing_index(x: int, s: int, m: int, cap: int) -> int | None:
+    """Least nu in 1..cap with u_{nu-1}(x; s) == 0 mod m, or None."""
+    x, s = x % m, s % m
+    cur, nxt = 1 % m, x
+    for nu in range(1, cap + 1):
+        if cur == 0:
+            return nu
+        cur, nxt = nxt, (x * nxt - s * cur) % m
+    return None
+
+
 def u_prev_exact(x: int, s: int, n: int) -> int:
     """u_{n-1}(x; s) over the integers; u_{-1} = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = 0, 1
-    for _ in range(n):
-        prev, cur = cur, x * cur - s * prev
-    return prev
+    return _lucas(x, s, n)[1]
 
 
 def t_exact(x: int, s: int, n: int) -> int:
     """t_n(x; s) over the integers."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 2
-    prev, cur = 2, x
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur - s * prev
-    return cur
+    return _lucas(x, s, n)[0]
 
 
 def eval_fast(params: ChebyParams, n: int) -> ChebyPair:
-    """(t_n, u_{n-1}) mod the modulus in O(log n) steps.
-
-    Powers the companion matrix [[x, -s], [1, 0]]; the n-th power carries
-    u_n in the top-left and u_{n-1} in the bottom-left entry, and
-    t_n = 2*u_n - x*u_{n-1}.
-    """
+    """(t_n, u_{n-1}) mod the modulus in O(log n) Lucas-doubling steps."""
     m = params.modulus
     if m is None:
         raise ValueError("eval_fast needs a modulus")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x, s = params.x % m, params.s % m
-    a, b, c, d = 1 % m, 0, 0, 1 % m
-    e, f, g, h = x, (-s) % m, 1 % m, 0
-    k = n
-    while k:
-        if k & 1:
-            a, b, c, d = (
-                (a * e + b * g) % m,
-                (a * f + b * h) % m,
-                (c * e + d * g) % m,
-                (c * f + d * h) % m,
-            )
-        e, f, g, h = (
-            (e * e + f * g) % m,
-            (e * f + f * h) % m,
-            (g * e + h * g) % m,
-            (g * f + h * h) % m,
-        )
-        k >>= 1
-    return ChebyPair(n=n, t=(2 * a - x * c) % m, u_prev=c)
+    t, u_prev = _lucas(params.x, params.s, n, m)
+    return ChebyPair(n=n, t=t, u_prev=u_prev)
 
 
 def u_odd_closed_form(params: ChebyParams, n: int) -> int:

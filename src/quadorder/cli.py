@@ -24,7 +24,7 @@ from .cheby import (
     u_odd_closed_form,
     u_prev_exact,
 )
-from .ordersolver import FAIL, PASS, _check
+from .ordersolver import FAIL, PASS, check
 from .quadint import QuadInt
 
 CSV_COLUMNS = [
@@ -170,13 +170,13 @@ def cmd_conductor(args: argparse.Namespace) -> int:
     checks = []
     oracle_n = None
     if report.bound is not None:
-        checks.append(_check("n_exact <= bound", report.holds))
+        checks.append(check("n_exact <= bound", report.holds))
     if args.oracle:
         cap = 2 * report.n_exact + 10
         found = oracle.oracle_n_of_f(alpha, args.f, cap)
         oracle_n = found.value
         checks.append(
-            _check(
+            check(
                 "oracle n(f) == n_exact",
                 found.value == report.n_exact,
                 f"oracle {found.value}",
@@ -441,13 +441,13 @@ def _order_row(alpha: QuadInt, p: int, rng: random.Random, with_oracle: bool) ->
             else ordersolver.build_chain_s_minus1(report.x, p, rng)
         )
         row["m_random"] = rebuilt.m
-        checks.append(_check("chain length is root independent", rebuilt.m == report.chain.m))
+        checks.append(check("chain length is root independent", rebuilt.m == report.chain.m))
     if with_oracle and report.bound_n is not None:
         cap = 2 * report.bound_n + 10
         found = oracle.oracle_order_mod_p(alpha, p, cap)
         row["oracle"] = found.value
         checks.append(
-            _check(
+            check(
                 "oracle order divides bound",
                 found.value is not None and report.bound_n % found.value == 0,
             )
@@ -469,13 +469,13 @@ def _conductor_row(alpha: QuadInt, f: int, with_oracle: bool) -> dict | None:
     row["bound"] = report.bound
     checks = []
     if report.bound is not None:
-        checks.append(_check("n_exact <= bound", report.holds))
+        checks.append(check("n_exact <= bound", report.holds))
         row["tightness"] = f"{report.n_exact / report.bound:.6f}"
     if with_oracle:
         cap = 2 * report.n_exact + 10
         found = oracle.oracle_n_of_f(alpha, f, cap)
         row["oracle"] = found.value
-        checks.append(_check("oracle n(f) == n_exact", found.value == report.n_exact))
+        checks.append(check("oracle n(f) == n_exact", found.value == report.n_exact))
     return _finish_row(row, checks)
 
 

@@ -1,20 +1,22 @@
 """Conductor indices: the least power of alpha landing in the order Z + f*O.
 
 n(f) reduces to the vanishing index of the cofactor sequence u mod f0,
-where f0 strips from f its common factor with b.  The scan is capped by
-the odd-conductor product bound over q(p) values when that bound exists,
-and by a fixed ceiling otherwise; hitting the cap raises instead of
-looping, since it can only mean a broken precondition or a bug.
+where f0 strips from f its common factor with b.  f0 is factored once;
+its per-prime contributions q(p) * p^(k-1) give both the odd-conductor
+product bound and, times ten, the cap on the scan for the index (an even
+f0 gets a fixed ceiling).  Hitting the cap raises instead of looping,
+since it can only mean a broken precondition or a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
 
-from .cheby import ChebyParams, eval_fast
-from .modarith import factorize, gcd, require_odd_prime
-from .ordersolver import Check, _check, q_of_p
+from .cheby import ChebyParams, _vanishing_index, eval_fast
+from .modarith import factorize, require_odd_prime
+from .ordersolver import Check, check, q_of_p
 from .quadint import QuadInt
 
 DEFAULT_CEILING = 10**7
@@ -34,40 +36,39 @@ def reduce_f(b: int, f: int) -> tuple[int, int, int]:
     return c, b // c, f // c
 
 
-def _scan_cap(x: int, s: int, modulus: int) -> int:
-    # 10x the odd-modulus product bound when it exists, else a flat ceiling
-    if modulus % 2 == 0:
-        return DEFAULT_CEILING
-    try:
-        fac = factorize(modulus)
-    except ValueError:
-        return DEFAULT_CEILING
-    cap = 1
-    for p, k in fac.factors:
-        cap *= q_of_p(x, s, p) * p ** (k - 1)
-    return max(64, 10 * cap)
+def _per_prime(x: int, s: int, factors: tuple[tuple[int, int], ...]) -> tuple[PrimeBound, ...]:
+    out = []
+    for p, k in factors:
+        q = q_of_p(x, s, p)
+        out.append(PrimeBound(p=p, k=k, q_p=q, contribution=q * p ** (k - 1)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _entry_index(x: int, s: int, modulus: int) -> int:
-    cap = _scan_cap(x, s, modulus)
-    cur, nxt = 1 % modulus, x % modulus
-    for nu in range(1, cap + 1):
-        if cur == 0:
-            return nu
-        cur, nxt = nxt, (x * nxt - s * cur) % modulus
-    raise RuntimeError(
-        f"scan bound exceeded: no vanishing index below {cap} mod {modulus}"
-    )
+def _entry_index(x: int, s: int, modulus: int, cap: int) -> int:
+    nu = _vanishing_index(x, s, modulus, cap)
+    if nu is None:
+        raise RuntimeError(
+            f"scan bound exceeded: no vanishing index below {cap} mod {modulus}"
+        )
+    return nu
 
 
-def _require_entry_exists(x: int, s: int, f0: int) -> None:
-    for p, _ in factorize(f0).factors:
+def _n_of_f0(x: int, s: int, f0: int, factors: tuple[tuple[int, int], ...]) -> int:
+    """n(f) from the reduced conductor f0 and its factorization."""
+    if f0 == 1:
+        return 1
+    for p, _ in factors:
         if s % p == 0 and x % p != 0:
             raise ValueError(
                 f"no power of alpha has its irrational part divisible by {p}: "
                 "the cofactor sequence never vanishes there"
             )
+    # 10x the odd-modulus product bound, else a flat ceiling
+    cap = DEFAULT_CEILING
+    if f0 % 2:
+        cap = max(64, 10 * prod(t.contribution for t in _per_prime(x, s, factors)))
+    return _entry_index(x, s, f0, cap)
 
 
 def n_of_f(alpha: QuadInt, f: int) -> int:
@@ -76,12 +77,8 @@ def n_of_f(alpha: QuadInt, f: int) -> int:
         raise ValueError("the conductor must be at least 1")
     if f == 1 or alpha.b == 0:
         return 1
-    c, b0, f0 = reduce_f(alpha.b, f)
-    if f0 == 1:
-        return 1
-    x, s = alpha.trace_x, alpha.norm
-    _require_entry_exists(x, s, f0)
-    return _entry_index(x, s, f0)
+    _, _, f0 = reduce_f(alpha.b, f)
+    return _n_of_f0(alpha.trace_x, alpha.norm, f0, factorize(f0).factors)
 
 
 @dataclass(frozen=True)
@@ -192,13 +189,13 @@ def _lift_diagnostics(x: int, s: int, p: int, k: int, f: int, nu: int) -> tuple[
     outer = eval_fast(ChebyParams(z_big, s_big, lifted), p).u_prev
     u_pnu = eval_fast(big, p * nu).u_prev
     return (
-        _check("u(nu-1) == 0 mod p^k f", u_at_nu == 0),
-        _check("u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p", frob_lhs == frob_rhs),
-        _check(
+        check("u(nu-1) == 0 mod p^k f", u_at_nu == 0),
+        check("u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p", frob_lhs == frob_rhs),
+        check(
             "u(p*nu-1) == u(p-1)(z; s^nu) * u(nu-1) mod p^{k+1} f",
             u_pnu == outer * u_nu_big % lifted,
         ),
-        _check("u(p*nu-1) == 0 mod p^{k+1} f", u_pnu == 0),
+        check("u(p*nu-1) == 0 mod p^{k+1} f", u_pnu == 0),
     )
 
 
@@ -232,8 +229,10 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
     """
     if alpha.b == 0:
         raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
-    n_exact = n_of_f(alpha, f)
     c, _, f0 = reduce_f(alpha.b, f)
+    x, s = alpha.trace_x, alpha.norm
+    factors = factorize(f0).factors
+    n_exact = _n_of_f0(x, s, f0, factors)
     notes = []
     if c > 1:
         notes.append(f"common factor {c} with b removed, leaving f0 = {f0}")
@@ -242,14 +241,8 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         return ConductorReport(
             f=f, f0=f0, n_exact=n_exact, bound=None, per_prime=(), notes=tuple(notes)
         )
-    x, s = alpha.trace_x, alpha.norm
-    per = []
-    bound = 1
-    for p, k in factorize(f0).factors:
-        q = q_of_p(x, s, p)
-        contribution = q * p ** (k - 1)
-        per.append(PrimeBound(p=p, k=k, q_p=q, contribution=contribution))
-        bound *= contribution
+    per = _per_prime(x, s, factors)
+    bound = prod(t.contribution for t in per)
     return ConductorReport(
-        f=f, f0=f0, n_exact=n_exact, bound=bound, per_prime=tuple(per), notes=tuple(notes)
+        f=f, f0=f0, n_exact=n_exact, bound=bound, per_prime=per, notes=tuple(notes)
     )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -11,10 +10,6 @@ TRIAL_BOUND_ENV = "QUADORDER_TRIAL_BOUND"
 
 # this witness set makes Miller-Rabin deterministic below 3.3 * 10^24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
 
 
 def is_prime(n: int) -> bool:

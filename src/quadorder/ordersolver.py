@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cheby import ChebyParams, eval_fast
+from .cheby import ChebyParams, _vanishing_index, eval_fast, u_seq
 from .modarith import factorize, legendre, require_odd_prime, sqrt_mod
 from .quadint import QuadInt
 
@@ -37,7 +37,8 @@ class Check:
     note: str = ""
 
 
-def _check(name: str, ok: bool, note: str = "") -> Check:
+def check(name: str, ok: bool, note: str = "") -> Check:
+    """A pass/fail Check for a claim that was tested."""
     return Check(name, PASS if ok else FAIL, note)
 
 
@@ -113,18 +114,18 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
     sigma = 1 if ell == 1 else s
     full = _pair(x, s, p, p - ell)
     out = [
-        _check("t(p-ell) == 2*sigma", (full.t - 2 * sigma) % p == 0),
-        _check("u(p-ell-1) == 0", full.u_prev % p == 0),
+        check("t(p-ell) == 2*sigma", (full.t - 2 * sigma) % p == 0),
+        check("u(p-ell-1) == 0", full.u_prev % p == 0),
     ]
     half = _pair(x, s, p, (p - ell) // 2)
     disc = x * x - 4 * s
     if legendre(s, p) == 1:
-        out.append(_check("t((p-ell)/2)^2 == 4*sigma", (half.t * half.t - 4 * sigma) % p == 0))
-        out.append(_check("u((p-ell)/2-1) == 0", half.u_prev % p == 0))
+        out.append(check("t((p-ell)/2)^2 == 4*sigma", (half.t * half.t - 4 * sigma) % p == 0))
+        out.append(check("u((p-ell)/2-1) == 0", half.u_prev % p == 0))
     else:
-        out.append(_check("t((p-ell)/2) == 0", half.t % p == 0))
+        out.append(check("t((p-ell)/2) == 0", half.t % p == 0))
         out.append(
-            _check(
+            check(
                 "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma",
                 (disc * half.u_prev * half.u_prev - 4 * sigma) % p == 0,
             )
@@ -155,7 +156,8 @@ def _extend_chain(
         if legendre(chain[-1] + 2, p) == -1:
             return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_K, variant)
         root = sqrt_mod((chain[-1] + 2) % p, p)
-        assert root is not None and root != 0
+        if root is None or root == 0:
+            raise AssertionError(f"no nonzero square root of {chain[-1]} + 2 mod {p}")
         if rng is not None and rng.random() < 0.5:
             root = p - root
         chain.append(root)
@@ -195,7 +197,8 @@ def build_chain_s_minus1(x: int, p: int, rng: random.Random | None = None) -> Ch
         raise ValueError("the norm -1 chain needs x^2 + 4 to be a residue mod p")
     y0 = (x * x + 2) % p
     result = _extend_chain(y0, ell, p, NORM_MINUS_ONE, rng)
-    assert result.m >= 1
+    if result.m < 1:
+        raise AssertionError("the norm -1 chain stopped before its first link")
     return result
 
 
@@ -205,8 +208,8 @@ def _chain_checks(chain: ChainResult, p: int) -> list[Check]:
     )
     ok_ell = all(legendre(v * v - 4, p) == chain.ell for v in chain.chain)
     return [
-        _check("chain links square back", ok_sq),
-        _check("chain preserves ell", ok_ell),
+        check("chain links square back", ok_sq),
+        check("chain preserves ell", ok_ell),
     ]
 
 
@@ -243,23 +246,23 @@ def bound_norm1(
     checks = _chain_checks(chain, p)
     for k in range(m + 1):
         checks.append(
-            _check(f"t((p-ell)/2^{k}) == 2", (_pair(x, 1, p, (p - ell) >> k).t - 2) % p == 0)
+            check(f"t((p-ell)/2^{k}) == 2", (_pair(x, 1, p, (p - ell) >> k).t - 2) % p == 0)
         )
-    checks.append(_check("u(n-1) == 0", _pair(x, 1, p, n).u_prev % p == 0))
-    checks.append(_check("alpha^n == 1", _power_is(alpha, n, p, 1)))
+    checks.append(check("u(n-1) == 0", _pair(x, 1, p, n).u_prev % p == 0))
+    checks.append(check("alpha^n == 1", _power_is(alpha, n, p, 1)))
     half_applies = (p - ell) % (1 << (m + 1)) == 0
     if half_applies:
         half = _pair(x, 1, p, n // 2)
-        checks.append(_check("t(n/2) == -2", (half.t + 2) % p == 0))
-        checks.append(_check("u(n/2-1) == 0", half.u_prev % p == 0))
-        checks.append(_check("alpha^(n/2) == -1", _power_is(alpha, n // 2, p, -1)))
+        checks.append(check("t(n/2) == -2", (half.t + 2) % p == 0))
+        checks.append(check("u(n/2-1) == 0", half.u_prev % p == 0))
+        checks.append(check("alpha^(n/2) == -1", _power_is(alpha, n // 2, p, -1)))
     if (p - ell) % (1 << (m + 2)) == 0:
         u_half = _pair(x, 1, p, n // 2).u_prev % p
         u_quarter = _pair(x, 1, p, n // 4).u_prev % p
         checks.append(Check("u(n/2-1) != 0 (recorded)", NA, "holds" if u_half else "zero"))
         checks.append(Check("u(n/4-1) != 0 (recorded)", NA, "holds" if u_quarter else "zero"))
     if oracle_order is not None:
-        checks.append(_check("oracle order divides n", n % oracle_order == 0))
+        checks.append(check("oracle order divides n", n % oracle_order == 0))
     return OrderReport(
         p=p,
         x=x,
@@ -315,22 +318,22 @@ def bound_norm_minus1(
         )
     for j in range(m):
         checks.append(
-            _check(
+            check(
                 f"t((p-ell)/2^{j}) == 2", (_pair(x, -1, p, (p - ell) >> j).t - 2) % p == 0
             )
         )
     pr_n = _pair(x, -1, p, n)
-    checks.append(_check("t(n) == 2", (pr_n.t - 2) % p == 0))
-    checks.append(_check("u(n-1) == 0", pr_n.u_prev % p == 0))
-    checks.append(_check("alpha^n == 1", _power_is(alpha, n, p, 1)))
+    checks.append(check("t(n) == 2", (pr_n.t - 2) % p == 0))
+    checks.append(check("u(n-1) == 0", pr_n.u_prev % p == 0))
+    checks.append(check("alpha^n == 1", _power_is(alpha, n, p, 1)))
     half_applies = (p - ell) % (1 << (m + 1)) == 0
     if half_applies:
         half = _pair(x, -1, p, n // 2)
-        checks.append(_check("t(n/2) == -2", (half.t + 2) % p == 0))
-        checks.append(_check("u(n/2-1) == 0", half.u_prev % p == 0))
-        checks.append(_check("alpha^(n/2) == -1", _power_is(alpha, n // 2, p, -1)))
+        checks.append(check("t(n/2) == -2", (half.t + 2) % p == 0))
+        checks.append(check("u(n/2-1) == 0", half.u_prev % p == 0))
+        checks.append(check("alpha^(n/2) == -1", _power_is(alpha, n // 2, p, -1)))
     if oracle_order is not None:
-        checks.append(_check("oracle order divides n", n % oracle_order == 0))
+        checks.append(check("oracle order divides n", n % oracle_order == 0))
     return OrderReport(
         p=p,
         x=x,
@@ -355,21 +358,21 @@ def _norm_minus1_diagnostics(
     pr_double = _pair(x, -1, p, 2 * (p - ell))
     checks: list[Check] = []
     if p % 4 == 3:
-        checks.append(_check("t(n) == 0", pr_n.t % p == 0))
-        checks.append(_check("u(n-1) != 0", pr_n.u_prev % p != 0))
+        checks.append(check("t(n) == 0", pr_n.t % p == 0))
+        checks.append(check("u(n-1) != 0", pr_n.u_prev % p != 0))
     else:
         # p == 1 (mod 4) with ell == -1
-        checks.append(_check("t(n)^2 == 4*ell", (pr_n.t * pr_n.t - 4 * ell) % p == 0))
-        checks.append(_check("u(n-1) == 0", pr_n.u_prev % p == 0))
-        checks.append(_check("alpha^(p-ell) == -1", _power_is(alpha, p - ell, p, -1)))
-    checks.append(_check("t(2(p-ell)) == 2", pr_double.t % p == 2 % p))
-    checks.append(_check("u(2(p-ell)-1) == 0", pr_double.u_prev % p == 0))
-    checks.append(_check("alpha^(2(p-ell)) == 1", _power_is(alpha, 2 * (p - ell), p, 1)))
+        checks.append(check("t(n)^2 == 4*ell", (pr_n.t * pr_n.t - 4 * ell) % p == 0))
+        checks.append(check("u(n-1) == 0", pr_n.u_prev % p == 0))
+        checks.append(check("alpha^(p-ell) == -1", _power_is(alpha, p - ell, p, -1)))
+    checks.append(check("t(2(p-ell)) == 2", pr_double.t % p == 2 % p))
+    checks.append(check("u(2(p-ell)-1) == 0", pr_double.u_prev % p == 0))
+    checks.append(check("alpha^(2(p-ell)) == 1", _power_is(alpha, 2 * (p - ell), p, 1)))
     sigma = 1 if ell == 1 else -1
-    checks.append(_check("t(p-ell) == 2*sigma", (pr_full.t - 2 * sigma) % p == 0))
+    checks.append(check("t(p-ell) == 2*sigma", (pr_full.t - 2 * sigma) % p == 0))
     bound = 2 * (p - ell)
     if oracle_order is not None:
-        checks.append(_check("oracle order divides 2(p-ell)", bound % oracle_order == 0))
+        checks.append(check("oracle order divides 2(p-ell)", bound % oracle_order == 0))
     return OrderReport(
         p=p,
         x=x,
@@ -427,15 +430,15 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     pr = _pair(x, s, p, n)
     if s == 1:
         checks = (
-            _check("t(n) == 2", (pr.t - 2) % p == 0),
-            _check("u(n-1) == 0", pr.u_prev % p == 0),
+            check("t(n) == 2", (pr.t - 2) % p == 0),
+            check("u(n-1) == 0", pr.u_prev % p == 0),
         )
     else:
         pr2 = _pair(x, s, p, 2 * n)
         checks = (
-            _check("t(n) == 2*ell", (pr.t - 2 * ell) % p == 0),
-            _check("u(n-1) == 0", pr.u_prev % p == 0),
-            _check("t(2n) == 2", (pr2.t - 2) % p == 0),
+            check("t(n) == 2*ell", (pr.t - 2 * ell) % p == 0),
+            check("u(n-1) == 0", pr.u_prev % p == 0),
+            check("t(2n) == 2", (pr2.t - 2) % p == 0),
         )
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
@@ -455,28 +458,22 @@ def q_of_p(x: int, s: int, p: int) -> int:
         raise ValueError(
             "p divides the norm but not the trace; the cofactor sequence never vanishes mod p"
         )
-    limit = p + 1
-    seq = [1 % p]
-    cur, nxt = 1 % p, x % p
-    found = None
-    for nu in range(1, limit + 1):
-        if cur == 0:
-            found = nu
-            break
-        cur, nxt = nxt, (x * nxt - s * cur) % p
-        seq.append(cur)
+    found = _vanishing_index(x, s, p, p + 1)
     if found is None:
         raise AssertionError("no vanishing index inside the theoretical window")
-    degenerate = (x * x - 4 * s) % p == 0
-    if degenerate:
+    if (x * x - 4 * s) % p == 0:
         expected = 2 if s % p == 0 else p
         if found != expected:
             raise AssertionError(f"degenerate index {found} != pinned value {expected}")
-        for nu in range(1, found + 1, 2):
-            lhs = pow(2, nu - 1, p) * seq[nu - 1] % p
-            rhs = nu * pow(x % p, nu - 1, p) % p
-            if lhs != rhs:
-                raise AssertionError("odd-index closed form failed in the degenerate case")
+        # with p | s the only odd index is nu = 1, where both sides are 1;
+        # the pinned index p gets a second walk, so the scan stores nothing
+        if found == p:
+            us = u_seq(ChebyParams(x, s, p), p - 1)
+            two_pow, x_pow = 1, 1  # 2^{nu-1} and x^{nu-1}
+            for nu in range(1, p + 1, 2):
+                if two_pow * us[nu - 1] % p != nu * x_pow % p:
+                    raise AssertionError("odd-index closed form failed in the degenerate case")
+                two_pow, x_pow = 4 * two_pow % p, x * x * x_pow % p
     else:
         ell = ell_symbol(x, s, p)
         if ell != 0 and (p - ell) % found:
@@ -513,8 +510,8 @@ def analyze(
     if ell == 0:
         q = q_of_p(x, s, p)
         checks = (
-            _check("u(q-1) == 0", _pair(x, s, p, q).u_prev % p == 0),
-            _check("alpha^q is scalar mod p", _pair(x, s, p, q).u_prev * alpha.b % p == 0),
+            check("u(q-1) == 0", _pair(x, s, p, q).u_prev % p == 0),
+            check("alpha^q is scalar mod p", _pair(x, s, p, q).u_prev * alpha.b % p == 0),
         )
         return OrderReport(
             p=p,
@@ -535,19 +532,19 @@ def analyze(
     checks = list(table_check(alpha, p))
     if ell == 1:
         bound = p - 1
-        checks.append(_check("alpha^(p-1) == 1", _power_is(alpha, p - 1, p, 1)))
+        checks.append(check("alpha^(p-1) == 1", _power_is(alpha, p - 1, p, 1)))
     else:
         bound = (p + 1) * _scalar_order(s, p)
         pr = _pair(x, s, p, p + 1)
         checks.append(
-            _check(
+            check(
                 "alpha^(p+1) == s",
                 (pr.t - 2 * s) % p == 0 and pr.u_prev * alpha.b % p == 0,
             )
         )
-        checks.append(_check("alpha^bound == 1", _power_is(alpha, bound, p, 1)))
+        checks.append(check("alpha^bound == 1", _power_is(alpha, bound, p, 1)))
     if oracle_order is not None:
-        checks.append(_check("oracle order divides bound", bound % oracle_order == 0))
+        checks.append(check("oracle order divides bound", bound % oracle_order == 0))
     return OrderReport(
         p=p,
         x=x,

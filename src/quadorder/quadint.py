@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cheby import t_exact, u_prev_exact
+from .cheby import _lucas
 from .modarith import factorize
 
 
@@ -107,16 +107,14 @@ class QuadInt:
         return QuadInt(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, d)
 
     def __pow__(self, n: int) -> "QuadInt":
-        """n-th power through the trace/cofactor recurrences, not repeated products."""
+        """n-th power from (t_n, u_{n-1}) of the trace/norm pair, in O(log n) steps."""
         if n < 0:
             raise ValueError("negative powers are not integral in general")
         if n == 0:
             return QuadInt.one(self.d)
         if self.a == 0 and self.b == 0:
             return QuadInt(0, 0, self.d)
-        x, s = self.trace_x, self.norm
-        t = t_exact(x, s, n)
-        u = u_prev_exact(x, s, n)
+        t, u = _lucas(self.trace_x, self.norm, n)
         if self.r == 1:
             return QuadInt(t, u * self.b, self.d)
         return QuadInt(t // 2, u * self.b, self.d)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .quadint import QuadInt
+from .quadint import QuadInt, _check_radicand
 
 _STEP_CAP = 10**5
 
@@ -41,24 +41,15 @@ class CFState:
         return a, CFState(nxt, (self.d - nxt * nxt) // self.Q, self.d)
 
 
-def _require_valid_d(d: int) -> None:
-    if d <= 1:
-        raise ValueError("d must be a square-free integer greater than 1")
-    root = isqrt(d)
-    if root * root == d:
-        raise ValueError(f"{d} is a perfect square")
-    for q in range(2, root + 1):
-        if d % (q * q) == 0:
-            raise ValueError(f"{d} is divisible by {q}^2")
-
-
 def fundamental_unit(d: int) -> QuadInt:
     """Smallest unit above 1 in the maximal order of the field of sqrt(d).
 
     Expands sqrt(d), or (1 + sqrt(d))/2 when d == 1 (mod 4), and tests
     every convergent h/y; the half-integer candidate is (2h - y, y).
     """
-    _require_valid_d(d)
+    if d <= 1:
+        raise ValueError("d must be a square-free integer greater than 1")
+    _check_radicand(d)
     state = CFState(1, 2, d) if d % 4 == 1 else CFState(0, 1, d)
     h2, h1 = 0, 1
     y2, y1 = 1, 0

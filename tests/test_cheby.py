@@ -50,13 +50,16 @@ def test_degenerate_top_of_range():
 
 
 def test_exact_single_term_matches_seq():
-    for x, s in [(2, -1), (1, -1), (3, 1), (-4, 7), (6, 1), (0, -3)]:
-        params = ChebyParams(x, s)
-        us = u_seq(params, 20)
-        ts = t_seq(params, 20)
-        for n in range(21):
-            assert t_exact(x, s, n) == ts[n]
-            assert u_prev_exact(x, s, n) == (us[n - 1] if n >= 1 else 0)
+    pairs = [(2, -1), (1, -1), (3, 1), (-4, 7), (6, 1), (0, -3), (0, 1), (0, -1), (5, -6)]
+    # every small index, then big integers up to index 5000
+    for n_max, step in [(20, 1), (5000, 97)]:
+        for x, s in pairs:
+            params = ChebyParams(x, s)
+            us = u_seq(params, n_max)
+            ts = t_seq(params, n_max)
+            for n in [*range(0, n_max + 1, step), n_max - 1, n_max]:
+                assert t_exact(x, s, n) == ts[n], (x, s, n)
+                assert u_prev_exact(x, s, n) == (us[n - 1] if n >= 1 else 0), (x, s, n)
 
 
 @pytest.mark.parametrize("x,s", [(2, -1), (1, -1), (3, 1), (6, 1), (-4, 7), (5, -6)])
@@ -89,12 +92,15 @@ def test_eval_fast_endpoints():
     st.integers(-30, 30),
     st.integers(-10, 10).filter(lambda s: s != 0),
     st.integers(0, 120),
+    st.sampled_from([2, 10007, 2**61 - 1]),
 )
-def test_eval_fast_hypothesis(x, s, n):
-    m = 10007
-    pair = eval_fast(ChebyParams(x, s, m), n)
-    assert pair.t == t_exact(x, s, n) % m
-    assert pair.u_prev == u_prev_exact(x, s, n) % m
+def test_eval_fast_hypothesis(x, s, n, m):
+    # the reference is the step-by-step walk, not the exact evaluators,
+    # which share eval_fast's doubling kernel
+    params = ChebyParams(x, s, m)
+    pair = eval_fast(params, n)
+    assert pair.t == t_seq(params, n)[n]
+    assert pair.u_prev == (u_seq(params, n)[n - 1] if n else 0)
 
 
 def test_odd_closed_form_matches_recurrence():

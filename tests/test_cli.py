@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadorder
 from quadorder.cli import CSV_COLUMNS, build_parser, main, run_identity_trials
 
 
@@ -218,3 +223,26 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["order", "--d", "2", "--alpha", "1,1", "--p", "7"])
     assert args.p == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--d", "13", "--fundunit", "--p", "29", "--json"],
+        ["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--json"],
+    ],
+)
+def test_output_unchanged_under_optimize(argv):
+    # python -O strips assert statements; the invariants must not lean on them
+    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "quadorder.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from quadorder.modarith import (
     Factorization,
     factorize,
-    gcd,
     is_prime,
     legendre,
     require_odd_prime,
@@ -153,9 +152,3 @@ def test_factorization_is_squarefree():
 def test_factorization_validates_product():
     with pytest.raises(ValueError):
         Factorization(base=10, factors=((2, 1), (3, 1)))
-
-
-def test_gcd_frozen():
-    assert gcd(0, 0) == 0
-    assert gcd(-12, 45) == 3
-    assert gcd(45, 12) == 3

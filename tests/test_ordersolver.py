@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadorder.ordersolver import (
     FAIL,
@@ -19,7 +20,8 @@ from quadorder.ordersolver import (
     q_of_p,
     table_check,
 )
-from quadorder.oracle import oracle_order_mod_p
+from quadorder.modarith import is_prime
+from quadorder.oracle import oracle_order_mod_p, oracle_q_of_p
 from quadorder.quadint import QuadInt
 
 
@@ -282,6 +284,24 @@ class TestEntryIndex:
                     if ell == 0:
                         continue
                     assert (p - ell) % q_of_p(x, s, p) == 0, (x, s, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([p for p in range(3, 20000) if is_prime(p)]),
+        st.integers(-50, 50),
+        st.integers(-20, 20).filter(lambda s: s != 0),
+        st.booleans(),
+    )
+    def test_matches_oracle(self, p, x, s, degenerate):
+        if degenerate:
+            # s == x^2/4 mod p puts p | x^2 - 4s; x == 0 gives p | s as well
+            s = x * x * pow(4, -1, p) % p or p
+        expected = oracle_q_of_p(x, s, p, cap=p + 1).value
+        if expected is None:
+            with pytest.raises(ValueError):
+                q_of_p(x, s, p)
+        else:
+            assert q_of_p(x, s, p) == expected
 
 
 class TestAnalyze:
