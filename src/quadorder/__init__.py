@@ -20,7 +20,6 @@ from .cheby import (
     u_seq,
 )
 from .conductor import (
-    DEFAULT_CEILING,
     ConductorReport,
     MultiplicativeBound,
     PrimeBound,
@@ -84,7 +83,6 @@ __all__ = [
     "u_odd_closed_form",
     "u_prev_exact",
     "u_seq",
-    "DEFAULT_CEILING",
     "ConductorReport",
     "MultiplicativeBound",
     "PrimeBound",

@@ -6,9 +6,9 @@ They are the scaled Chebyshev polynomials in the pair (x, s), and for a
 2x2 integer matrix with trace x and determinant s they give the trace
 and the corner entry of the n-th power.
 
-Single terms come from one Lucas-doubling kernel, exactly or modulo m;
-the sequences u_seq and t_seq walk the recurrence one step at a time and
-are kept as the reference the kernel is tested against.
+Single terms come from one Lucas-doubling kernel, exactly or mod m, and
+vanishing indices from an order descent on it; u_seq and t_seq walk the
+recurrence one step at a time, as the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -81,15 +81,20 @@ def _lucas(x: int, s: int, n: int, m: int | None = None) -> tuple[int, int]:
     return (t if m is None else t % m), u
 
 
-def _vanishing_index(x: int, s: int, m: int, cap: int) -> int | None:
-    """Least nu in 1..cap with u_{nu-1}(x; s) == 0 mod m, or None."""
-    x, s = x % m, s % m
-    cur, nxt = 1 % m, x
-    for nu in range(1, cap + 1):
-        if cur == 0:
-            return nu
-        cur, nxt = nxt, (x * nxt - s * cur) % m
-    return None
+def _order_descent(x: int, s: int, m: int, n: int, primes: list[int]) -> int:
+    """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod m, from a multiple n of it.
+
+    Needs gcd(m, s) = 1, so that those nu are the kernel of nu -> M^nu in
+    PGL(2, Z/m): the multiples of the least one (Lucas 1878; Lehmer 1930).
+    primes must cover every prime at which n may exceed it; each is divided
+    out of n while the index still vanishes.
+    """
+    if _lucas(x, s, n, m)[1]:
+        raise AssertionError(f"u_{n - 1} != 0 mod {m}: {n} is not a vanishing index")
+    for r in primes:
+        while n % r == 0 and _lucas(x, s, n // r, m)[1] == 0:
+            n //= r
+    return n
 
 
 def u_prev_exact(x: int, s: int, n: int) -> int:

@@ -460,7 +460,7 @@ def _order_row(alpha: QuadInt, p: int, rng: random.Random, with_oracle: bool) ->
 def _conductor_row(alpha: QuadInt, f: int, with_oracle: bool) -> dict | None:
     try:
         report = conductor.bound_full(alpha, f)
-    except (ValueError, RuntimeError):
+    except ValueError:
         return None
     row = _row_skeleton("conductor", alpha)
     row["f"] = f

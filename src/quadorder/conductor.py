@@ -1,25 +1,24 @@
 """Conductor indices: the least power of alpha landing in the order Z + f*O.
 
-n(f) reduces to the vanishing index of the cofactor sequence u mod f0,
-where f0 strips from f its common factor with b.  f0 is factored once;
-its per-prime contributions q(p) * p^(k-1) give both the odd-conductor
-product bound and, times ten, the cap on the scan for the index (an even
-f0 gets a fixed ceiling).  Hitting the cap raises instead of looping,
-since it can only mean a broken precondition or a bug.
+n(f) is the vanishing index of the cofactor sequence u mod f0, where f0
+strips from f its common factor with b.  f0 = A * B is factored once, A
+coprime to s.  n(A) comes from one order descent from the multiple
+lcm q(p) * p^(k-1) over p^k || A (6 * 2^(k-1) for p = 2: element orders
+in PGL(2, F_2) = S_3 divide 6).  Each prime of B divides x and s, so
+M^2 == 0 mod p and u vanishes mod p^k from index 2k on: n(f0) is the
+first multiple of n(A) that vanishes mod B, at most 2 * max k away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from .cheby import ChebyParams, _vanishing_index, eval_fast
+from .cheby import ChebyParams, _lucas, _order_descent, eval_fast
 from .modarith import factorize, require_odd_prime
 from .ordersolver import Check, check, q_of_p
 from .quadint import QuadInt
-
-DEFAULT_CEILING = 10**7
 
 
 def reduce_f(b: int, f: int) -> tuple[int, int, int]:
@@ -37,38 +36,38 @@ def reduce_f(b: int, f: int) -> tuple[int, int, int]:
 
 
 def _per_prime(x: int, s: int, factors: tuple[tuple[int, int], ...]) -> tuple[PrimeBound, ...]:
-    out = []
-    for p, k in factors:
-        q = q_of_p(x, s, p)
-        out.append(PrimeBound(p=p, k=k, q_p=q, contribution=q * p ** (k - 1)))
-    return tuple(out)
+    # the records behind both the descent multiple and the product bound
+    qs = [q_of_p(x, s, p) for p, _ in factors]
+    return tuple(PrimeBound(p, k, q, q * p ** (k - 1)) for (p, k), q in zip(factors, qs))
 
 
 @lru_cache(maxsize=None)
-def _entry_index(x: int, s: int, modulus: int, cap: int) -> int:
-    nu = _vanishing_index(x, s, modulus, cap)
-    if nu is None:
-        raise RuntimeError(
-            f"scan bound exceeded: no vanishing index below {cap} mod {modulus}"
-        )
-    return nu
-
-
-def _n_of_f0(x: int, s: int, f0: int, factors: tuple[tuple[int, int], ...]) -> int:
-    """n(f) from the reduced conductor f0 and its factorization."""
-    if f0 == 1:
-        return 1
+def _entry_index(x: int, s: int, f0: int) -> int:
+    """n(f) from the reduced conductor f0; the module docstring has the route."""
+    factors = factorize(f0).factors
     for p, _ in factors:
         if s % p == 0 and x % p != 0:
             raise ValueError(
                 f"no power of alpha has its irrational part divisible by {p}: "
                 "the cofactor sequence never vanishes there"
             )
-    # 10x the odd-modulus product bound, else a flat ceiling
-    cap = DEFAULT_CEILING
-    if f0 % 2:
-        cap = max(64, 10 * prod(t.contribution for t in _per_prime(x, s, factors)))
-    return _entry_index(x, s, f0, cap)
+    coprime = [(p, k) for p, k in factors if s % p]
+    part_a = prod(p**k for p, k in coprime)
+    per = _per_prime(x, s, tuple((p, k) for p, k in coprime if p != 2))
+    mult = lcm(*(t.contribution for t in per))
+    # mult exceeds n(A) only at primes of A, and at 3 through the 6 for p = 2
+    primes = [p for p, _ in coprime]
+    if part_a % 2 == 0:
+        mult = lcm(mult, 3 * (part_a & -part_a))
+        primes.append(3)
+    n_a = _order_descent(x, s, part_a, mult, primes)
+    if part_a == f0:
+        return n_a
+    shared_k = max(k for p, k in factors if s % p == 0)
+    for j in range(1, 2 * shared_k + 1):
+        if _lucas(x, s, j * n_a, f0)[1] == 0:
+            return j * n_a
+    raise AssertionError(f"u does not vanish mod {f0} by index {2 * shared_k * n_a}")
 
 
 def n_of_f(alpha: QuadInt, f: int) -> int:
@@ -78,7 +77,7 @@ def n_of_f(alpha: QuadInt, f: int) -> int:
     if f == 1 or alpha.b == 0:
         return 1
     _, _, f0 = reduce_f(alpha.b, f)
-    return _n_of_f0(alpha.trace_x, alpha.norm, f0, factorize(f0).factors)
+    return _entry_index(alpha.trace_x, alpha.norm, f0)
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,7 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
     c, _, f0 = reduce_f(alpha.b, f)
     x, s = alpha.trace_x, alpha.norm
-    factors = factorize(f0).factors
-    n_exact = _n_of_f0(x, s, f0, factors)
+    n_exact = _entry_index(x, s, f0)
     notes = []
     if c > 1:
         notes.append(f"common factor {c} with b removed, leaving f0 = {f0}")
@@ -241,7 +239,7 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         return ConductorReport(
             f=f, f0=f0, n_exact=n_exact, bound=None, per_prime=(), notes=tuple(notes)
         )
-    per = _per_prime(x, s, factors)
+    per = _per_prime(x, s, factorize(f0).factors)
     bound = prod(t.contribution for t in per)
     return ConductorReport(
         f=f, f0=f0, n_exact=n_exact, bound=bound, per_prime=per, notes=tuple(notes)

@@ -18,6 +18,8 @@ def is_prime(n: int) -> bool:
     for q in _WITNESSES:
         if n % q == 0:
             return n == q
+    if n < 41 * 41:  # every composite below 41^2 has a prime factor <= 37
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -43,6 +45,11 @@ def require_odd_prime(p: int) -> None:
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
     require_odd_prime(p)
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    """legendre for a p the caller has already proved an odd prime."""
     a %= p
     if a == 0:
         return 0
@@ -60,7 +67,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) == -1:
+    if _legendre(a, p) == -1:
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -70,7 +77,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:
+    while _legendre(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:

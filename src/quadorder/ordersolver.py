@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cheby import ChebyParams, _vanishing_index, eval_fast, u_seq
-from .modarith import factorize, legendre, require_odd_prime, sqrt_mod
+from .cheby import ChebyParams, _order_descent, eval_fast
+from .modarith import _legendre, factorize, legendre, require_odd_prime, sqrt_mod
 from .quadint import QuadInt
 
 PASS = "pass"
@@ -108,7 +108,7 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
     if s % p == 0:
         return [Check("preconditions", NA, "p divides the norm, so no power is invertible mod p")]
     x = alpha.trace_x
-    ell = ell_symbol(x, s, p)
+    ell = _legendre(x * x - 4 * s, p)
     if ell == 0:
         return [Check("preconditions", NA, "p divides x^2 - 4s")]
     sigma = 1 if ell == 1 else s
@@ -119,7 +119,7 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
     ]
     half = _pair(x, s, p, (p - ell) // 2)
     disc = x * x - 4 * s
-    if legendre(s, p) == 1:
+    if _legendre(s, p) == 1:
         out.append(check("t((p-ell)/2)^2 == 4*sigma", (half.t * half.t - 4 * sigma) % p == 0))
         out.append(check("u((p-ell)/2-1) == 0", half.u_prev % p == 0))
     else:
@@ -146,14 +146,14 @@ def _extend_chain(
     start: int, ell: int, p: int, variant: str, rng: random.Random | None
 ) -> ChainResult:
     chain = [start % p]
-    if legendre(chain[0] + 2, p) == -1:
+    if _legendre(chain[0] + 2, p) == -1:
         return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_START, variant)
     two_part = p - ell
     while True:
         k = len(chain) - 1
         if two_part % (1 << (k + 1)):
             return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO, variant)
-        if legendre(chain[-1] + 2, p) == -1:
+        if _legendre(chain[-1] + 2, p) == -1:
             return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_K, variant)
         root = sqrt_mod((chain[-1] + 2) % p, p)
         if root is None or root == 0:
@@ -172,7 +172,7 @@ def build_chain_s1(x: int, p: int, rng: random.Random | None = None) -> ChainRes
     length is root-independent and the sweep command spot-checks that.
     """
     require_odd_prime(p)
-    ell = legendre(x * x - 4, p)
+    ell = _legendre(x * x - 4, p)
     if ell == 0:
         raise ValueError("p divides x^2 - 4, so no chain is defined")
     return _extend_chain(x, ell, p, NORM_PLUS_ONE, rng)
@@ -190,7 +190,7 @@ def build_chain_s_minus1(x: int, p: int, rng: random.Random | None = None) -> Ch
         raise ValueError("the norm -1 chain needs p == 1 (mod 4)")
     if x % p == 0:
         raise ValueError("the norm -1 chain needs x nonzero mod p")
-    ell = legendre(x * x + 4, p)
+    ell = _legendre(x * x + 4, p)
     if ell == 0:
         raise ValueError("p divides x^2 + 4, so no chain is defined")
     if ell == -1:
@@ -206,7 +206,7 @@ def _chain_checks(chain: ChainResult, p: int) -> list[Check]:
     ok_sq = all(
         (chain.chain[k] - (chain.chain[k + 1] ** 2 - 2)) % p == 0 for k in range(chain.m)
     )
-    ok_ell = all(legendre(v * v - 4, p) == chain.ell for v in chain.chain)
+    ok_ell = all(_legendre(v * v - 4, p) == chain.ell for v in chain.chain)
     return [
         check("chain links square back", ok_sq),
         check("chain preserves ell", ok_ell),
@@ -237,7 +237,7 @@ def bound_norm1(
     if alpha.norm != 1:
         raise ValueError("this bound needs norm +1")
     x = alpha.trace_x
-    ell = ell_symbol(x, 1, p)
+    ell = _legendre(x * x - 4, p)
     if ell == 0:
         raise ValueError("p divides x^2 - 4; use the degenerate branch")
     chain = build_chain_s1(x, p, rng)
@@ -295,7 +295,7 @@ def bound_norm_minus1(
     if alpha.norm != -1:
         raise ValueError("this bound needs norm -1")
     x = alpha.trace_x
-    ell = ell_symbol(x, -1, p)
+    ell = _legendre(x * x + 4, p)
     if ell == 0:
         raise ValueError("p divides x^2 + 4; use the degenerate branch")
     if p % 4 == 3 or ell == -1:
@@ -409,7 +409,7 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
         raise ValueError("the preimage route needs norm +1 or -1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    ell = ell_symbol(x, s, p)
+    ell = _legendre(x * x - 4 * s, p)
     if ell == 0:
         raise ValueError("p divides x^2 - 4s, so no exponent bound is defined")
     if (p - ell) % k:
@@ -445,40 +445,32 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
 
 @lru_cache(maxsize=None)
 def q_of_p(x: int, s: int, p: int) -> int:
-    """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p.
+    """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p, by order descent.
 
-    Exists within p + 1 terms except when p | s and p does not divide x,
-    where u_{nu-1} == x^{nu-1} never vanishes and a ValueError says so.
-    In the degenerate case p | x^2 - 4s the answer is pinned to p (p
-    coprime to s) or 2 (p | s) and cross-checked against the odd-index
-    closed form 2^{nu-1} u_{nu-1} == nu * x^{nu-1}.
+    When p | s it is 2 if p | x, and otherwise no index exists (ValueError).
+    Else q(p) divides p - ell, factored once (a factorize refusal propagates
+    as its ValueError); when ell = 0 it is p, after the odd-index closed
+    form 2^{nu-1} u_{nu-1} == nu * x^{nu-1} is checked up to nu = p.
     """
     require_odd_prime(p)
-    if s % p == 0 and x % p != 0:
-        raise ValueError(
-            "p divides the norm but not the trace; the cofactor sequence never vanishes mod p"
-        )
-    found = _vanishing_index(x, s, p, p + 1)
-    if found is None:
-        raise AssertionError("no vanishing index inside the theoretical window")
-    if (x * x - 4 * s) % p == 0:
-        expected = 2 if s % p == 0 else p
-        if found != expected:
-            raise AssertionError(f"degenerate index {found} != pinned value {expected}")
-        # with p | s the only odd index is nu = 1, where both sides are 1;
-        # the pinned index p gets a second walk, so the scan stores nothing
-        if found == p:
-            us = u_seq(ChebyParams(x, s, p), p - 1)
-            two_pow, x_pow = 1, 1  # 2^{nu-1} and x^{nu-1}
-            for nu in range(1, p + 1, 2):
-                if two_pow * us[nu - 1] % p != nu * x_pow % p:
-                    raise AssertionError("odd-index closed form failed in the degenerate case")
-                two_pow, x_pow = 4 * two_pow % p, x * x * x_pow % p
-    else:
-        ell = ell_symbol(x, s, p)
-        if ell != 0 and (p - ell) % found:
-            raise AssertionError("vanishing index does not divide p - ell")
-    return found
+    if s % p == 0:
+        if x % p:
+            raise ValueError(
+                "p divides the norm but not the trace; the cofactor sequence never vanishes mod p"
+            )
+        return 2
+    ell = _legendre(x * x - 4 * s, p)
+    if ell:
+        return _order_descent(x, s, p, p - ell, [r for r, _ in factorize(p - ell).factors])
+    # u walks two terms at a time: u_{nu-1}, u_nu, 2^{nu-1} and x^{nu-1}
+    u, u_next, two_pow, x_pow, x_sq = 1, x % p, 1, 1, x * x % p
+    for nu in range(1, p + 1, 2):
+        if two_pow * u % p != nu * x_pow % p:
+            raise AssertionError("odd-index closed form failed in the degenerate case")
+        u = (x * u_next - s * u) % p
+        u_next = (x * u - s * u_next) % p
+        two_pow, x_pow = 4 * two_pow % p, x_sq * x_pow % p
+    return _order_descent(x, s, p, p, [p])
 
 
 def _scalar_order(s: int, p: int) -> int:
@@ -506,7 +498,7 @@ def analyze(
     if s % p == 0:
         raise ValueError("p divides the norm; no multiplicative order exists mod p")
     x = alpha.trace_x
-    ell = ell_symbol(x, s, p)
+    ell = _legendre(x * x - 4 * s, p)
     if ell == 0:
         q = q_of_p(x, s, p)
         checks = (

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,18 @@ def test_conductor_nonexistent_exits_2(capsys):
     code, _, err = run(capsys, "conductor", "--d", "6", "--alpha", "1,1", "--f", "5")
     assert code == 2
     assert "error:" in err
+
+
+def test_conductor_refuses_unfactorable_p_minus_ell_quickly(capsys, monkeypatch):
+    # q(p) for 1 + sqrt(2) needs p - 1 = 2 * 1000003 * 1000121 factored,
+    # which is beyond the trial bound: a quick exit 2, not a scan of ~p steps
+    monkeypatch.delenv("QUADORDER_TRIAL_BOUND", raising=False)
+    p = 2 * 1000003 * 1000121 + 1
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "conductor", "--d", "2", "--alpha", "1,1", "--f", str(p))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "trial bound" in err
 
 
 def test_fundunit_text(capsys):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadorder.conductor import (
     bound_full,
@@ -49,6 +50,33 @@ def test_n_of_f_matches_oracle():
                 assert oracle_n_of_f(alpha, f, cap=400).value is None
                 continue
             assert oracle_n_of_f(alpha, f, cap=2 * claimed + 10).value == claimed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 6, 7, 10, 13, 17, -1, -2, -3, -7]),
+    st.integers(-8, 8),
+    st.integers(-8, 8).filter(lambda b: b != 0),
+    st.integers(1, 2000),
+    st.integers(0, 3),
+)
+def test_n_of_f_matches_oracle_random(d, a, b, f, shared):
+    # f ranges over even f0, common factors with b, and, when shared > 0, a
+    # power of a prime dividing gcd(x, s), where n(f) comes from the bounded walk
+    try:
+        alpha = QuadInt(a, b, d)
+    except ValueError:
+        assume(False)
+    g = math.gcd(alpha.trace_x, alpha.norm)
+    if shared and g > 1:
+        p = min(q for q in range(2, g + 1) if g % q == 0)
+        f = max(1, f // p**shared) * p**shared
+    try:
+        claimed = n_of_f(alpha, f)
+    except ValueError:
+        assert oracle_n_of_f(alpha, f, cap=200).value is None
+        return
+    assert oracle_n_of_f(alpha, f, cap=claimed + 2).value == claimed
 
 
 def test_n_of_f_reduction_by_common_factor():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,6 +256,36 @@ class TestDivisorBound:
             divisor_bound(2, 1, 7, 1)  # degenerate discriminant
 
 
+def _trial_primes(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def _u_prev_by_matrix(x, s, m, n):
+    # u_{n-1} is the lower-left entry of [[x, -s], [1, 0]]^n mod m
+    def mul(a, b):
+        return (
+            (a[0] * b[0] + a[1] * b[2]) % m,
+            (a[0] * b[1] + a[1] * b[3]) % m,
+            (a[2] * b[0] + a[3] * b[2]) % m,
+            (a[2] * b[1] + a[3] * b[3]) % m,
+        )
+
+    acc, base = (1, 0, 0, 1), (x % m, -s % m, 1, 0)
+    while n:
+        if n & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        n >>= 1
+    return acc[2]
+
+
 class TestEntryIndex:
     def test_frozen_values(self):
         assert q_of_p(2, -1, 3) == 4
@@ -287,7 +318,7 @@ class TestEntryIndex:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from([p for p in range(3, 20000) if is_prime(p)]),
+        st.sampled_from([p for p in range(3, 10**5) if is_prime(p)]),
         st.integers(-50, 50),
         st.integers(-20, 20).filter(lambda s: s != 0),
         st.booleans(),
@@ -296,12 +327,35 @@ class TestEntryIndex:
         if degenerate:
             # s == x^2/4 mod p puts p | x^2 - 4s; x == 0 gives p | s as well
             s = x * x * pow(4, -1, p) % p or p
-        expected = oracle_q_of_p(x, s, p, cap=p + 1).value
+        expected = oracle_q_of_p(x, s, p, cap=p + 2).value
         if expected is None:
             with pytest.raises(ValueError):
                 q_of_p(x, s, p)
         else:
             assert q_of_p(x, s, p) == expected
+
+    def test_large_prime_is_certified_least(self):
+        x, s, p = 3, 1, 10**7 + 19
+        q_of_p.cache_clear()
+        q = q_of_p(x, s, p)
+        assert _u_prev_by_matrix(x, s, p, q) == 0
+        for r in _trial_primes(q):
+            assert _u_prev_by_matrix(x, s, p, q // r) != 0, r
+        best = float("inf")
+        for _ in range(5):
+            q_of_p.cache_clear()
+            t0 = time.perf_counter()
+            q_of_p(x, s, p)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.05, best
+
+    def test_refuses_when_p_minus_ell_cannot_be_factored(self, monkeypatch):
+        # p - ell = 2 * 1000003 * 1000121: both odd primes exceed the trial bound
+        monkeypatch.delenv("QUADORDER_TRIAL_BOUND", raising=False)
+        p = 2 * 1000003 * 1000121 + 1
+        assert is_prime(p) and ell_symbol(2, -1, p) == 1
+        with pytest.raises(ValueError, match="trial bound"):
+            q_of_p(2, -1, p)
 
 
 class TestAnalyze:
