@@ -1,24 +1,29 @@
 """Orders of quadratic-field integers mod odd primes and conductor indices.
 
 The package splits into arithmetic primitives (modarith), the adapted
-polynomial recurrences (cheby), quadratic integers and their matrix
-embedding (quadint), the order bounds themselves (ordersolver), the
-conductor index machinery (conductor), fundamental units (units), naive
-cross-checking scans (oracle), and the command line front end (cli).
+polynomial recurrences and their identity fuzzing (cheby), the named
+pass/fail/n-a checks every report carries (checks), quadratic integers and
+their matrix embedding (quadint), the order bounds themselves
+(ordersolver), the conductor index machinery (conductor), fundamental
+units (units), naive cross-checking scans (oracle), and the command line
+front end (cli), which only renders reports.
 """
 
 from .cheby import (
     ChebyPair,
     ChebyParams,
+    IdentityTally,
     compose_t,
     compose_u,
     eval_fast,
+    run_identity_trials,
     t_exact,
     t_seq,
     u_odd_closed_form,
     u_prev_exact,
     u_seq,
 )
+from .checks import FAIL, NA, PASS, Check, check, failed_names
 from .conductor import (
     ConductorReport,
     MultiplicativeBound,
@@ -49,11 +54,7 @@ from .oracle import (
     oracle_q_of_p,
 )
 from .ordersolver import (
-    FAIL,
-    NA,
-    PASS,
     ChainResult,
-    Check,
     DivisorBound,
     OrderReport,
     analyze,
@@ -61,7 +62,6 @@ from .ordersolver import (
     bound_norm_minus1,
     build_chain_s1,
     build_chain_s_minus1,
-    check,
     divisor_bound,
     ell_symbol,
     q_of_p,
@@ -75,14 +75,22 @@ __version__ = "0.1.0"
 __all__ = [
     "ChebyPair",
     "ChebyParams",
+    "IdentityTally",
     "compose_t",
     "compose_u",
     "eval_fast",
+    "run_identity_trials",
     "t_exact",
     "t_seq",
     "u_odd_closed_form",
     "u_prev_exact",
     "u_seq",
+    "FAIL",
+    "NA",
+    "PASS",
+    "Check",
+    "check",
+    "failed_names",
     "ConductorReport",
     "MultiplicativeBound",
     "PrimeBound",
@@ -106,11 +114,7 @@ __all__ = [
     "oracle_n_of_f",
     "oracle_order_mod_p",
     "oracle_q_of_p",
-    "FAIL",
-    "NA",
-    "PASS",
     "ChainResult",
-    "Check",
     "DivisorBound",
     "OrderReport",
     "analyze",
@@ -118,7 +122,6 @@ __all__ = [
     "bound_norm_minus1",
     "build_chain_s1",
     "build_chain_s_minus1",
-    "check",
     "divisor_bound",
     "ell_symbol",
     "q_of_p",

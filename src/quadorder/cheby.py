@@ -9,10 +9,12 @@ and the corner entry of the n-th power.
 Single terms come from one Lucas-doubling kernel, exactly or mod m, and
 vanishing indices from an order descent on it; u_seq and t_seq walk the
 recurrence one step at a time, as the reference the kernel is tested against.
+run_identity_trials fuzzes the polynomial identities over the integers.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import comb
 
@@ -167,3 +169,70 @@ def _require_exact_indices(m: int, n: int, params: ChebyParams) -> None:
         raise ValueError("composition indices must be at least 1")
     if params.modulus is not None:
         raise ValueError("composition identities are checked exactly; drop the modulus")
+
+
+@dataclass(frozen=True)
+class IdentityTally:
+    name: str
+    passed: int
+    total: int
+    first_failure: str = ""
+
+
+def run_identity_trials(
+    trials: int,
+    seed: int,
+    x_bound: int = 50,
+    s_bound: int = 20,
+    mn_bound: int = 40,
+) -> list[IdentityTally]:
+    """Exact-equality fuzzing of the polynomial identities.
+
+    Each trial draws x, a nonzero s, indices m and n, an odd index, and a
+    transport modulus, then evaluates both sides of every identity over
+    the integers.  Any mismatch is recorded with the offending tuple.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if x_bound < 1 or s_bound < 1 or mn_bound < 1:
+        raise ValueError("bounds must be at least 1")
+    rng = random.Random(seed)
+    names = [
+        "norm: (x^2-4s)*u(n-1)^2 == t(n)^2 - 4*s^n",
+        "doubling: t(n)^2 == t(2n) + 2*s^n",
+        "compose t: t(mn) == t_n(t_m(x;s); s^m)",
+        "compose u: u(mn-1) == u(m-1)(t_n; s^n)*u(n-1)",
+        "u(n-1) divides u(mn-1)",
+        "transport: mu | u(n-1) implies mu | u(mn-1)",
+        "odd closed form matches the recurrence",
+    ]
+    passed = {name: 0 for name in names}
+    first = {name: "" for name in names}
+    for _ in range(trials):
+        x = rng.randint(-x_bound, x_bound)
+        s = rng.randint(1, s_bound) * rng.choice((-1, 1))
+        m = rng.randint(1, mn_bound)
+        n = rng.randint(1, mn_bound)
+        odd = 2 * rng.randint(0, (mn_bound - 1) // 2) + 1
+        mu = rng.randint(2, 50)
+        where = f"x={x} s={s} m={m} n={n} odd={odd} mu={mu}"
+        params = ChebyParams(x, s)
+        u_n = u_prev_exact(x, s, n)
+        t_n = t_exact(x, s, n)
+        u_mn = u_prev_exact(x, s, m * n)
+        outcomes = {}
+        outcomes[names[0]] = (x * x - 4 * s) * u_n * u_n == t_n * t_n - 4 * s**n
+        outcomes[names[1]] = t_n * t_n == t_exact(x, s, 2 * n) + 2 * s**n
+        lhs_t, rhs_t = compose_t(m, n, params)
+        outcomes[names[2]] = lhs_t == rhs_t
+        lhs_u, rhs_u = compose_u(m, n, params)
+        outcomes[names[3]] = lhs_u == rhs_u
+        outcomes[names[4]] = u_mn == 0 if u_n == 0 else u_mn % u_n == 0
+        outcomes[names[5]] = u_n % mu != 0 or u_mn % mu == 0
+        outcomes[names[6]] = u_odd_closed_form(params, odd) == u_prev_exact(x, s, odd)
+        for name, ok in outcomes.items():
+            if ok:
+                passed[name] += 1
+            elif not first[name]:
+                first[name] = where
+    return [IdentityTally(name, passed[name], trials, first[name]) for name in names]

@@ -16,8 +16,9 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .cheby import ChebyParams, _lucas, _order_descent, eval_fast
+from .checks import Check, check
 from .modarith import factorize, require_odd_prime
-from .ordersolver import Check, check, q_of_p
+from .ordersolver import q_of_p
 from .quadint import QuadInt
 
 
@@ -218,6 +219,11 @@ class ConductorReport:
     @property
     def holds(self) -> bool:
         return self.bound is None or self.n_exact <= self.bound
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        """The product bound as a check; none when the bound is not claimed."""
+        return () if self.bound is None else (check("n_exact <= bound", self.holds),)
 
 
 def bound_full(alpha: QuadInt, f: int) -> ConductorReport:

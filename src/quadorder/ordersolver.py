@@ -14,13 +14,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cheby import ChebyParams, _order_descent, eval_fast
+from .cheby import ChebyParams, _lucas, _order_descent, eval_fast
+# FAIL and PASS stay bound here for callers that import them from this module
+from .checks import FAIL, NA, PASS, Check, check, failed_names  # noqa: F401
 from .modarith import _legendre, factorize, legendre, require_odd_prime, sqrt_mod
 from .quadint import QuadInt
-
-PASS = "pass"
-FAIL = "fail"
-NA = "n/a"
 
 NORM_PLUS_ONE = "norm_plus_one"
 NORM_MINUS_ONE = "norm_minus_one"
@@ -28,18 +26,6 @@ NORM_MINUS_ONE = "norm_minus_one"
 STOP_NONRESIDUE_AT_START = "nonresidue_at_start"
 STOP_NONRESIDUE_AT_K = "nonresidue_at_k"
 STOP_POWER_OF_TWO = "power_of_two_exhausted"
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    status: str
-    note: str = ""
-
-
-def check(name: str, ok: bool, note: str = "") -> Check:
-    """A pass/fail Check for a claim that was tested."""
-    return Check(name, PASS if ok else FAIL, note)
 
 
 @dataclass(frozen=True)
@@ -69,11 +55,11 @@ class OrderReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.status != FAIL for c in self.table_checks)
+        return not failed_names(self.table_checks)
 
     @property
     def failed_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.table_checks if c.status == FAIL)
+        return failed_names(self.table_checks)
 
 
 def ell_symbol(x: int, s: int, p: int) -> int:
@@ -449,8 +435,9 @@ def q_of_p(x: int, s: int, p: int) -> int:
 
     When p | s it is 2 if p | x, and otherwise no index exists (ValueError).
     Else q(p) divides p - ell, factored once (a factorize refusal propagates
-    as its ValueError); when ell = 0 it is p, after the odd-index closed
-    form 2^{nu-1} u_{nu-1} == nu * x^{nu-1} is checked up to nu = p.
+    as its ValueError).  When ell = 0 it is p: the odd-index closed form
+    2^{nu-1} u_{nu-1} == nu * x^{nu-1} is checked at nu in {1, 3, p-2, p},
+    and the descent from p (u_{p-1} == 0, u_0 = 1) proves no smaller index.
     """
     require_odd_prime(p)
     if s % p == 0:
@@ -462,14 +449,9 @@ def q_of_p(x: int, s: int, p: int) -> int:
     ell = _legendre(x * x - 4 * s, p)
     if ell:
         return _order_descent(x, s, p, p - ell, [r for r, _ in factorize(p - ell).factors])
-    # u walks two terms at a time: u_{nu-1}, u_nu, 2^{nu-1} and x^{nu-1}
-    u, u_next, two_pow, x_pow, x_sq = 1, x % p, 1, 1, x * x % p
-    for nu in range(1, p + 1, 2):
-        if two_pow * u % p != nu * x_pow % p:
+    for nu in {1, 3, p - 2, p}:
+        if pow(2, nu - 1, p) * _lucas(x, s, nu, p)[1] % p != nu * pow(x, nu - 1, p) % p:
             raise AssertionError("odd-index closed form failed in the degenerate case")
-        u = (x * u_next - s * u) % p
-        u_next = (x * u - s * u_next) % p
-        two_pow, x_pow = 4 * two_pow % p, x_sq * x_pow % p
     return _order_descent(x, s, p, p, [p])
 
 

@@ -11,7 +11,7 @@ import random
 import time
 
 from quadorder.cheby import ChebyParams, eval_fast, t_seq, u_seq
-from quadorder.cli import run_identity_trials
+from quadorder.cheby import run_identity_trials
 from quadorder.conductor import (
     bound_full,
     bound_multiplicative,

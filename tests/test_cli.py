@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import quadorder
-from quadorder.cli import CSV_COLUMNS, build_parser, main, run_identity_trials
+from quadorder.cheby import run_identity_trials
+from quadorder.cli import CSV_COLUMNS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -53,6 +56,18 @@ def test_order_degenerate_exits_2(capsys):
     assert code == 2
     assert "ell = 0" in err
     assert "index 5" in err
+
+
+def test_order_degenerate_61_bit_prime_exits_2_quickly(capsys, monkeypatch):
+    # p = 2^61 - 1 divides d, so ell = 0 and q(p) = p: the closed-form check
+    # behind it must not walk p/2 terms
+    monkeypatch.delenv("QUADORDER_TRIAL_BOUND", raising=False)
+    p = str(2**61 - 1)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "order", "--d", p, "--alpha", "1,1", "--p", p)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert f"index {p}" in err
 
 
 def test_order_rejects_bad_inputs(capsys):
@@ -117,6 +132,43 @@ def test_conductor_refuses_unfactorable_p_minus_ell_quickly(capsys, monkeypatch)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert "trial bound" in err
+
+
+@pytest.fixture
+def wrong_oracle_n(monkeypatch):
+    # an oracle that is off by one makes every conductor cross-check a counterexample
+    real = quadorder.oracle.oracle_n_of_f
+
+    def off_by_one(alpha, f, cap):
+        found = real(alpha, f, cap)
+        return dataclasses.replace(found, value=found.value + 1)
+
+    monkeypatch.setattr(quadorder.oracle, "oracle_n_of_f", off_by_one)
+
+
+def test_conductor_oracle_mismatch_exits_1(capsys, wrong_oracle_n):
+    argv = ["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--oracle"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "[fail] oracle n(f) == n_exact" in out
+    assert "result: CHECK FAILURE" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+def test_sweep_oracle_mismatch_exits_1(capsys, wrong_oracle_n):
+    code, out, _ = run(
+        capsys, "sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "8",
+        "--f-max", "3", "--oracle"
+    )
+    assert code == 1
+    failed = [row for row in csv.DictReader(io.StringIO(out)) if row["pass"] == "false"]
+    assert failed
+    for row in failed:
+        assert row["kind"] == "conductor"
+        assert row["checks_failed"] == "1"
+        assert row["failed_names"] == "oracle n(f) == n_exact"
 
 
 def test_fundunit_text(capsys):
@@ -259,3 +311,43 @@ def test_output_unchanged_under_optimize(argv):
     ]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+
+
+GOLDEN_SWEEP = ["sweep", "--d-set", "2,5", "--coeff-bound", "2", "--p-max", "30", "--f-max", "12",
+                "--oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle"],
+         "681242365263da8d63f95fb0c00bc681034938ec0bb1a6b55769fc80e697141b"),
+        (["order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle", "--json"],
+         "ec7e475b5dc9ea3b4dbcd6e25bb8e82c2595981575430b39bb4513730b8b38b8"),
+        (["order", "--d", "13", "--fundunit", "--p", "29"],
+         "65553213909a4cced48db3d09305050e160f7e0e6589e7f38ba0cc03bfeb0280"),
+        (["order", "--d", "13", "--fundunit", "--p", "29", "--json"],
+         "782bd8eea08466ac12f0198c63b72a99aa29acac7fbc5ea00478954966bec61e"),
+        (["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--oracle"],
+         "c7e9c96bac8f7a4644a2a63c5b8cd6d4390249bcb8010306d81a71293e3ea9ac"),
+        (["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--oracle", "--json"],
+         "290561e4f9bc61c507bc81097d2efd15eca1e51475195e24c6d31154bb4ffc42"),
+        (["fundunit", "--d", "94"],
+         "3918da88f83485b98831d7cb66bfa7a0326ed1581a7296abef7e82534e808fed"),
+        (["fundunit", "--d", "94", "--json"],
+         "56f14eec13db0a2e0eda3de8fd92b995dad5625077b0af59df4ac1194137ab9c"),
+        (["identities", "--trials", "2000", "--seed", "5"],
+         "464b7679f15d0eaf820b9828e72de12a2bffa1870c508cd725beba094b2f74a3"),
+        (["identities", "--trials", "2000", "--seed", "5", "--json"],
+         "cf1b39d007b903552ea8180b8e3aeb6774be9562177c3db0088a3eae619cbb36"),
+        (GOLDEN_SWEEP,
+         "fc9fb22ac48eec146c97d218f852f93cbd72b50f36174c0d101ac49c4071b7de"),
+        (GOLDEN_SWEEP + ["--format", "json"],
+         "1cd5d056f4920ee04f6fe3ddc3efdbe7a69cef86310fe5d1eafb16a5738cd181"),
+    ],
+)
+def test_readme_commands_golden_bytes(capsys, argv, digest):
+    # frozen sha256 of stdout: the README's output bytes change only on purpose
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
