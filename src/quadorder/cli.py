@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
@@ -68,6 +69,44 @@ def _add_checks(checks, results: list, lines: list) -> bool:
     return ok
 
 
+def _oracle_cap(claimed: int) -> int:
+    """The oracle's step cap for a claimed value; refused above oracle.DEFAULT_CAP."""
+    cap = 2 * claimed + 10
+    if cap > oracle.DEFAULT_CAP:
+        raise ValueError(
+            f"the oracle cross-check would take up to {cap} steps, "
+            f"above its limit of {oracle.DEFAULT_CAP}"
+        )
+    return cap
+
+
+def _order_checks(
+    alpha: QuadInt, report: ordersolver.OrderReport, with_oracle: bool
+) -> tuple[list, int | None]:
+    """The report's own checks, plus the oracle's order when asked; and that order."""
+    checks = list(report.table_checks)
+    if not with_oracle or report.bound_n is None:
+        return checks, None
+    found = oracle.oracle_order_mod_p(alpha, report.p, _oracle_cap(report.bound_n)).value
+    claim = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
+    checks.append(
+        check(f"oracle order divides {claim}", found is not None and report.bound_n % found == 0)
+    )
+    return checks, found
+
+
+def _conductor_checks(
+    alpha: QuadInt, report: conductor.ConductorReport, with_oracle: bool
+) -> tuple[list, int | None]:
+    """The report's own checks, plus the oracle's n(f) when asked; and that n(f)."""
+    checks = list(report.checks)
+    if not with_oracle:
+        return checks, None
+    found = oracle.oracle_n_of_f(alpha, report.f, _oracle_cap(report.n_exact)).value
+    checks.append(check("oracle n(f) == n_exact", found == report.n_exact, f"oracle {found}"))
+    return checks, found
+
+
 def cmd_order(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
     p = args.p
@@ -80,14 +119,7 @@ def cmd_order(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    oracle_value = None
-    if args.oracle:
-        cap = 2 * report.bound_n + 10
-        oracle_value = oracle.oracle_order_mod_p(alpha, p, cap).value
-        if oracle_value is None:
-            print(f"oracle found no order below {cap}", file=sys.stderr)
-            return 1
-        report = ordersolver.analyze(alpha, p, oracle_order=oracle_value)
+    checks, found = _order_checks(alpha, report, args.oracle)
     results = _named(
         x=report.x,
         s=report.s,
@@ -110,24 +142,12 @@ def cmd_order(args: argparse.Namespace) -> int:
     lines.append(f"bound: alpha^{report.bound_n} == 1 mod p  (n = {report.bound_n})")
     if report.half_bound_applies:
         lines.append(f"half bound: alpha^{report.bound_n // 2} == -1 mod p")
-    if oracle_value is not None:
-        results += _named(oracle_order=oracle_value)
-        lines.append(f"oracle order: {oracle_value}")
-    ok = _add_checks(report.table_checks, results, lines)
+    if args.oracle:
+        results += _named(oracle_order=found)
+        lines.append(f"oracle order: {found}")
+    ok = _add_checks(checks, results, lines)
     inputs = {"d": alpha.d, "a": alpha.a, "b": alpha.b, "p": p, "oracle": bool(args.oracle)}
     return _emit(args, "order", inputs, results, ok, lines)
-
-
-def _conductor_checks(
-    alpha: QuadInt, report: conductor.ConductorReport, with_oracle: bool
-) -> tuple[list, int | None]:
-    """The report's own checks, plus the oracle's n(f) when asked; and that n(f)."""
-    checks = list(report.checks)
-    if not with_oracle:
-        return checks, None
-    found = oracle.oracle_n_of_f(alpha, report.f, 2 * report.n_exact + 10).value
-    checks.append(check("oracle n(f) == n_exact", found == report.n_exact, f"oracle {found}"))
-    return checks, found
 
 
 def cmd_conductor(args: argparse.Namespace) -> int:
@@ -214,21 +234,15 @@ def _order_row(alpha: QuadInt, p: int, rng: random.Random, with_oracle: bool) ->
         report = ordersolver.analyze(alpha, p)
     except ValueError:
         return None
-    checks = list(report.table_checks)
-    chain, m, m_random, found, tightness = report.chain, None, None, None, None
+    checks, found = _order_checks(alpha, report, with_oracle)
+    chain, m, m_random = report.chain, None, None
     if chain is not None:
         rebuild = (
             ordersolver.build_chain_s1 if report.s == 1 else ordersolver.build_chain_s_minus1
         )
         m, m_random = chain.m, rebuild(report.x, p, rng).m
         checks.append(check("chain length is root independent", m_random == m))
-    if with_oracle and report.bound_n is not None:
-        found = oracle.oracle_order_mod_p(alpha, p, 2 * report.bound_n + 10).value
-        checks.append(
-            check("oracle order divides bound", found is not None and report.bound_n % found == 0)
-        )
-        if found is not None:
-            tightness = f"{found / report.bound_n:.6f}"
+    tightness = None if found is None else f"{found / report.bound_n:.6f}"
     return _row(
         "order", alpha, checks, p=p, ell=report.ell, mode=report.mode, m=m, m_random=m_random,
         bound=report.bound_n, oracle=found, tightness=tightness,
@@ -299,16 +313,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         quadint._check_radicand(d)
     if min(args.coeff_bound, args.p_max, args.f_max) < 0:
         raise ValueError("sweep bounds must be nonnegative")
-    print(f"seed {args.seed}", file=sys.stderr)
-    rows = run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed, args.oracle)
-    ok = all(row["pass"] for row in rows)
-    inputs = {
-        "d_set": d_set, "coeff_bound": args.coeff_bound, "p_max": args.p_max,
-        "f_max": args.f_max, "seed": args.seed, "oracle": bool(args.oracle),
-    }
-    if args.output == "-":
-        return _emit(args, "sweep", inputs, rows, ok, _csv_lines(rows))
-    with open(args.output, "w", encoding="utf-8", newline="") as stream:
+    try:  # open the output before the grid, so a bad path costs nothing
+        out = (
+            nullcontext(sys.stdout) if args.output == "-"
+            else open(args.output, "w", encoding="utf-8", newline="")
+        )
+    except OSError as exc:
+        raise ValueError(f"cannot write the output file {args.output}: {exc.strerror}") from exc
+    with out as stream:
+        print(f"seed {args.seed}", file=sys.stderr)
+        rows = run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed, args.oracle)
+        ok = all(row["pass"] for row in rows)
+        inputs = {
+            "d_set": d_set, "coeff_bound": args.coeff_bound, "p_max": args.p_max,
+            "f_max": args.f_max, "seed": args.seed, "oracle": bool(args.oracle),
+        }
         return _emit(args, "sweep", inputs, rows, ok, _csv_lines(rows), stream)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .cheby import ChebyParams, _lucas, _order_descent, eval_fast
+from .cheby import _lucas, _order_descent
 from .checks import Check, check
 from .modarith import factorize, require_odd_prime
 from .ordersolver import q_of_p
@@ -175,19 +175,16 @@ def bound_prime_power(
 def _lift_diagnostics(x: int, s: int, p: int, k: int, f: int, nu: int) -> tuple[Check, ...]:
     base = p**k * f
     lifted = p ** (k + 1) * f
-    u_at_nu = eval_fast(ChebyParams(x, s, base), nu).u_prev
-    z = eval_fast(ChebyParams(x, s, p), nu).t
-    # the s-parameter must be a nonzero integer; p stands in for 0 mod p
-    cap_s = pow(s, nu, p) or p
+    u_at_nu = _lucas(x, s, nu, base)[1]
+    z = _lucas(x, s, nu, p)[0]
+    cap_s = pow(s, nu, p)
     # u_{p-1} is the u_prev component one index up
-    frob_lhs = eval_fast(ChebyParams(z, cap_s, p), p).u_prev
+    frob_lhs = _lucas(z, cap_s, p, p)[1]
     frob_rhs = pow(z * z - 4 * cap_s, (p - 1) // 2, p)
-    big = ChebyParams(x, s, lifted)
-    z_big = eval_fast(big, nu).t
-    s_big = pow(s, nu, lifted) or lifted
-    u_nu_big = eval_fast(big, nu).u_prev
-    outer = eval_fast(ChebyParams(z_big, s_big, lifted), p).u_prev
-    u_pnu = eval_fast(big, p * nu).u_prev
+    z_big, u_nu_big = _lucas(x, s, nu, lifted)
+    s_big = pow(s, nu, lifted)
+    outer = _lucas(z_big, s_big, p, lifted)[1]
+    u_pnu = _lucas(x, s, p * nu, lifted)[1]
     return (
         check("u(nu-1) == 0 mod p^k f", u_at_nu == 0),
         check("u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p", frob_lhs == frob_rhs),

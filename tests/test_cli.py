@@ -47,8 +47,44 @@ def test_order_with_oracle(capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    assert payload["pass"] is True
     by_name = {r["name"]: r for r in payload["results"]}
     assert by_name["oracle_order"]["value"] == 16
+    assert by_name["oracle order divides n"]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "d, alpha, p, claim, order",
+    [
+        ("2", "3,2", "17", "n", 8),
+        ("2", "1,1", "17", "n", 16),
+        ("2", "1,1", "13", "2(p-ell)", 28),
+        ("6", "1,1", "7", "bound", 24),
+    ],
+)
+def test_order_oracle_divides(capsys, d, alpha, p, claim, order):
+    # the oracle check names the claim of the report's mode
+    code, out, _ = run(capsys, "order", "--d", d, "--alpha", alpha, "--p", p, "--oracle")
+    assert code == 0
+    assert f"[pass] oracle order divides {claim}" in out
+    assert f"oracle order: {order}" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2 * bound + 10 is about 9 * 10^18 steps here
+        ["order", "--d", "2", "--alpha", "1,1", "--p", str(2**61 - 1), "--oracle"],
+        ["conductor", "--d", "2", "--alpha", "1,1", "--f", "1000003", "--oracle"],
+    ],
+)
+def test_oracle_over_budget_exits_2_quickly(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"above its limit of {quadorder.oracle.DEFAULT_CAP}" in err
 
 
 def test_order_degenerate_exits_2(capsys):
@@ -171,6 +207,45 @@ def test_sweep_oracle_mismatch_exits_1(capsys, wrong_oracle_n):
         assert row["failed_names"] == "oracle n(f) == n_exact"
 
 
+@pytest.fixture
+def wrong_oracle_order(monkeypatch):
+    # an oracle that is off by one makes the order cross-checks counterexamples
+    real = quadorder.oracle.oracle_order_mod_p
+
+    def off_by_one(alpha, p, cap):
+        found = real(alpha, p, cap)
+        return dataclasses.replace(found, value=found.value + 1)
+
+    monkeypatch.setattr(quadorder.oracle, "oracle_order_mod_p", off_by_one)
+
+
+def test_order_oracle_mismatch_exits_1(capsys, wrong_oracle_order):
+    argv = ["order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "[fail] oracle order divides n" in out
+    assert "result: CHECK FAILURE" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+def test_sweep_order_oracle_mismatch_exits_1(capsys, wrong_oracle_order):
+    code, out, _ = run(
+        capsys, "sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "20",
+        "--f-max", "3", "--oracle"
+    )
+    assert code == 1
+    failed = [row for row in csv.DictReader(io.StringIO(out)) if row["pass"] == "false"]
+    assert failed
+    claims = {"norm_plus_one": "n", "norm_minus_one": "n",
+              "norm_minus_one_diagnostic": "2(p-ell)", "general": "bound"}
+    for row in failed:
+        assert row["kind"] == "order"
+        assert row["checks_failed"] == "1"
+        assert row["failed_names"] == f"oracle order divides {claims[row['mode']]}"
+
+
 def test_fundunit_text(capsys):
     code, out, _ = run(capsys, "fundunit", "--d", "2")
     assert code == 0
@@ -247,6 +322,18 @@ def test_sweep_output_file(tmp_path, capsys):
     assert b"\r" not in data
     text = data.decode("utf-8")
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_sweep_unwritable_output_exits_2_before_the_grid(tmp_path, capsys):
+    target = tmp_path / "missing" / "rows.csv"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--output", str(target))
+    assert time.perf_counter() - t0 < 0.5  # the default grid takes about a second
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "seed" not in err
+    assert not target.parent.exists()
 
 
 def test_sweep_with_oracle_small(capsys):

@@ -173,9 +173,18 @@ class TestNormOne:
         with pytest.raises(ValueError):
             bound_norm1(QuadInt(1, 1, 2), 7)
 
-    def test_oracle_divides(self):
-        rep = bound_norm1(QuadInt(3, 2, 2), 17, oracle_order=8)
-        assert checks_by_name(rep)["oracle order divides n"].status == PASS
+    @pytest.mark.parametrize(
+        "alpha, p, message",
+        [
+            (QuadInt(1, 1, 2), 9, "p = 9 is not an odd prime"),
+            (QuadInt(2, 1, 3), 3, "p must not divide b or d"),
+            (QuadInt(1, 1, 2), 7, "this bound needs norm +1"),
+        ],
+    )
+    def test_refusal_texts(self, alpha, p, message):
+        with pytest.raises(ValueError) as info:
+            bound_norm1(alpha, p)
+        assert str(info.value) == message
 
 
 class TestNormMinusOne:
@@ -217,6 +226,21 @@ class TestNormMinusOne:
         assert by_name["t(2(p-ell)) == 2"].status == PASS
         # the true order divides the doubled exponent without reaching it
         assert rep.bound_n % oracle_order_mod_p(QuadInt(1, 1, 2), 7, cap=40).value == 0
+
+
+    @pytest.mark.parametrize(
+        "alpha, p, message",
+        [
+            (QuadInt(1, 1, 2), 9, "p = 9 is not an odd prime"),
+            (QuadInt(3, 14, 2), 7, "p must not divide b or d"),
+            (QuadInt(3, 2, 2), 7, "this bound needs norm -1"),
+            (QuadInt(41, 29, 2), 41, "the chain needs x nonzero mod p"),
+        ],
+    )
+    def test_refusal_texts(self, alpha, p, message):
+        with pytest.raises(ValueError) as info:
+            bound_norm_minus1(alpha, p)
+        assert str(info.value) == message
 
 
 class TestDivisorBound:
@@ -358,13 +382,269 @@ class TestEntryIndex:
             q_of_p(2, -1, p)
 
 
+# Every distinct ordered (status, name, note) sequence that analyze yields on
+# the default sweep grid (d in {2, 3, 5}, |a|, |b| <= 6, b != 0, odd p < 100),
+# one representative (a, b, d, p) each, frozen; the last case lies off the
+# grid and is the only one with the a^2 + 4 row.
+GRID_SEQUENCES = [
+    ((-5, -5, 3, 3), "degenerate", [
+        ("pass", "u(q-1) == 0", ""),
+        ("pass", "alpha^q is scalar mod p", ""),
+    ]),
+    ((-6, -6, 2, 7), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2) == 0", ""),
+        ("pass", "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma", ""),
+        ("pass", "alpha^(p-1) == 1", ""),
+    ]),
+    ((-6, -6, 2, 17), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2)^2 == 4*sigma", ""),
+        ("pass", "u((p-ell)/2-1) == 0", ""),
+        ("pass", "alpha^(p-1) == 1", ""),
+    ]),
+    ((-6, -6, 2, 5), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2)^2 == 4*sigma", ""),
+        ("pass", "u((p-ell)/2-1) == 0", ""),
+        ("pass", "alpha^(p+1) == s", ""),
+        ("pass", "alpha^bound == 1", ""),
+    ]),
+    ((-6, -6, 2, 11), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2) == 0", ""),
+        ("pass", "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma", ""),
+        ("pass", "alpha^(p+1) == s", ""),
+        ("pass", "alpha^bound == 1", ""),
+    ]),
+    ((-6, -6, 5, 11), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2) == 0", ""),
+        ("pass", "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma", ""),
+        ("n/a", "(a^2-s)*u((p-ell)/2-1)^2 == sigma", "does not hold in this shape"),
+        ("pass", "alpha^(p-1) == 1", ""),
+    ]),
+    ((0, -6, 5, 11), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2) == 0", ""),
+        ("pass", "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma", ""),
+        ("n/a", "(a^2-s)*u((p-ell)/2-1)^2 == sigma", "holds"),
+        ("pass", "alpha^(p-1) == 1", ""),
+    ]),
+    ((-6, -6, 5, 7), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2) == 0", ""),
+        ("pass", "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma", ""),
+        ("n/a", "(a^2-s)*u((p-ell)/2-1)^2 == sigma", "does not hold in this shape"),
+        ("pass", "alpha^(p+1) == s", ""),
+        ("pass", "alpha^bound == 1", ""),
+    ]),
+    ((-5, -5, 5, 3), "general", [
+        ("pass", "t(p-ell) == 2*sigma", ""),
+        ("pass", "u(p-ell-1) == 0", ""),
+        ("pass", "t((p-ell)/2) == 0", ""),
+        ("pass", "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma", ""),
+        ("n/a", "(a^2-s)*u((p-ell)/2-1)^2 == sigma", "holds"),
+        ("pass", "alpha^(p+1) == s", ""),
+        ("pass", "alpha^bound == 1", ""),
+    ]),
+    ((-4, -2, 5, 29), "norm_minus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "t(n) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+    ]),
+    ((-1, -1, 2, 41), "norm_minus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "t((p-ell)/2^2) == 2", ""),
+        ("pass", "t(n) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+    ]),
+    ((-1, -1, 2, 17), "norm_minus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t(n) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+        ("pass", "t(n/2) == -2", ""),
+        ("pass", "u(n/2-1) == 0", ""),
+        ("pass", "alpha^(n/2) == -1", ""),
+    ]),
+    ((-4, -2, 5, 89), "norm_minus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "t(n) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+        ("pass", "t(n/2) == -2", ""),
+        ("pass", "u(n/2-1) == 0", ""),
+        ("pass", "alpha^(n/2) == -1", ""),
+    ]),
+    ((-1, -1, 2, 3), "norm_minus_one_diagnostic", [
+        ("pass", "t(n) == 0", ""),
+        ("pass", "u(n-1) != 0", ""),
+        ("pass", "t(2(p-ell)) == 2", ""),
+        ("pass", "u(2(p-ell)-1) == 0", ""),
+        ("pass", "alpha^(2(p-ell)) == 1", ""),
+        ("pass", "t(p-ell) == 2*sigma", ""),
+    ]),
+    ((-1, -1, 2, 5), "norm_minus_one_diagnostic", [
+        ("pass", "t(n)^2 == 4*ell", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^(p-ell) == -1", ""),
+        ("pass", "t(2(p-ell)) == 2", ""),
+        ("pass", "u(2(p-ell)-1) == 0", ""),
+        ("pass", "alpha^(2(p-ell)) == 1", ""),
+        ("pass", "t(p-ell) == 2*sigma", ""),
+    ]),
+    ((-3, -2, 2, 5), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+    ]),
+    ((-2, -1, 3, 67), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "t((p-ell)/2^2) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+    ]),
+    ((-3, -2, 2, 7), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+        ("pass", "t(n/2) == -2", ""),
+        ("pass", "u(n/2-1) == 0", ""),
+        ("pass", "alpha^(n/2) == -1", ""),
+    ]),
+    ((3, -2, 2, 41), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "t((p-ell)/2^2) == 2", ""),
+        ("pass", "t((p-ell)/2^3) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+    ]),
+    ((-2, -1, 3, 19), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+        ("pass", "t(n/2) == -2", ""),
+        ("pass", "u(n/2-1) == 0", ""),
+        ("pass", "alpha^(n/2) == -1", ""),
+    ]),
+    ((-3, -2, 2, 3), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+        ("pass", "t(n/2) == -2", ""),
+        ("pass", "u(n/2-1) == 0", ""),
+        ("pass", "alpha^(n/2) == -1", ""),
+        ("n/a", "u(n/2-1) != 0 (recorded)", "zero"),
+        ("n/a", "u(n/4-1) != 0 (recorded)", "holds"),
+    ]),
+    ((-3, -2, 2, 41), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "t((p-ell)/2^2) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+        ("pass", "t(n/2) == -2", ""),
+        ("pass", "u(n/2-1) == 0", ""),
+        ("pass", "alpha^(n/2) == -1", ""),
+    ]),
+    ((-3, -2, 2, 17), "norm_plus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+        ("pass", "t(n/2) == -2", ""),
+        ("pass", "u(n/2-1) == 0", ""),
+        ("pass", "alpha^(n/2) == -1", ""),
+        ("n/a", "u(n/2-1) != 0 (recorded)", "zero"),
+        ("n/a", "u(n/4-1) != 0 (recorded)", "holds"),
+    ]),
+    ((3, 1, 10, 13), "norm_minus_one", [
+        ("pass", "chain links square back", ""),
+        ("pass", "chain preserves ell", ""),
+        ("n/a", "a^2 + 4 != 0 under the half-trace reading",
+         "a^2 + 4 == 0 mod p while x^2 + 4 != 0"),
+        ("pass", "t((p-ell)/2^0) == 2", ""),
+        ("pass", "t((p-ell)/2^1) == 2", ""),
+        ("pass", "t(n) == 2", ""),
+        ("pass", "u(n-1) == 0", ""),
+        ("pass", "alpha^n == 1", ""),
+    ]),
+]
+
+
+def _sequence(report):
+    return [(c.status, c.name, c.note) for c in report.table_checks]
+
+
 class TestAnalyze:
-    def test_dispatch_modes(self):
-        assert analyze(QuadInt(3, 2, 2), 17).mode == "norm_plus_one"
-        assert analyze(QuadInt(1, 1, 2), 17).mode == "norm_minus_one"
-        assert analyze(QuadInt(1, 1, 2), 13).mode == "norm_minus_one_diagnostic"
-        assert analyze(QuadInt(1, 1, 6), 7).mode == "general"
-        assert analyze(QuadInt(1, 1, 5), 5).mode == "degenerate"
+    @pytest.mark.parametrize(
+        "case, mode, expected",
+        GRID_SEQUENCES,
+        ids=[f"{mode}-" + "_".join(map(str, case)) for case, mode, _ in GRID_SEQUENCES],
+    )
+    def test_dispatch_modes(self, case, mode, expected):
+        a, b, d, p = case
+        rep = analyze(QuadInt(a, b, d), p)
+        assert rep.mode == mode
+        assert _sequence(rep) == expected
+
+    def test_dispatch_table_covers_the_grid(self):
+        table = {(mode, tuple(expected)) for _, mode, expected in GRID_SEQUENCES}
+        primes = [p for p in range(3, 100) if is_prime(p)]
+        for d in (2, 3, 5):
+            for a in range(-6, 7):
+                for b in range(-6, 7):
+                    try:
+                        alpha = QuadInt(a, b, d)
+                    except ValueError:
+                        continue
+                    for p in primes:
+                        try:
+                            rep = analyze(alpha, p)
+                        except ValueError:
+                            continue
+                        assert (rep.mode, tuple(_sequence(rep))) in table, (a, b, d, p)
 
     def test_general_norm_residue_minus_frozen(self):
         rep = analyze(QuadInt(1, 1, 6), 7)
@@ -397,12 +677,6 @@ class TestAnalyze:
             analyze(QuadInt(1, 1, 6), 5)  # p | norm
         with pytest.raises(ValueError):
             analyze(QuadInt(0, 0, 2), 7)  # norm zero
-
-    def test_oracle_attached(self):
-        value = oracle_order_mod_p(QuadInt(1, 1, 2), 17, cap=40).value
-        rep = analyze(QuadInt(1, 1, 2), 17, oracle_order=value)
-        assert rep.passed
-        assert rep.oracle_order == 16
 
     def test_report_failed_names_empty_on_pass(self):
         rep = analyze(QuadInt(1, 1, 2), 17)
