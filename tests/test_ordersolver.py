@@ -21,6 +21,7 @@ from quadorder.ordersolver import (
     q_of_p,
     table_check,
 )
+from quadorder.cli import _order_checks
 from quadorder.modarith import is_prime
 from quadorder.oracle import oracle_order_mod_p, oracle_q_of_p
 from quadorder.quadint import QuadInt
@@ -172,6 +173,14 @@ class TestNormOne:
     def test_rejects_wrong_norm(self):
         with pytest.raises(ValueError):
             bound_norm1(QuadInt(1, 1, 2), 7)
+
+    def test_oracle_divides(self):
+        alpha = QuadInt(3, 2, 2)
+        rep = bound_norm1(alpha, 17)
+        checks, found = _order_checks(alpha, rep, with_oracle=True)
+        assert found == 8
+        assert rep.bound_n % found == 0
+        assert {c.name: c for c in checks}["oracle order divides n"].status == PASS
 
     @pytest.mark.parametrize(
         "alpha, p, message",
@@ -623,11 +632,18 @@ class TestAnalyze:
         GRID_SEQUENCES,
         ids=[f"{mode}-" + "_".join(map(str, case)) for case, mode, _ in GRID_SEQUENCES],
     )
-    def test_dispatch_modes(self, case, mode, expected):
+    def test_check_sequences(self, case, mode, expected):
         a, b, d, p = case
         rep = analyze(QuadInt(a, b, d), p)
         assert rep.mode == mode
         assert _sequence(rep) == expected
+
+    def test_dispatch_modes(self):
+        assert analyze(QuadInt(3, 2, 2), 17).mode == "norm_plus_one"
+        assert analyze(QuadInt(1, 1, 2), 17).mode == "norm_minus_one"
+        assert analyze(QuadInt(1, 1, 2), 13).mode == "norm_minus_one_diagnostic"
+        assert analyze(QuadInt(1, 1, 6), 7).mode == "general"
+        assert analyze(QuadInt(1, 1, 5), 5).mode == "degenerate"
 
     def test_dispatch_table_covers_the_grid(self):
         table = {(mode, tuple(expected)) for _, mode, expected in GRID_SEQUENCES}
@@ -677,6 +693,17 @@ class TestAnalyze:
             analyze(QuadInt(1, 1, 6), 5)  # p | norm
         with pytest.raises(ValueError):
             analyze(QuadInt(0, 0, 2), 7)  # norm zero
+
+    def test_oracle_attached(self):
+        # the oracle's order rides along with the report's checks, not inside it
+        alpha = QuadInt(1, 1, 2)
+        rep = analyze(alpha, 17)
+        checks, found = _order_checks(alpha, rep, with_oracle=True)
+        assert rep.passed
+        assert found == oracle_order_mod_p(alpha, 17, cap=40).value == 16
+        assert checks[:-1] == list(rep.table_checks)
+        assert checks[-1].name == "oracle order divides n"
+        assert checks[-1].status == PASS
 
     def test_report_failed_names_empty_on_pass(self):
         rep = analyze(QuadInt(1, 1, 2), 17)
