@@ -15,6 +15,7 @@ import random
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
+from itertools import product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
 from .cheby import run_identity_trials
@@ -69,13 +70,16 @@ def _add_checks(checks, results: list, lines: list) -> bool:
     return ok
 
 
-def _oracle_cap(claimed: int) -> int:
-    """The oracle's step cap for a claimed value; refused above oracle.DEFAULT_CAP."""
-    cap = 2 * claimed + 10
-    if cap > oracle.DEFAULT_CAP:
+def _oracle_cap(alpha: QuadInt, report) -> int | None:
+    """The oracle's step cap for the report's claim, if any; refused above oracle.DEFAULT_CAP."""
+    order = isinstance(report, ordersolver.OrderReport)
+    claimed = report.bound_n if order else report.n_exact
+    cap = None if claimed is None else 2 * claimed + 10
+    if cap is not None and cap > oracle.DEFAULT_CAP:
+        where = f"p = {report.p}" if order else f"f = {report.f}"
         raise ValueError(
-            f"the oracle cross-check would take up to {cap} steps, "
-            f"above its limit of {oracle.DEFAULT_CAP}"
+            f"the oracle cross-check of alpha = {alpha} at {where} would take up to "
+            f"{cap} steps, above its limit of {oracle.DEFAULT_CAP}"
         )
     return cap
 
@@ -87,7 +91,7 @@ def _order_checks(
     checks = list(report.table_checks)
     if not with_oracle or report.bound_n is None:
         return checks, None
-    found = oracle.oracle_order_mod_p(alpha, report.p, _oracle_cap(report.bound_n)).value
+    found = oracle.oracle_order_mod_p(alpha, report.p, _oracle_cap(alpha, report)).value
     claim = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
     checks.append(
         check(f"oracle order divides {claim}", found is not None and report.bound_n % found == 0)
@@ -102,7 +106,7 @@ def _conductor_checks(
     checks = list(report.checks)
     if not with_oracle:
         return checks, None
-    found = oracle.oracle_n_of_f(alpha, report.f, _oracle_cap(report.n_exact)).value
+    found = oracle.oracle_n_of_f(alpha, report.f, _oracle_cap(alpha, report)).value
     checks.append(check("oracle n(f) == n_exact", found == report.n_exact, f"oracle {found}"))
     return checks, found
 
@@ -229,37 +233,51 @@ def _row(
     }
 
 
-def _order_row(alpha: QuadInt, p: int, rng: random.Random, with_oracle: bool) -> dict | None:
-    try:
-        report = ordersolver.analyze(alpha, p)
-    except ValueError:
-        return None
+def _order_row(
+    alpha: QuadInt, report: ordersolver.OrderReport, rng: random.Random, with_oracle: bool
+) -> dict:
     checks, found = _order_checks(alpha, report, with_oracle)
     chain, m, m_random = report.chain, None, None
     if chain is not None:
         rebuild = (
             ordersolver.build_chain_s1 if report.s == 1 else ordersolver.build_chain_s_minus1
         )
-        m, m_random = chain.m, rebuild(report.x, p, rng).m
+        m, m_random = chain.m, rebuild(report.x, report.p, rng).m
         checks.append(check("chain length is root independent", m_random == m))
     tightness = None if found is None else f"{found / report.bound_n:.6f}"
     return _row(
-        "order", alpha, checks, p=p, ell=report.ell, mode=report.mode, m=m, m_random=m_random,
-        bound=report.bound_n, oracle=found, tightness=tightness,
+        "order", alpha, checks, p=report.p, ell=report.ell, mode=report.mode, m=m,
+        m_random=m_random, bound=report.bound_n, oracle=found, tightness=tightness,
     )
 
 
-def _conductor_row(alpha: QuadInt, f: int, with_oracle: bool) -> dict | None:
-    try:
-        report = conductor.bound_full(alpha, f)
-    except ValueError:
-        return None
+def _conductor_row(alpha: QuadInt, report: conductor.ConductorReport, with_oracle: bool) -> dict:
     checks, found = _conductor_checks(alpha, report, with_oracle)
     tightness = None if report.bound is None else f"{report.n_exact / report.bound:.6f}"
     return _row(
-        "conductor", alpha, checks, f=f, bound=report.bound, n_exact=report.n_exact,
+        "conductor", alpha, checks, f=report.f, bound=report.bound, n_exact=report.n_exact,
         f0=report.f0, oracle=found, tightness=tightness,
     )
+
+
+def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int):
+    """(alpha, report) for every grid case that meets its preconditions, in row order."""
+    primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
+    coeffs = range(-coeff_bound, coeff_bound + 1)
+    for d, a, b in product(sorted(set(d_set)), coeffs, coeffs):
+        if b == 0:
+            continue
+        try:
+            alpha = QuadInt(a, b, d)
+        except ValueError:
+            continue
+        jobs = [(ordersolver.analyze, p) for p in primes]
+        jobs += [(conductor.bound_full, f) for f in range(1, f_max + 1)]
+        for build, modulus in jobs:
+            try:
+                yield alpha, build(alpha, modulus)
+            except ValueError:
+                continue
 
 
 def run_sweep(
@@ -270,30 +288,22 @@ def run_sweep(
     Iteration is lexicographic in (d, a, b), with order rows over odd
     primes below p_max and conductor rows over f up to f_max; cases that
     break a precondition are skipped rather than reported as failures.
+    With the oracle, a first pass checks every row's step cap, so an
+    over-budget grid is refused before any scan, naming its row.
     The rng only feeds the alternate-root chain rebuild, so a fixed seed
     reproduces the dataset byte for byte.
     """
     rng = random.Random(seed)
-    rows: list[dict] = []
-    primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
-    for d in sorted(set(d_set)):
-        for a in range(-coeff_bound, coeff_bound + 1):
-            for b in range(-coeff_bound, coeff_bound + 1):
-                if b == 0:
-                    continue
-                try:
-                    alpha = QuadInt(a, b, d)
-                except ValueError:
-                    continue
-                for p in primes:
-                    row = _order_row(alpha, p, rng, with_oracle)
-                    if row is not None:
-                        rows.append(row)
-                for f in range(1, f_max + 1):
-                    row = _conductor_row(alpha, f, with_oracle)
-                    if row is not None:
-                        rows.append(row)
-    return rows
+    if with_oracle:
+        # a pass of its own: holding every report for the rows would raise peak memory
+        for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max):
+            _oracle_cap(alpha, report)
+    return [
+        _order_row(alpha, report, rng, with_oracle)
+        if isinstance(report, ordersolver.OrderReport)
+        else _conductor_row(alpha, report, with_oracle)
+        for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max)
+    ]
 
 
 def _csv_lines(rows: list[dict]):

@@ -42,7 +42,7 @@ def _per_prime(x: int, s: int, factors: tuple[tuple[int, int], ...]) -> tuple[Pr
     return tuple(PrimeBound(p, k, q, q * p ** (k - 1)) for (p, k), q in zip(factors, qs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)  # the default sweep grid holds about 8,500 keys
 def _entry_index(x: int, s: int, f0: int) -> int:
     """n(f) from the reduced conductor f0; the module docstring has the route."""
     factors = factorize(f0).factors

@@ -1,9 +1,10 @@
 """Ground truth by direct iteration.
 
 Every bound elsewhere in the package is checked against these scans.
-Nothing here touches the fast polynomial evaluators: orders come from
-repeated quadratic multiplication with coefficient reduction, conductor
-indices from exact powers, and q(p) from the bare recurrence mod p.
+Nothing here touches the fast polynomial evaluators or QuadInt arithmetic:
+orders come from repeated multiplication of coefficient pairs mod p,
+conductor indices from the same product on pairs mod 2f, and q(p) from
+the bare recurrence mod p.
 """
 
 from __future__ import annotations
@@ -24,40 +25,39 @@ class OracleResult:
     cap: int
 
 
-def _reduce_mod_p(alpha: QuadInt, p: int) -> QuadInt:
-    a, b = alpha.a % p, alpha.b % p
-    # half-integer pairs must keep equal parity; p is odd so one bump fixes it
-    if alpha.r == 1 and (a + b) % 2:
-        a += p
-    return QuadInt(a, b, alpha.d)
-
-
 def oracle_order_mod_p(alpha: QuadInt, p: int, cap: int = DEFAULT_CAP) -> OracleResult:
-    """First nu with alpha^nu == 1 mod p, by multiplying one factor at a time."""
+    """First nu with alpha^nu == 1 mod p, multiplying pairs x + y*sqrt(d) mod p."""
     require_odd_prime(p)
-    target = QuadInt.one(alpha.d)
-    base = _reduce_mod_p(alpha, p)
-    beta = base
+    h = (p + 1) // 2 if alpha.r == 1 else 1  # 1/2 mod p halves (a + b*sqrt(d))/2
+    x0, y0 = alpha.a * h % p, alpha.b * h % p
+    dy0 = alpha.d * y0 % p
+    x, y = x0, y0
     value = None
     for nu in range(1, cap + 1):
-        if beta.congruent_mod_p(target, p):
+        if x == 1 and y == 0:
             value = nu
             break
-        beta = _reduce_mod_p(beta * base, p)
+        x, y = (x * x0 + y * dy0) % p, (x * y0 + y * x0) % p
     return OracleResult("order_mod_p", {"alpha": str(alpha), "p": p}, value, cap)
 
 
 def oracle_n_of_f(alpha: QuadInt, f: int, cap: int = DEFAULT_CAP) -> OracleResult:
-    """First nu with alpha^nu in the conductor-f order, by exact powers."""
+    """First nu with alpha^nu in the conductor-f order, by powers kept mod 2f.
+
+    Reducing the pair (a, b) mod 2f moves alpha^nu by elements of f*Z[sqrt(d)],
+    which keeps both f | b and the equal parity the half-integer product halves.
+    """
     if f < 1:
         raise ValueError("the conductor must be at least 1")
-    beta = alpha
+    m, k, d = 2 * f, 2 if alpha.r == 1 else 1, alpha.d
+    a0, b0 = alpha.a % m, alpha.b % m
+    a, b = a0, b0
     value = None
     for nu in range(1, cap + 1):
-        if beta.in_order(f):
+        if b % f == 0:
             value = nu
             break
-        beta = beta * alpha
+        a, b = (a * a0 + b * b0 * d) // k % m, (a * b0 + b * a0) // k % m
     return OracleResult("n_of_f", {"alpha": str(alpha), "f": f}, value, cap)
 
 

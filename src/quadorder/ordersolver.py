@@ -89,9 +89,7 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
     if s % p == 0:
         return [Check("preconditions", NA, "p divides the norm, so no power is invertible mod p")]
     x = alpha.trace_x
-    ell = _legendre(x * x - 4 * s, p)
-    if ell == 0:
-        return [Check("preconditions", NA, "p divides x^2 - 4s")]
+    ell = _legendre(x * x - 4 * s, p)  # ±1: x^2 - 4s is b^2*d or 4*b^2*d, and p ∤ b*d
     sigma = 1 if ell == 1 else s
     t_full, u_full = _lucas(x, s, p - ell, p)
     out = [
@@ -227,9 +225,7 @@ def _bound_unit(alpha: QuadInt, p: int, s: int) -> OrderReport:
     if alpha.norm != s:
         raise ValueError(f"this bound needs norm {s:+d}")
     x = alpha.trace_x
-    ell = _legendre(x * x - 4 * s, p)
-    if ell == 0:
-        raise ValueError(f"p divides x^2 {'-' if s == 1 else '+'} 4; use the degenerate branch")
+    ell = _legendre(x * x - 4 * s, p)  # ±1, as p ∤ b*d (see table_check)
     if s == -1:
         if p % 4 == 3 or ell == -1:
             return _norm_minus1_diagnostics(alpha, p, ell)
@@ -369,7 +365,7 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # the default sweep grid holds about 3,000 keys
 def q_of_p(x: int, s: int, p: int) -> int:
     """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p, by order descent.
 

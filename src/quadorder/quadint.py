@@ -8,7 +8,7 @@ from .cheby import _lucas
 from .modarith import factorize
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _check_radicand(d: int) -> None:
     if d in (0, 1):
         raise ValueError("the radicand must be a square-free integer other than 0 and 1")

@@ -85,6 +85,25 @@ def test_oracle_over_budget_exits_2_quickly(capsys, argv):
     assert code == 2
     assert out == ""
     assert f"above its limit of {quadorder.oracle.DEFAULT_CAP}" in err
+    assert "alpha = 1 + 1*sqrt(2) at " in err
+
+
+def test_sweep_oracle_over_budget_exits_2_before_any_scan(capsys, monkeypatch):
+    # every row's cap is checked before the first scan, and the refusal names the row
+    scans = []
+    monkeypatch.setattr(quadorder.oracle, "oracle_order_mod_p", lambda *a: scans.append(a))
+    monkeypatch.setattr(quadorder.oracle, "oracle_n_of_f", lambda *a: scans.append(a))
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "1200",
+        "--f-max", "0", "--oracle"
+    )
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert out == ""
+    assert scans == []
+    assert "alpha = 0 + -1*sqrt(2) at p = 709 would take up to 1005370 steps" in err
+    assert f"above its limit of {quadorder.oracle.DEFAULT_CAP}" in err
 
 
 def test_order_degenerate_exits_2(capsys):

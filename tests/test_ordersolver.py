@@ -25,6 +25,7 @@ from quadorder.cli import _order_checks
 from quadorder.modarith import is_prime
 from quadorder.oracle import oracle_order_mod_p, oracle_q_of_p
 from quadorder.quadint import QuadInt
+from quadorder.units import fundamental_unit
 
 
 def checks_by_name(report):
@@ -704,6 +705,17 @@ class TestAnalyze:
         assert checks[:-1] == list(rep.table_checks)
         assert checks[-1].name == "oracle order divides n"
         assert checks[-1].status == PASS
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_oracle_order_divides_bound_for_fundamental_units(self, d):
+        # the fast route against the oracle well beyond the default p < 100 grid:
+        # a seeded sample of primes below 2*10^4, plus the largest of them
+        eps = fundamental_unit(d)
+        primes = [p for p in range(3, 2 * 10**4) if is_prime(p) and d % p]
+        for p in random.Random(d).sample(primes, 60) + [primes[-1]]:
+            rep = analyze(eps, p)
+            found = oracle_order_mod_p(eps, p, cap=rep.bound_n).value
+            assert found is not None and rep.bound_n % found == 0, (d, p, rep.bound_n, found)
 
     def test_report_failed_names_empty_on_pass(self):
         rep = analyze(QuadInt(1, 1, 2), 17)
