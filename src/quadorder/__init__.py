@@ -68,7 +68,7 @@ from .ordersolver import (
     table_check,
 )
 from .quadint import Mat2, QuadInt
-from .units import CFState, fundamental_unit, is_unit
+from .units import fundamental_unit, is_unit
 
 __version__ = "0.1.0"
 
@@ -128,7 +128,6 @@ __all__ = [
     "table_check",
     "Mat2",
     "QuadInt",
-    "CFState",
     "fundamental_unit",
     "is_unit",
     "__version__",

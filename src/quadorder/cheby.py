@@ -15,6 +15,7 @@ run_identity_trials fuzzes the polynomial identities over the integers.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
@@ -93,8 +94,18 @@ def _order_descent(x: int, s: int, m: int, n: int, primes: list[int]) -> int:
     """
     if _lucas(x, s, n, m)[1]:
         raise AssertionError(f"u_{n - 1} != 0 mod {m}: {n} is not a vanishing index")
+    return _descend(n, primes, lambda k: _lucas(x, s, k, m)[1] == 0)
+
+
+def _descend(n: int, primes: list[int], holds: Callable[[int], bool]) -> int:
+    """Least k >= 1 with holds(k), by dividing primes out of n.
+
+    Needs holds(n), and the k with holds(k) must be the multiples of the
+    least one.  primes must cover every prime at which n may exceed it;
+    each is divided out of n while holds stays true.
+    """
     for r in primes:
-        while n % r == 0 and _lucas(x, s, n // r, m)[1] == 0:
+        while n % r == 0 and holds(n // r):
             n //= r
     return n
 

@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cheby import _lucas, _order_descent
-# FAIL and PASS stay bound here for callers that import them from this module
-from .checks import FAIL, NA, PASS, Check, check, failed_names  # noqa: F401
+from .cheby import _descend, _lucas, _order_descent
+from .checks import NA, Check, check, failed_names
 from .modarith import _legendre, factorize, legendre, require_odd_prime, sqrt_mod
 from .quadint import QuadInt
 
@@ -391,15 +390,6 @@ def q_of_p(x: int, s: int, p: int) -> int:
     return _order_descent(x, s, p, p, [p])
 
 
-def _scalar_order(s: int, p: int) -> int:
-    fac = factorize(p - 1)
-    order = p - 1
-    for q, _ in fac.factors:
-        while order % q == 0 and pow(s % p, order // q, p) == 1:
-            order //= q
-    return order
-
-
 def analyze(alpha: QuadInt, p: int) -> OrderReport:
     """Dispatch to the right branch for alpha mod p and collect one report."""
     require_odd_prime(p)
@@ -438,7 +428,8 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
         bound = p - 1
         checks.append(check("alpha^(p-1) == 1", _power_is(alpha, p - 1, p, 1)))
     else:
-        bound = (p + 1) * _scalar_order(s, p)
+        primes = [r for r, _ in factorize(p - 1).factors]
+        bound = (p + 1) * _descend(p - 1, primes, lambda k: pow(s, k, p) == 1)
         checks.append(check("alpha^(p+1) == s", _power_is(alpha, p + 1, p, s)))
         checks.append(check("alpha^bound == 1", _power_is(alpha, bound, p, 1)))
     return OrderReport(

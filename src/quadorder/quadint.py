@@ -128,11 +128,6 @@ class QuadInt:
             return Mat2((self.a + self.b) // 2, self.b, q * self.b, (self.a - self.b) // 2)
         return Mat2(self.a, self.b, self.b * self.d, self.a)
 
-    def congruent_mod_p(self, other: "QuadInt", p: int) -> bool:
-        if other.d != self.d:
-            raise ValueError("cannot compare integers from different fields")
-        return (self.a - other.a) % p == 0 and (self.b - other.b) % p == 0
-
     def in_order(self, f: int) -> bool:
         """Membership in the order of conductor f, which comes down to f | b."""
         if f < 1:

@@ -12,6 +12,7 @@ import time
 
 from quadorder.cheby import ChebyParams, eval_fast, t_seq, u_seq
 from quadorder.cheby import run_identity_trials
+from quadorder.checks import FAIL, NA, PASS
 from quadorder.conductor import (
     bound_full,
     bound_multiplicative,
@@ -21,9 +22,6 @@ from quadorder.conductor import (
 from quadorder.modarith import is_prime
 from quadorder.oracle import oracle_n_of_f, oracle_order_mod_p, oracle_q_of_p
 from quadorder.ordersolver import (
-    FAIL,
-    NA,
-    PASS,
     analyze,
     bound_norm1,
     bound_norm_minus1,

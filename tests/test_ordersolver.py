@@ -4,10 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadorder.checks import FAIL, NA, PASS
 from quadorder.ordersolver import (
-    FAIL,
-    NA,
-    PASS,
     STOP_NONRESIDUE_AT_K,
     STOP_NONRESIDUE_AT_START,
     STOP_POWER_OF_TWO,

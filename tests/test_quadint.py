@@ -111,15 +111,6 @@ def test_pell_power_frozen():
     assert phi**10 == QuadInt(123, 55, 5)
 
 
-def test_congruent_mod_p():
-    alpha = QuadInt(1, 1, 2) ** 6
-    assert alpha == QuadInt(99, 70, 2)
-    assert alpha.congruent_mod_p(QuadInt(-1, 0, 2), 5)
-    assert not alpha.congruent_mod_p(QuadInt(1, 0, 2), 5)
-    phi = QuadInt(1, 1, 5)
-    assert (phi**10).congruent_mod_p(QuadInt(2, 0, 5), 11)
-
-
 def test_in_order():
     alpha = QuadInt(17, 12, 2)
     assert alpha.in_order(1)

@@ -1,9 +1,16 @@
+import hashlib
 import math
+import sys
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from quadorder import units
+from quadorder.cli import main
+from quadorder.modarith import factorize
 from quadorder.quadint import QuadInt
-from quadorder.units import CFState, fundamental_unit, is_unit
+from quadorder.units import fundamental_unit, is_unit
 
 # (d, a, b) in the storage convention: the element is (a + b sqrt(d)) / 2
 # when d == 1 mod 4 and a + b sqrt(d) otherwise
@@ -79,28 +86,91 @@ def test_is_unit():
     assert not is_unit(QuadInt(0, 0, 2))
 
 
-def test_cfstate_digits_for_sqrt2():
-    state = CFState(0, 1, 2)
-    digits = []
-    for _ in range(6):
-        a, state = state.step()
-        digits.append(a)
-    assert digits == [1, 2, 2, 2, 2, 2]
+def norm_every_convergent_unit(d):
+    """The first convergent h/y of sqrt(d), or of (1 + sqrt(d))/2 when
+    d == 1 (mod 4), whose candidate unit has norm +-1.
+
+    Norms every convergent instead of watching Q return to its start, so
+    it is a second route to the unit; the candidate for the half-integer
+    expansion is (2h - y, y).
+    """
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    h2, h1 = 0, 1
+    y2, y1 = 1, 0
+    while True:
+        a = (P + math.isqrt(d)) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        h2, h1 = h1, a * h1 + h2
+        y2, y1 = y1, a * y1 + y2
+        if d % 4 == 1:
+            cand_a, cand_b = 2 * h1 - y1, y1
+            norm = (cand_a * cand_a - d * cand_b * cand_b) // 4
+        else:
+            cand_a, cand_b = h1, y1
+            norm = cand_a * cand_a - d * cand_b * cand_b
+        if norm in (1, -1):
+            return QuadInt(cand_a, cand_b, d)
 
 
-def test_cfstate_digits_for_golden_ratio():
-    state = CFState(1, 2, 5)
-    digits = []
-    for _ in range(5):
-        a, state = state.step()
-        digits.append(a)
-    assert digits == [1, 1, 1, 1, 1]
+def is_squarefree(d):
+    return factorize(d).is_squarefree()
 
 
-def test_cfstate_invariant():
-    with pytest.raises(ValueError):
-        CFState(0, 3, 7)  # 3 does not divide 7 - 0^2
-    with pytest.raises(ValueError):
-        CFState(0, 0, 7)
-    with pytest.raises(ValueError):
-        CFState(0, 1, 1)
+def test_matches_norm_every_convergent_below_5000():
+    mismatches = [
+        d for d in range(2, 5000)
+        if is_squarefree(d) and fundamental_unit(d) != norm_every_convergent_unit(d)
+    ]
+    assert mismatches == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=5000, max_value=10**7))
+def test_matches_norm_every_convergent_hypothesis(d):
+    assume(is_squarefree(d))
+    assert fundamental_unit(d) == norm_every_convergent_unit(d)
+
+
+# sha256 of f"{a},{b}" for fundamental_unit(10**9 + 7) as the
+# norm-every-convergent loop gives it; y has 21,183 bits
+UNIT_1E9_7_SHA256 = "ce48455d4b22204281f474b148c5d753ff64534857664e4e89e24f6ad0a64c51"
+
+
+def test_large_unit_pinned_and_fast():
+    d = 10**9 + 7
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        eps = fundamental_unit(d)
+        times.append(time.perf_counter() - start)
+    assert eps.a * eps.a - d * eps.b * eps.b in (1, -1)
+    # the coordinates run past the default 4300-digit int -> str limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = f"{eps.a},{eps.b}"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert hashlib.sha256(text.encode()).hexdigest() == UNIT_1E9_7_SHA256
+    assert min(times) < 1.0, times
+
+
+def test_refuses_past_the_step_cap(monkeypatch, capsys):
+    monkeypatch.setattr(units, "_STEP_CAP", 100)
+    with pytest.raises(RuntimeError) as info:
+        fundamental_unit(10**9 + 7)
+    message = str(info.value)
+    assert "1000000007" in message and "100 steps" in message
+    assert main(["fundunit", "--d", "1000000007"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_refuses_at_the_default_cap_quickly():
+    # the period of 10**12 + 39 is 532,572 steps, past the cap of 10**5
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="1000000000039 .* limit of 100000 steps"):
+        fundamental_unit(10**12 + 39)
+    assert time.perf_counter() - start < 3.0
