@@ -36,15 +36,12 @@ from .conductor import (
     reduce_f,
 )
 from .modarith import (
-    DEFAULT_TRIAL_BOUND,
-    TRIAL_BOUND_ENV,
     Factorization,
     factorize,
     is_prime,
     legendre,
     require_odd_prime,
     sqrt_mod,
-    trial_bound,
 )
 from .oracle import (
     DEFAULT_CAP,
@@ -100,15 +97,12 @@ __all__ = [
     "bound_prime_power",
     "n_of_f",
     "reduce_f",
-    "DEFAULT_TRIAL_BOUND",
-    "TRIAL_BOUND_ENV",
     "Factorization",
     "factorize",
     "is_prime",
     "legendre",
     "require_odd_prime",
     "sqrt_mod",
-    "trial_bound",
     "DEFAULT_CAP",
     "OracleResult",
     "oracle_n_of_f",

@@ -347,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orders of quadratic integers mod p, conductor indices, and their bounds.",
         epilog=(
             "exit codes: 0 all asserted congruences held, 1 a mathematical "
-            "assertion failed, 2 bad usage or an unmet precondition.  "
-            f"{modarith.TRIAL_BOUND_ENV} overrides the factoring trial bound "
-            f"(default {modarith.DEFAULT_TRIAL_BOUND})."
+            "assertion failed, 2 bad usage or an unmet precondition."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,12 +1,14 @@
-"""Modular arithmetic and factorization plumbing, sized for desk-scale inputs."""
+"""Modular arithmetic and factorization plumbing, sized for desk-scale inputs.
+
+Factoring is one fixed policy: trial division up to TRIAL_BOUND, then a
+primality test on what survives.
+"""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-DEFAULT_TRIAL_BOUND = 10**6
-TRIAL_BOUND_ENV = "QUADORDER_TRIAL_BOUND"
+TRIAL_BOUND = 10**6
 
 # Miller-Rabin on these witnesses is exact only below psi_12 = 318665857834031151167461,
 # a composite is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
@@ -107,35 +109,19 @@ class Factorization:
         return all(k == 1 for _, k in self.factors)
 
 
-def trial_bound() -> int:
-    raw = os.environ.get(TRIAL_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_TRIAL_BOUND
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TRIAL_BOUND_ENV} must be an integer, got {raw!r}") from exc
-    if val < 2:
-        raise ValueError(f"{TRIAL_BOUND_ENV} must be at least 2")
-    return val
+def factorize(n: int) -> Factorization:
+    """Factor |n| by trial division up to TRIAL_BOUND.
 
-
-def factorize(n: int, bound: int | None = None) -> Factorization:
-    """Factor |n| by trial division up to the bound.
-
-    A cofactor surviving the trial bound is accepted only if it passes the
-    primality test; otherwise the input exceeds desk scale and we refuse
-    rather than guess.  The bound defaults to QUADORDER_TRIAL_BOUND when
-    that env var is set, else 10^6.
+    A cofactor surviving trial division is accepted only if it is at most
+    TRIAL_BOUND^2 or passes the primality test; otherwise the input exceeds
+    desk scale and we refuse rather than guess.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
-    if bound is None:
-        bound = trial_bound()
     rem = abs(n)
     factors: list[tuple[int, int]] = []
     q = 2
-    while q <= bound and q * q <= rem:
+    while q <= TRIAL_BOUND and q * q <= rem:
         if rem % q == 0:
             k = 0
             while rem % q == 0:
@@ -144,10 +130,10 @@ def factorize(n: int, bound: int | None = None) -> Factorization:
             factors.append((q, k))
         q += 1 if q == 2 else 2
     if rem > 1:
-        if rem <= bound * bound or is_prime(rem):
+        if rem <= TRIAL_BOUND * TRIAL_BOUND or is_prime(rem):
             factors.append((rem, 1))
         else:
             raise ValueError(
-                f"composite cofactor {rem} exceeds the trial bound {bound}"
+                f"composite cofactor {rem} exceeds the trial bound {TRIAL_BOUND}"
             )
     return Factorization(base=abs(n), factors=tuple(factors))

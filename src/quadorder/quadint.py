@@ -12,7 +12,11 @@ from .modarith import factorize
 def _check_radicand(d: int) -> None:
     if d in (0, 1):
         raise ValueError("the radicand must be a square-free integer other than 0 and 1")
-    if not factorize(abs(d)).is_squarefree():
+    try:
+        fac = factorize(abs(d))
+    except ValueError as exc:
+        raise ValueError(f"cannot tell whether the radicand {d} is square-free: {exc}") from exc
+    if not fac.is_squarefree():
         raise ValueError(f"the radicand {d} is not square-free")
 
 

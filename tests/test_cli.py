@@ -113,16 +113,24 @@ def test_order_degenerate_exits_2(capsys):
     assert "index 5" in err
 
 
-def test_order_degenerate_61_bit_prime_exits_2_quickly(capsys, monkeypatch):
+def test_order_degenerate_61_bit_prime_exits_2_quickly(capsys):
     # p = 2^61 - 1 divides d, so ell = 0 and q(p) = p: the closed-form check
     # behind it must not walk p/2 terms
-    monkeypatch.delenv("QUADORDER_TRIAL_BOUND", raising=False)
     p = str(2**61 - 1)
     t0 = time.perf_counter()
     code, _, err = run(capsys, "order", "--d", p, "--alpha", "1,1", "--p", p)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert f"index {p}" in err
+
+
+def test_order_unfactorable_radicand_exits_2_naming_it(capsys):
+    d = str(1000003 * 1000033)
+    code, out, err = run(capsys, "order", "--d", d, "--alpha", "1,1", "--p", "101")
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot tell whether the radicand {d} is square-free" in err
+    assert "trial bound" in err
 
 
 def test_order_rejects_bad_inputs(capsys):
@@ -177,10 +185,9 @@ def test_conductor_nonexistent_exits_2(capsys):
     assert "error:" in err
 
 
-def test_conductor_refuses_unfactorable_p_minus_ell_quickly(capsys, monkeypatch):
+def test_conductor_refuses_unfactorable_p_minus_ell_quickly(capsys):
     # q(p) for 1 + sqrt(2) needs p - 1 = 2 * 1000003 * 1000121 factored,
     # which is beyond the trial bound: a quick exit 2, not a scan of ~p steps
-    monkeypatch.delenv("QUADORDER_TRIAL_BOUND", raising=False)
     p = 2 * 1000003 * 1000121 + 1
     t0 = time.perf_counter()
     code, _, err = run(capsys, "conductor", "--d", "2", "--alpha", "1,1", "--f", str(p))
@@ -386,8 +393,9 @@ def test_help_documents_exit_codes_and_env(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    assert "QUADORDER_TRIAL_BOUND" in out
     assert "exit codes" in out
+    # factoring has one fixed trial bound; no environment variable moves it
+    assert "QUADORDER_TRIAL_BOUND" not in out
 
 
 def test_parser_builds():

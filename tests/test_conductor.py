@@ -4,13 +4,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quadorder.conductor import (
+    PrimeBound,
     bound_full,
     bound_multiplicative,
     bound_prime_power,
     n_of_f,
     reduce_f,
 )
+from quadorder.modarith import factorize
 from quadorder.oracle import oracle_n_of_f
+from quadorder.ordersolver import q_of_p
 from quadorder.quadint import QuadInt
 
 R2 = QuadInt(1, 1, 2)
@@ -236,3 +239,36 @@ def test_bound_full_grid_against_oracle():
             report = bound_full(alpha, f)
             assert report.holds, (alpha, f)
             assert oracle_n_of_f(alpha, f, cap=2 * report.n_exact + 10).value == report.n_exact
+
+
+def _records_by_second_factorization(alpha, f):
+    # the product bound's records rebuilt from a factorization of their own
+    x, s = alpha.trace_x, alpha.norm
+    _, _, f0 = reduce_f(alpha.b, f)
+    records = []
+    for p, k in factorize(f0).factors:
+        q = q_of_p(x, s, p)
+        records.append(PrimeBound(p, k, q, q * p ** (k - 1)))
+    return tuple(records)
+
+
+# 3 + 3*sqrt(2), (3 + 3*sqrt(5))/2 and 3 + sqrt(3) have 3 | gcd(x, s), so q(3) = 2
+@pytest.mark.parametrize(
+    "alpha",
+    [R2, PHI, QuadInt(2, 1, 3), QuadInt(3, 3, 2), QuadInt(3, 3, 5), QuadInt(3, 1, 3)],
+    ids=str,
+)
+def test_bound_full_records_match_a_second_factorization(alpha):
+    shared = 0
+    for f in range(1, 301):
+        report = bound_full(alpha, f)
+        assert n_of_f(alpha, f) == report.n_exact, f
+        if f % 2 == 0:
+            assert report.per_prime == () and report.bound is None, f
+            continue
+        expected = _records_by_second_factorization(alpha, f)
+        assert report.per_prime == expected, f
+        assert report.bound == math.prod(t.contribution for t in expected), f
+        shared += sum(alpha.norm % t.p == 0 for t in expected)
+    if alpha.trace_x % 3 == 0 and alpha.norm % 3 == 0:
+        assert shared > 0, "no record at a prime dividing gcd(x, s)"

@@ -1,14 +1,17 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from quadorder import modarith
 from quadorder.modarith import (
+    TRIAL_BOUND,
     Factorization,
     factorize,
     is_prime,
     legendre,
     require_odd_prime,
     sqrt_mod,
-    trial_bound,
 )
 
 
@@ -115,32 +118,33 @@ def test_factorize_prime_cofactor_beyond_bound():
     assert fac.factors == ((2, 2), (10**9 + 7, 1))
 
 
-def test_factorize_prime_cofactor_within_bound_square():
-    # 9973 exceeds the bound but not its square, so it must be prime
-    fac = factorize(2 * 9973, bound=100)
-    assert fac.factors == ((2, 1), (9973, 1))
+def test_factorize_prime_cofactor_within_bound_square(monkeypatch):
+    # 999999999989 exceeds the trial bound but not its square, so it must be
+    # prime, and it is accepted without a primality test
+    assert 999999999989 <= TRIAL_BOUND**2
+
+    def not_called(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr(modarith, "is_prime", not_called)
+    fac = factorize(2 * 999999999989)
+    assert fac.factors == ((2, 1), (999999999989, 1))
 
 
-def test_factorize_composite_cofactor_rejected(monkeypatch):
-    monkeypatch.setenv("QUADORDER_TRIAL_BOUND", "100")
+def test_factorize_composite_cofactor_rejected():
+    # both factors lie just above the trial bound, so trial division finds neither
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"composite cofactor .* trial bound {TRIAL_BOUND}$"):
+        factorize(1000003 * 1000033)
     with pytest.raises(ValueError, match="composite cofactor"):
-        factorize(101 * 103)
-    with pytest.raises(ValueError):
-        factorize(101 * 101)
+        factorize(1000003**2)
+    assert time.perf_counter() - t0 < 2.0
 
 
-def test_trial_bound_env(monkeypatch):
-    monkeypatch.delenv("QUADORDER_TRIAL_BOUND", raising=False)
-    default = trial_bound()
-    assert default >= 2
-    monkeypatch.setenv("QUADORDER_TRIAL_BOUND", "54321")
-    assert trial_bound() == 54321
-    monkeypatch.setenv("QUADORDER_TRIAL_BOUND", "abc")
-    with pytest.raises(ValueError):
-        trial_bound()
-    monkeypatch.setenv("QUADORDER_TRIAL_BOUND", "1")
-    with pytest.raises(ValueError):
-        trial_bound()
+def test_factorize_ignores_the_environment(monkeypatch):
+    # the trial bound is a fixed constant; no environment variable moves it
+    monkeypatch.setenv("QUADORDER_TRIAL_BOUND", "100")
+    assert factorize(101 * 103).factors == ((101, 1), (103, 1))
 
 
 def test_factorization_is_squarefree():

@@ -381,9 +381,8 @@ class TestEntryIndex:
             best = min(best, time.perf_counter() - t0)
         assert best < 0.05, best
 
-    def test_refuses_when_p_minus_ell_cannot_be_factored(self, monkeypatch):
+    def test_refuses_when_p_minus_ell_cannot_be_factored(self):
         # p - ell = 2 * 1000003 * 1000121: both odd primes exceed the trial bound
-        monkeypatch.delenv("QUADORDER_TRIAL_BOUND", raising=False)
         p = 2 * 1000003 * 1000121 + 1
         assert is_prime(p) and ell_symbol(2, -1, p) == 1
         with pytest.raises(ValueError, match="trial bound"):

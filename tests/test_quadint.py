@@ -23,6 +23,17 @@ def test_radicand_validation():
     QuadInt(0, 1, -1)
 
 
+def test_radicand_beyond_the_trial_bound_is_named():
+    # 1000003 * 1000033: square-freeness cannot be decided by trial division
+    d = 1000003 * 1000033
+    with pytest.raises(ValueError) as info:
+        QuadInt(1, 1, d)
+    assert str(info.value) == (
+        f"cannot tell whether the radicand {d} is square-free: "
+        f"composite cofactor {d} exceeds the trial bound 1000000"
+    )
+
+
 def test_parity_rule_for_one_mod_four():
     with pytest.raises(ValueError):
         QuadInt(1, 0, 5)
