@@ -28,9 +28,21 @@ CSV_COLUMNS = (
 ).split()
 
 
+def _printable_unit(d: int) -> QuadInt:
+    """The fundamental unit of d, refused if a coordinate is too long for int -> str."""
+    eps = units.fundamental_unit(d)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and max(abs(eps.a), abs(eps.b)) >= 10**limit:
+        raise ValueError(
+            f"the fundamental unit for d = {d} has a coordinate past the "
+            f"{limit}-digit output limit"
+        )
+    return eps
+
+
 def _alpha_from_args(args: argparse.Namespace) -> QuadInt:
     if getattr(args, "fundunit", False):
-        return units.fundamental_unit(args.d)
+        return _printable_unit(args.d)
     text = args.alpha
     parts = [tok.strip() for tok in text.split(",")]
     if len(parts) != 2:
@@ -184,7 +196,7 @@ def cmd_conductor(args: argparse.Namespace) -> int:
 
 
 def cmd_fundunit(args: argparse.Namespace) -> int:
-    eps = units.fundamental_unit(args.d)
+    eps = _printable_unit(args.d)
     results = _named(fundamental_unit=str(eps), a=eps.a, b=eps.b, norm=eps.norm, r=eps.r)
     lines = [f"fundamental unit: {eps}", f"norm: {eps.norm}", f"representation class: r = {eps.r}"]
     return _emit(args, "fundunit", {"d": args.d}, results, units.is_unit(eps), lines)

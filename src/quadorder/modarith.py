@@ -1,14 +1,26 @@
 """Modular arithmetic and factorization plumbing, sized for desk-scale inputs.
 
 Factoring is one fixed policy: trial division up to TRIAL_BOUND, then a
-primality test on what survives.
+primality test on what survives.  Trial division walks the divisors
+below _WINDOW one by one.  Past that it takes the range _WINDOW integers
+at a time: one gcd of what is left of the input with the product of a
+window's odd primes skips a window that holds none of its prime factors,
+and only a window that does is walked divisor by divisor.  The products
+are built on the first factorization that gets past the first window, by
+a sieve that holds one segment's flags at a time and keeps no list of
+primes up to TRIAL_BOUND; they take about 180 KB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
+from math import gcd, isqrt, prod
 
 TRIAL_BOUND = 10**6
+_WINDOW = 1 << 10  # integers per window of the product table
+_SEGMENT = 1 << 16  # integers sieved at a time to build it; a multiple of _WINDOW
 
 # Miller-Rabin on these witnesses is exact only below psi_12 = 318665857834031151167461,
 # a composite is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
@@ -109,12 +121,47 @@ class Factorization:
         return all(k == 1 for _, k in self.factors)
 
 
+@cache
+def _window_products() -> tuple[int, ...]:
+    """Product of the odd primes <= TRIAL_BOUND in each window [w, w+1) * _WINDOW.
+
+    Window w's product sits at index w.  The range is sieved _SEGMENT
+    integers at a time by the odd primes up to isqrt(TRIAL_BOUND), so one
+    segment's flags are all that is held besides the products.
+    """
+    sieving = [
+        r for r in range(3, isqrt(TRIAL_BOUND) + 1, 2)
+        if all(r % t for t in range(3, isqrt(r) + 1, 2))
+    ]
+    products = []
+    for lo in range(0, TRIAL_BOUND + 1, _SEGMENT):
+        odds = range(lo + 1, min(lo + _SEGMENT, TRIAL_BOUND + 1), 2)
+        flags = bytearray([1]) * len(odds)  # flags[i] marks odds[i] as prime
+        if lo == 0:
+            flags[0] = 0  # 1 is not a prime
+        for r in sieving:
+            first = max(r * r, (lo + r) // r * r)  # least multiple of r above lo, from r^2
+            if first % 2 == 0:
+                first += r
+            i = (first - odds.start) // 2
+            flags[i::r] = bytes(len(range(i, len(odds), r)))
+        half = _WINDOW // 2
+        for j in range(0, len(odds), half):
+            products.append(prod(compress(odds[j : j + half], flags[j : j + half])))
+    return tuple(products)
+
+
 def factorize(n: int) -> Factorization:
     """Factor |n| by trial division up to TRIAL_BOUND.
 
-    A cofactor surviving trial division is accepted only if it is at most
-    TRIAL_BOUND^2 or passes the primality test; otherwise the input exceeds
-    desk scale and we refuse rather than guess.
+    Divisors below _WINDOW are tried one by one.  Past that, each window
+    of _WINDOW integers costs one gcd of what is left of |n| with the
+    product of the window's odd primes: a window with no common factor is
+    skipped whole, and one with a common factor is walked divisor by
+    divisor.  Trial division stops once q * q exceeds what is left.  A
+    cofactor surviving it is accepted only if it is at most TRIAL_BOUND^2
+    or passes the primality test; otherwise the input exceeds desk scale
+    and we refuse rather than guess.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -122,6 +169,10 @@ def factorize(n: int) -> Factorization:
     factors: list[tuple[int, int]] = []
     q = 2
     while q <= TRIAL_BOUND and q * q <= rem:
+        # q = 1 mod _WINDOW first holds at the start of the second window
+        if q % _WINDOW == 1 and gcd(rem, _window_products()[q // _WINDOW]) == 1:
+            q += _WINDOW
+            continue
         if rem % q == 0:
             k = 0
             while rem % q == 0:

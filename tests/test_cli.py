@@ -14,6 +14,7 @@ import pytest
 import quadorder
 from quadorder.cheby import run_identity_trials
 from quadorder.cli import CSV_COLUMNS, build_parser, main
+from quadorder.units import fundamental_unit
 
 
 def run(capsys, *argv):
@@ -282,6 +283,42 @@ def test_fundunit_text(capsys):
 def test_fundunit_rejects_square(capsys):
     code, _, err = run(capsys, "fundunit", "--d", "4")
     assert code == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit"
+)
+def test_fundunit_refuses_past_the_output_limit(capsys):
+    # the unit of 10^9 + 7 has coordinates of 6,382 and 6,377 digits; the refusal names d
+    # and the limit before anything is rendered, in every command that prints it
+    limit = sys.get_int_max_str_digits()
+    argvs = [
+        ["fundunit", "--d", "1000000007"],
+        ["fundunit", "--d", "1000000007", "--json"],
+        ["order", "--d", "1000000007", "--fundunit", "--p", "101"],
+        ["conductor", "--d", "1000000007", "--fundunit", "--f", "3", "--json"],
+    ]
+    try:
+        sys.set_int_max_str_digits(4300)
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == (
+                "error: the fundamental unit for d = 1000000007 has a coordinate past "
+                "the 4300-digit output limit\n"
+            )
+        # the check is exact: a limit of the longest coordinate's length prints it
+        sys.set_int_max_str_digits(0)
+        eps = fundamental_unit(10**9 + 7)
+        digits = max(len(str(eps.a)), len(str(eps.b)))
+        assert digits == 6382
+        sys.set_int_max_str_digits(digits)
+        code, out, _ = run(capsys, "fundunit", "--d", "1000000007")
+        assert code == 0 and f"fundamental unit: {eps}" in out
+        sys.set_int_max_str_digits(digits - 1)
+        assert run(capsys, "fundunit", "--d", "1000000007")[0] == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_identities_command(capsys):

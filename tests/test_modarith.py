@@ -1,7 +1,9 @@
+import math
+import sys
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quadorder import modarith
 from quadorder.modarith import (
@@ -23,6 +25,39 @@ def sieve(limit):
             for j in range(i * i, limit, i):
                 flags[j] = False
     return flags
+
+
+def reference_factorize(n):
+    """factorize as one walk over 2 and every odd q <= TRIAL_BOUND; the reference loop."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    rem = abs(n)
+    factors = []
+    q = 2
+    while q <= TRIAL_BOUND and q * q <= rem:
+        if rem % q == 0:
+            k = 0
+            while rem % q == 0:
+                rem //= q
+                k += 1
+            factors.append((q, k))
+        q += 1 if q == 2 else 2
+    if rem > 1:
+        if rem <= TRIAL_BOUND * TRIAL_BOUND or is_prime(rem):
+            factors.append((rem, 1))
+        else:
+            raise ValueError(
+                f"composite cofactor {rem} exceeds the trial bound {TRIAL_BOUND}"
+            )
+    return Factorization(base=abs(n), factors=tuple(factors))
+
+
+def outcome(factor, n):
+    """The factors, or the refusal text."""
+    try:
+        return factor(n).factors
+    except ValueError as exc:
+        return f"refused: {exc}"
 
 
 def test_is_prime_matches_sieve():
@@ -156,3 +191,107 @@ def test_factorization_is_squarefree():
 def test_factorization_validates_product():
     with pytest.raises(ValueError):
         Factorization(base=10, factors=((2, 1), (3, 1)))
+
+
+WINDOW = modarith._WINDOW
+PSI12 = 318665857834031151167461  # a composite is_prime accepts
+
+
+def edge_primes():
+    """(largest prime below, least prime from) each multiple of WINDOW up to TRIAL_BOUND."""
+    flags = sieve(TRIAL_BOUND + 100)
+    pairs = []
+    for edge in range(WINDOW, TRIAL_BOUND + 1, WINDOW):
+        below = next(q for q in range(edge - 1, 0, -1) if flags[q])
+        above = next(q for q in range(edge, len(flags)) if flags[q])
+        pairs.append((below, above))
+    return pairs
+
+
+EDGE_PRIMES = edge_primes()
+
+
+def test_factorize_matches_reference_at_every_window_edge():
+    for below, above in EDGE_PRIMES:
+        for n in (below, above, 2 * below, -6 * above):
+            # these leave a prime, so the reference walk stops at its square root
+            assert outcome(factorize, n) == outcome(reference_factorize, n), n
+        # the reference walks all the way to the prime here; the answers are known
+        assert factorize(below * below).factors == ((below, 2),)
+        assert factorize(above * above).factors == ((above, 2),)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 8, 100, len(EDGE_PRIMES) - 1])
+def test_factorize_matches_reference_on_edge_squares(window):
+    # the reference walks all the way to the prime, so a few edges are compared
+    below, above = EDGE_PRIMES[window - 1]
+    for n in (below * below, above * above, below * above, -below * below * above):
+        assert outcome(factorize, n) == outcome(reference_factorize, n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        0, 1, -1, 2, -2, -360, 999983**2, 999983 * 1000003, 1000003 * 1000033,
+        -1000003 * 1000033, 1000003**2, 2**61 - 1, -(2**61 - 1), 2 * (2**61 - 1),
+        PSI12 - 1, PSI12, PSI12 + 1, TRIAL_BOUND**2, -TRIAL_BOUND**2,
+        TRIAL_BOUND**2 - 1, TRIAL_BOUND**2 + 1, 999983 * 999979, 3 * 999983 * (2**61 - 1),
+    ],
+)
+def test_factorize_matches_reference_fixed(n):
+    assert outcome(factorize, n) == outcome(reference_factorize, n)
+
+
+# factors around the window edges, small ones, and ones up to the trial bound
+FACTOR = st.one_of(
+    st.integers(2, 5000),
+    st.sampled_from([q for pair in EDGE_PRIMES for q in pair]),
+    st.integers(2, TRIAL_BOUND + 50),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FACTOR, min_size=1, max_size=4), st.sampled_from([1, -1]))
+def test_factorize_matches_reference_hypothesis(parts, sign):
+    n = sign * math.prod(parts)
+    assert outcome(factorize, n) == outcome(reference_factorize, n)
+
+
+def test_window_products_built_on_demand_and_match_a_naive_sieve():
+    # small inputs never leave the first window, so the sweep grid never pays for the table
+    modarith._window_products.cache_clear()
+    for n in range(-(10**4), 10**4 + 1):
+        if n:
+            factorize(n)
+    assert modarith._window_products.cache_info().currsize == 0
+    products = modarith._window_products()
+    flags = sieve(TRIAL_BOUND + 1)
+    assert len(products) == TRIAL_BOUND // WINDOW + 1
+    for w, product in enumerate(products):
+        odd_primes = range(max(3, w * WINDOW) | 1, min((w + 1) * WINDOW, TRIAL_BOUND + 1), 2)
+        assert product == math.prod(q for q in odd_primes if flags[q]), w
+    assert sys.getsizeof(products) + sum(map(sys.getsizeof, products)) < 256_000
+
+
+def best_of_3(call):
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_factorize_fast_once_the_table_is_built():
+    def build():
+        modarith._window_products.cache_clear()
+        modarith._window_products()
+
+    def refuse():
+        with pytest.raises(ValueError, match="composite cofactor"):
+            factorize(1000003 * 1000033)
+
+    assert best_of_3(build) < 0.2
+    # each walks every window up to the trial bound
+    assert best_of_3(lambda: factorize(2**61 - 1)) < 0.02
+    assert best_of_3(refuse) < 0.02
