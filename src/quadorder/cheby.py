@@ -190,12 +190,13 @@ class IdentityTally:
     first_failure: str = ""
 
 
+# the draw ranges: |x| <= _X_BOUND, 1 <= |s| <= _S_BOUND, 1 <= m, n <= _MN_BOUND
+_X_BOUND, _S_BOUND, _MN_BOUND = 50, 20, 40
+
+
 def run_identity_trials(
     trials: int,
     seed: int,
-    x_bound: int = 50,
-    s_bound: int = 20,
-    mn_bound: int = 40,
 ) -> list[IdentityTally]:
     """Exact-equality fuzzing of the polynomial identities.
 
@@ -205,8 +206,6 @@ def run_identity_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if x_bound < 1 or s_bound < 1 or mn_bound < 1:
-        raise ValueError("bounds must be at least 1")
     rng = random.Random(seed)
     names = [
         "norm: (x^2-4s)*u(n-1)^2 == t(n)^2 - 4*s^n",
@@ -220,11 +219,11 @@ def run_identity_trials(
     passed = {name: 0 for name in names}
     first = {name: "" for name in names}
     for _ in range(trials):
-        x = rng.randint(-x_bound, x_bound)
-        s = rng.randint(1, s_bound) * rng.choice((-1, 1))
-        m = rng.randint(1, mn_bound)
-        n = rng.randint(1, mn_bound)
-        odd = 2 * rng.randint(0, (mn_bound - 1) // 2) + 1
+        x = rng.randint(-_X_BOUND, _X_BOUND)
+        s = rng.randint(1, _S_BOUND) * rng.choice((-1, 1))
+        m = rng.randint(1, _MN_BOUND)
+        n = rng.randint(1, _MN_BOUND)
+        odd = 2 * rng.randint(0, (_MN_BOUND - 1) // 2) + 1
         mu = rng.randint(2, 50)
         where = f"x={x} s={s} m={m} n={n} odd={odd} mu={mu}"
         params = ChebyParams(x, s)

@@ -18,7 +18,7 @@ from dataclasses import asdict
 from itertools import product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
-from .cheby import run_identity_trials
+from .cheby import _MN_BOUND, _S_BOUND, _X_BOUND, run_identity_trials
 from .checks import PASS, check, failed_names
 from .quadint import QuadInt
 
@@ -203,8 +203,11 @@ def cmd_fundunit(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    inputs = {k: getattr(args, k) for k in ("trials", "seed", "x_bound", "s_bound", "mn_bound")}
-    tallies = run_identity_trials(**inputs)
+    tallies = run_identity_trials(args.trials, args.seed)
+    inputs = {
+        "trials": args.trials, "seed": args.seed,
+        "x_bound": _X_BOUND, "s_bound": _S_BOUND, "mn_bound": _MN_BOUND,
+    }
     ok = all(t.passed == t.total for t in tallies)
     lines = [f"seed {args.seed}", f"trials {args.trials}"]
     for t in tallies:
@@ -405,9 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident = sub.add_parser("identities", help="exact fuzzing of the polynomial identities")
     ident.add_argument("--trials", type=int, default=1000)
     ident.add_argument("--seed", type=int, default=0)
-    ident.add_argument("--x-bound", type=int, default=50)
-    ident.add_argument("--s-bound", type=int, default=20)
-    ident.add_argument("--mn-bound", type=int, default=40)
     ident.add_argument("--json", action="store_true")
     ident.set_defaults(func=cmd_identities)
 

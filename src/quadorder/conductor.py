@@ -7,8 +7,6 @@ lcm q(p) * p^(k-1) over p^k || A (6 * 2^(k-1) for p = 2: element orders
 in PGL(2, F_2) = S_3 divide 6).  Each prime of B divides x and s, so
 M^2 == 0 mod p and u vanishes mod p^k from index 2k on: n(f0) is the
 first multiple of n(A) that vanishes mod B, at most 2 * max k away.
-The same factorization gives the per-prime records (q(p), with q(p) = 2
-at the primes of B) behind bound_full's product bound.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ def reduce_f(b: int, f: int) -> tuple[int, int, int]:
     return c, b // c, f // c
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PrimeBound:
     p: int
     k: int
@@ -46,12 +44,9 @@ class PrimeBound:
     contribution: int
 
 
-@lru_cache(maxsize=16384)  # the default sweep grid holds about 8,500 keys, records and all
-def _entry_index(x: int, s: int, f0: int) -> tuple[int, tuple[PrimeBound, ...]]:
-    """n(f) from the reduced conductor f0, with the records of f0's odd primes.
-
-    Both come from one factorization of f0; the module docstring has the route.
-    """
+@lru_cache(maxsize=16384)  # the default sweep grid holds about 8,500 keys
+def _entry_index(x: int, s: int, f0: int) -> int:
+    """n(f) from the reduced conductor f0; the module docstring has the route."""
     factors = factorize(f0).factors
     for p, _ in factors:
         if s % p == 0 and x % p != 0:
@@ -59,15 +54,9 @@ def _entry_index(x: int, s: int, f0: int) -> tuple[int, tuple[PrimeBound, ...]]:
                 f"no power of alpha has its irrational part divisible by {p}: "
                 "the cofactor sequence never vanishes there"
             )
-    per = []
-    for p, k in factors:
-        if p != 2:
-            q = q_of_p(x, s, p)
-            per.append(PrimeBound(p, k, q, q * p ** (k - 1)))
-    records = tuple(per)
     coprime = [(p, k) for p, k in factors if s % p]
     part_a = prod(p**k for p, k in coprime)
-    mult = lcm(*(t.contribution for t in records if s % t.p))
+    mult = lcm(*(q_of_p(x, s, p) * p ** (k - 1) for p, k in coprime if p != 2))
     # mult exceeds n(A) only at primes of A, and at 3 through the 6 for p = 2
     primes = [p for p, _ in coprime]
     if part_a % 2 == 0:
@@ -75,11 +64,11 @@ def _entry_index(x: int, s: int, f0: int) -> tuple[int, tuple[PrimeBound, ...]]:
         primes.append(3)
     n_a = _order_descent(x, s, part_a, mult, primes)
     if part_a == f0:
-        return n_a, records
+        return n_a
     shared_k = max(k for p, k in factors if s % p == 0)
     for j in range(1, 2 * shared_k + 1):
         if _lucas(x, s, j * n_a, f0)[1] == 0:
-            return j * n_a, records
+            return j * n_a
     raise AssertionError(f"u does not vanish mod {f0} by index {2 * shared_k * n_a}")
 
 
@@ -90,7 +79,7 @@ def n_of_f(alpha: QuadInt, f: int) -> int:
     if f == 1 or alpha.b == 0:
         return 1
     _, _, f0 = reduce_f(alpha.b, f)
-    return _entry_index(alpha.trace_x, alpha.norm, f0)[0]
+    return _entry_index(alpha.trace_x, alpha.norm, f0)
 
 
 @dataclass(frozen=True)
@@ -236,7 +225,8 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
     if alpha.b == 0:
         raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
     c, _, f0 = reduce_f(alpha.b, f)
-    n_exact, per = _entry_index(alpha.trace_x, alpha.norm, f0)
+    x, s = alpha.trace_x, alpha.norm
+    n_exact = _entry_index(x, s, f0)
     notes = []
     if c > 1:
         notes.append(f"common factor {c} with b removed, leaving f0 = {f0}")
@@ -245,7 +235,11 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         return ConductorReport(
             f=f, f0=f0, n_exact=n_exact, bound=None, per_prime=(), notes=tuple(notes)
         )
+    per = []
+    for p, k in factorize(f0).factors:  # f0 is odd here
+        q = q_of_p(x, s, p)
+        per.append(PrimeBound(p, k, q, q * p ** (k - 1)))
     bound = prod(t.contribution for t in per)
     return ConductorReport(
-        f=f, f0=f0, n_exact=n_exact, bound=bound, per_prime=per, notes=tuple(notes)
+        f=f, f0=f0, n_exact=n_exact, bound=bound, per_prime=tuple(per), notes=tuple(notes)
     )

@@ -14,7 +14,7 @@ primes up to TRIAL_BOUND; they take about 180 KB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -75,8 +75,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Square root of a mod p, or None if a is a non-residue.
 
     Returns the canonical representative min(r, p - r) so that repeated
-    calls are reproducible.  Uses the direct exponent for p = 3 (mod 4)
-    and Tonelli-Shanks otherwise, with a deterministic non-residue search.
+    calls are reproducible.  Tonelli-Shanks, with a deterministic
+    non-residue search.
     """
     require_odd_prime(p)
     a %= p
@@ -84,9 +84,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
         return 0
     if _legendre(a, p) == -1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -151,6 +148,7 @@ def _window_products() -> tuple[int, ...]:
     return tuple(products)
 
 
+@lru_cache(maxsize=1024)  # the default sweep factors 66 numbers; a refusal raises and is not kept
 def factorize(n: int) -> Factorization:
     """Factor |n| by trial division up to TRIAL_BOUND.
 

@@ -26,13 +26,14 @@ STOP_NONRESIDUE_AT_START = "nonresidue_at_start"
 STOP_NONRESIDUE_AT_K = "nonresidue_at_k"
 STOP_POWER_OF_TWO = "power_of_two_exhausted"
 
+_SCAN_CAP = 10**6  # values of y divisor_bound tries before it refuses
+
 
 @dataclass(frozen=True)
 class ChainResult:
     ell: int
     chain: tuple[int, ...]
     stop_reason: str
-    variant: str
 
     @property
     def m(self) -> int:
@@ -121,18 +122,18 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
 
 
 def _extend_chain(
-    start: int, ell: int, p: int, variant: str, rng: random.Random | None
+    start: int, ell: int, p: int, rng: random.Random | None
 ) -> ChainResult:
     chain = [start % p]
     if _legendre(chain[0] + 2, p) == -1:
-        return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_START, variant)
+        return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_START)
     two_part = p - ell
     while True:
         k = len(chain) - 1
         if two_part % (1 << (k + 1)):
-            return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO, variant)
+            return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO)
         if _legendre(chain[-1] + 2, p) == -1:
-            return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_K, variant)
+            return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_K)
         root = sqrt_mod((chain[-1] + 2) % p, p)
         if root is None or root == 0:
             raise AssertionError(f"no nonzero square root of {chain[-1]} + 2 mod {p}")
@@ -153,7 +154,7 @@ def build_chain_s1(x: int, p: int, rng: random.Random | None = None) -> ChainRes
     ell = _legendre(x * x - 4, p)
     if ell == 0:
         raise ValueError("p divides x^2 - 4, so no chain is defined")
-    return _extend_chain(x, ell, p, NORM_PLUS_ONE, rng)
+    return _extend_chain(x, ell, p, rng)
 
 
 def build_chain_s_minus1(x: int, p: int, rng: random.Random | None = None) -> ChainResult:
@@ -174,7 +175,7 @@ def build_chain_s_minus1(x: int, p: int, rng: random.Random | None = None) -> Ch
     if ell == -1:
         raise ValueError("the norm -1 chain needs x^2 + 4 to be a residue mod p")
     y0 = (x * x + 2) % p
-    result = _extend_chain(y0, ell, p, NORM_MINUS_ONE, rng)
+    result = _extend_chain(y0, ell, p, rng)
     if result.m < 1:
         raise AssertionError("the norm -1 chain stopped before its first link")
     return result
@@ -324,7 +325,8 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     k of p - ell is allowed and the conclusion is alpha^n == 1; with
     s = -1 the divisor must be odd and the conclusion is alpha^n == ell.
     Returns None when no preimage exists; that simply means this route
-    gives no bound.
+    gives no bound.  The scan tries at most _SCAN_CAP values of y: past
+    that, with p larger still and no preimage found, it refuses.
     """
     require_odd_prime(p)
     if s not in (1, -1):
@@ -342,11 +344,16 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
         if x % p == 0:
             raise ValueError("with norm -1 the trace must be nonzero mod p")
     preimage = None
-    for y in range(p):
+    for y in range(min(p, _SCAN_CAP)):
         if _lucas(y, s, k, p)[0] == x % p:
             preimage = y
             break
     if preimage is None:
+        if p > _SCAN_CAP:
+            raise ValueError(
+                f"no trace preimage mod p = {p} among the first {_SCAN_CAP} values "
+                "of y; the scan stops at that limit"
+            )
         return None
     n = (p - ell) // k
     t_n, u_n = _lucas(x, s, n, p)

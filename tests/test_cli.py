@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import quadorder
+from quadorder import conductor, modarith, ordersolver, quadint
 from quadorder.cheby import run_identity_trials
 from quadorder.cli import CSV_COLUMNS, build_parser, main
 from quadorder.units import fundamental_unit
@@ -329,6 +331,10 @@ def test_identities_command(capsys):
     assert len(payload["results"]) == 7
     for tally in payload["results"]:
         assert tally["passed"] == tally["total"] == 25
+    # the draw ranges are fixed, and still reported
+    assert payload["inputs"] == {
+        "trials": 25, "seed": 1, "x_bound": 50, "s_bound": 20, "mn_bound": 40,
+    }
 
 
 def test_identity_trials_deterministic():
@@ -502,3 +508,24 @@ def test_readme_commands_golden_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_factors_each_argument_once(capsys):
+    for cached in (modarith.factorize, ordersolver.q_of_p, conductor._entry_index,
+                   quadint._check_radicand):
+        cached.cache_clear()
+    body = modarith.factorize.__wrapped__.__code__
+    factored = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            factored[frame.f_locals["n"]] += 1
+
+    sys.setprofile(profile)
+    try:
+        code, _, _ = run(capsys, *GOLDEN_SWEEP)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert factored and max(factored.values()) == 1, factored.most_common(3)
+    assert modarith.factorize.cache_info().misses == len(factored)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from quadorder import conductor
 from quadorder.conductor import (
     PrimeBound,
     bound_full,
@@ -42,6 +43,12 @@ def test_n_of_f_frozen():
     assert n_of_f(R2, 45) == 12
     assert n_of_f(PHI, 5) == 5
     assert n_of_f(PHI, 2) == 3
+
+
+def test_entry_index_caches_only_the_index():
+    # R2 = 1 + sqrt(2) has trace 2 and norm -1; f0 = 45
+    assert type(conductor._entry_index(2, -1, 45)) is int
+    assert conductor._entry_index(2, -1, 45) == n_of_f(R2, 45) == 12
 
 
 def test_n_of_f_matches_oracle():

@@ -102,9 +102,10 @@ def test_legendre_multiplicative(a, b):
     assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 29, 41, 73, 97, 193, 577])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 29, 41, 43, 73, 97, 103, 193, 577])
 def test_sqrt_mod_exhaustive(p):
-    # 97 and 193 exercise the deep 2-adic part of p - 1
+    # 97 and 193 exercise the deep 2-adic part of p - 1; 11, 19, 43 and 103
+    # are 3 mod 4, where Tonelli-Shanks takes no step past its first power
     for a in range(p):
         r = sqrt_mod(a, p)
         if r is None:
@@ -112,6 +113,15 @@ def test_sqrt_mod_exhaustive(p):
         else:
             assert r * r % p == a
             assert r <= p - r, "canonical root is the smaller of the pair"
+
+
+def test_sqrt_mod_large_prime_three_mod_four():
+    p = 2**61 - 1
+    assert p % 4 == 3
+    for a in (2, 3, 12345, 10**17 + 3, p - 5):
+        r = sqrt_mod(a * a, p)
+        assert r == min(a, p - a)
+    assert sqrt_mod(-1, p) is None  # -1 is a non-residue when p == 3 mod 4
 
 
 def test_sqrt_mod_zero():
@@ -180,6 +190,22 @@ def test_factorize_ignores_the_environment(monkeypatch):
     # the trial bound is a fixed constant; no environment variable moves it
     monkeypatch.setenv("QUADORDER_TRIAL_BOUND", "100")
     assert factorize(101 * 103).factors == ((101, 1), (103, 1))
+
+
+def test_factorize_refusal_is_not_cached():
+    n = 1000003 * 1000033
+    factorize.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            factorize(n)
+        texts.append(str(info.value))
+    assert texts == [f"composite cofactor {n} exceeds the trial bound {TRIAL_BOUND}"] * 2
+    assert factorize.cache_info().currsize == 0
+
+
+def test_factorize_cache_is_bounded():
+    assert factorize.cache_info().maxsize is not None
 
 
 def test_factorization_is_squarefree():
@@ -291,7 +317,11 @@ def test_factorize_fast_once_the_table_is_built():
         with pytest.raises(ValueError, match="composite cofactor"):
             factorize(1000003 * 1000033)
 
+    def uncached():
+        factorize.cache_clear()
+        factorize(2**61 - 1)
+
     assert best_of_3(build) < 0.2
     # each walks every window up to the trial bound
-    assert best_of_3(lambda: factorize(2**61 - 1)) < 0.02
+    assert best_of_3(uncached) < 0.02
     assert best_of_3(refuse) < 0.02

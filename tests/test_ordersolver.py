@@ -20,7 +20,8 @@ from quadorder.ordersolver import (
     table_check,
 )
 from quadorder.cli import _order_checks
-from quadorder.modarith import is_prime
+from quadorder import ordersolver
+from quadorder.modarith import factorize, is_prime
 from quadorder.oracle import oracle_order_mod_p, oracle_q_of_p
 from quadorder.quadint import QuadInt
 from quadorder.units import fundamental_unit
@@ -275,6 +276,28 @@ class TestDivisorBound:
         assert db.n == 14
         assert all(c.status == PASS for c in db.checks)
 
+    def test_refuses_past_the_scan_cap(self, monkeypatch):
+        monkeypatch.setattr(ordersolver, "_SCAN_CAP", 3)
+        # the preimage 4 lies past the first 3 values of y, and 11 > 3
+        for args in ((3, 1, 11, 2), (4, 1, 11, 5)):
+            with pytest.raises(ValueError) as info:
+                divisor_bound(*args)
+            assert str(info.value) == (
+                "no trace preimage mod p = 11 among the first 3 values of y; "
+                "the scan stops at that limit"
+            )
+        monkeypatch.setattr(ordersolver, "_SCAN_CAP", 11)
+        assert divisor_bound(3, 1, 11, 2).preimage == 4
+        assert divisor_bound(4, 1, 11, 5) is None
+
+    def test_early_preimage_at_a_61_bit_prime(self):
+        p = 2**61 - 1
+        start = time.perf_counter()
+        db = divisor_bound(3, 1, p, 1)
+        assert time.perf_counter() - start < 0.5
+        assert (db.preimage, db.n) == (3, p - ell_symbol(3, 1, p))
+        assert all(c.status == PASS for c in db.checks)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             divisor_bound(3, 2, 11, 2)  # norm must be a unit
@@ -376,6 +399,7 @@ class TestEntryIndex:
         best = float("inf")
         for _ in range(5):
             q_of_p.cache_clear()
+            factorize.cache_clear()
             t0 = time.perf_counter()
             q_of_p(x, s, p)
             best = min(best, time.perf_counter() - t0)
