@@ -108,10 +108,7 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
 
     def __post_init__(self) -> None:
-        prod = 1
-        for p, k in self.factors:
-            prod *= p**k
-        if prod != self.base:
+        if prod(p**k for p, k in self.factors) != self.base:
             raise ValueError("factor product does not reproduce the base")
 
     def is_squarefree(self) -> bool:

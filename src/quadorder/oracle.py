@@ -9,7 +9,7 @@ the bare recurrence mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .modarith import require_odd_prime
 from .quadint import QuadInt
@@ -19,8 +19,6 @@ DEFAULT_CAP = 10**6
 
 @dataclass(frozen=True)
 class OracleResult:
-    quantity: str
-    inputs: dict = field(compare=False)
     value: int | None
     cap: int
 
@@ -38,7 +36,7 @@ def oracle_order_mod_p(alpha: QuadInt, p: int, cap: int = DEFAULT_CAP) -> Oracle
             value = nu
             break
         x, y = (x * x0 + y * dy0) % p, (x * y0 + y * x0) % p
-    return OracleResult("order_mod_p", {"alpha": str(alpha), "p": p}, value, cap)
+    return OracleResult(value, cap)
 
 
 def oracle_n_of_f(alpha: QuadInt, f: int, cap: int = DEFAULT_CAP) -> OracleResult:
@@ -58,7 +56,7 @@ def oracle_n_of_f(alpha: QuadInt, f: int, cap: int = DEFAULT_CAP) -> OracleResul
             value = nu
             break
         a, b = (a * a0 + b * b0 * d) // k % m, (a * b0 + b * a0) // k % m
-    return OracleResult("n_of_f", {"alpha": str(alpha), "f": f}, value, cap)
+    return OracleResult(value, cap)
 
 
 def oracle_q_of_p(x: int, s: int, p: int, cap: int = DEFAULT_CAP) -> OracleResult:
@@ -71,4 +69,4 @@ def oracle_q_of_p(x: int, s: int, p: int, cap: int = DEFAULT_CAP) -> OracleResul
             value = nu
             break
         cur, nxt = nxt, (x * nxt - s * cur) % p
-    return OracleResult("q_of_p", {"x": x, "s": s, "p": p}, value, cap)
+    return OracleResult(value, cap)

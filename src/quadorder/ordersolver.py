@@ -65,9 +65,9 @@ def ell_symbol(x: int, s: int, p: int) -> int:
     return legendre(x * x - 4 * s, p)
 
 
-def _power_is(alpha: QuadInt, n: int, p: int, target: int) -> bool:
-    # alpha^n == target (an integer) mod p iff t_n == 2*target and b*u_{n-1} == 0
-    t, u_prev = _lucas(alpha.trace_x, alpha.norm, n, p)
+def _power_is(alpha: QuadInt, pair: tuple[int, int], p: int, target: int) -> bool:
+    # pair is (t_n, u_{n-1}); alpha^n == target mod p iff t_n == 2*target and b*u_{n-1} == 0
+    t, u_prev = pair
     return (t - 2 * target) % p == 0 and u_prev * alpha.b % p == 0
 
 
@@ -88,16 +88,20 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
         return [Check("preconditions", NA, "p divides b or d")]
     if s % p == 0:
         return [Check("preconditions", NA, "p divides the norm, so no power is invertible mod p")]
-    x = alpha.trace_x
-    ell = _legendre(x * x - 4 * s, p)  # ±1: x^2 - 4s is b^2*d or 4*b^2*d, and p ∤ b*d
+    ell = _legendre(alpha.trace_x**2 - 4 * s, p)  # ±1: x^2 - 4s is b^2*d or 4*b^2*d, p ∤ b*d
+    return _table_cells(alpha, p, ell)[0]
+
+
+def _table_cells(alpha: QuadInt, p: int, ell: int) -> tuple[list[Check], tuple[int, int]]:
+    # table_check past its n/a gates; also hands back the pair at p - ell
+    x, s = alpha.trace_x, alpha.norm
     sigma = 1 if ell == 1 else s
-    t_full, u_full = _lucas(x, s, p - ell, p)
+    full = t_full, u_full = _lucas(x, s, p - ell, p)
     out = [
         check("t(p-ell) == 2*sigma", (t_full - 2 * sigma) % p == 0),
         check("u(p-ell-1) == 0", u_full == 0),
     ]
     t_half, u_half = _lucas(x, s, (p - ell) // 2, p)
-    disc = x * x - 4 * s
     if _legendre(s, p) == 1:
         out.append(check("t((p-ell)/2)^2 == 4*sigma", (t_half * t_half - 4 * sigma) % p == 0))
         out.append(check("u((p-ell)/2-1) == 0", u_half == 0))
@@ -106,7 +110,7 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
         out.append(
             check(
                 "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma",
-                (disc * u_half * u_half - 4 * sigma) % p == 0,
+                ((x * x - 4 * s) * u_half * u_half - 4 * sigma) % p == 0,
             )
         )
         if alpha.r == 1:
@@ -118,7 +122,7 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
                     "holds" if held else "does not hold in this shape",
                 )
             )
-    return out
+    return out, full
 
 
 def _extend_chain(
@@ -201,7 +205,7 @@ def bound_norm1(alpha: QuadInt, p: int) -> OrderReport:
     2^{m+2} divides it, the two candidate non-vanishing statements at n/2
     and n/4 are recorded as data without being asserted.
     """
-    return _bound_unit(alpha, p, 1)
+    return _bound_unit(alpha, p, _unit_ell(alpha, p, 1))
 
 
 def bound_norm_minus1(alpha: QuadInt, p: int) -> OrderReport:
@@ -213,19 +217,22 @@ def bound_norm_minus1(alpha: QuadInt, p: int) -> OrderReport:
     report then asserts the exclusion congruences and the weaker bound
     alpha^{2(p-ell)} == 1.
     """
-    return _bound_unit(alpha, p, -1)
+    return _bound_unit(alpha, p, _unit_ell(alpha, p, -1))
 
 
-def _bound_unit(alpha: QuadInt, p: int, s: int) -> OrderReport:
-    # one chain theorem for both unit norms: n = (p-ell) >> shift, with
-    # shift = m for norm +1 and m - 1 for norm -1 (its chain starts at x^2 + 2)
+def _unit_ell(alpha: QuadInt, p: int, s: int) -> int:  # the unit bounds' gates, then ell
     require_odd_prime(p)
     if alpha.d % p == 0 or alpha.b % p == 0:
         raise ValueError("p must not divide b or d")
     if alpha.norm != s:
         raise ValueError(f"this bound needs norm {s:+d}")
-    x = alpha.trace_x
-    ell = _legendre(x * x - 4 * s, p)  # ±1, as p ∤ b*d (see table_check)
+    return _legendre(alpha.trace_x**2 - 4 * s, p)  # ±1, as p ∤ b*d (see table_check)
+
+
+def _bound_unit(alpha: QuadInt, p: int, ell: int) -> OrderReport:
+    # one chain theorem for both unit norms: n = (p-ell) >> shift, with
+    # shift = m for norm +1 and m - 1 for norm -1 (its chain starts at x^2 + 2)
+    x, s = alpha.trace_x, alpha.norm
     if s == -1:
         if p % 4 == 3 or ell == -1:
             return _norm_minus1_diagnostics(alpha, p, ell)
@@ -246,20 +253,19 @@ def _bound_unit(alpha: QuadInt, p: int, s: int) -> OrderReport:
                 "a^2 + 4 == 0 mod p while x^2 + 4 != 0",
             )
         )
-    for k in range(shift + 1):
-        t_k = _lucas(x, s, (p - ell) >> k, p)[0]
-        checks.append(check(f"t((p-ell)/2^{k}) == 2", (t_k - 2) % p == 0))
-    t_n, u_n = _lucas(x, s, n, p)
+    for k in range(shift + 1):  # the last rung is n itself, so the loop ends with n's pair
+        rung = t_n, u_n = _lucas(x, s, (p - ell) >> k, p)
+        checks.append(check(f"t((p-ell)/2^{k}) == 2", (t_n - 2) % p == 0))
     if s == -1:
         checks.append(check("t(n) == 2", (t_n - 2) % p == 0))
     checks.append(check("u(n-1) == 0", u_n == 0))
-    checks.append(check("alpha^n == 1", _power_is(alpha, n, p, 1)))
+    checks.append(check("alpha^n == 1", _power_is(alpha, rung, p, 1)))
     half_applies = (p - ell) % (1 << (m + 1)) == 0
     if half_applies:
-        t_half, u_half = _lucas(x, s, n // 2, p)
+        half = t_half, u_half = _lucas(x, s, n // 2, p)
         checks.append(check("t(n/2) == -2", (t_half + 2) % p == 0))
         checks.append(check("u(n/2-1) == 0", u_half == 0))
-        checks.append(check("alpha^(n/2) == -1", _power_is(alpha, n // 2, p, -1)))
+        checks.append(check("alpha^(n/2) == -1", _power_is(alpha, half, p, -1)))
     if s == 1 and (p - ell) % (1 << (m + 2)) == 0:
         # 2^{m+2} | p - ell implies the half bound above, so u_half is set
         u_quarter = _lucas(x, 1, n // 4, p)[1]
@@ -281,8 +287,8 @@ def _bound_unit(alpha: QuadInt, p: int, s: int) -> OrderReport:
 def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> OrderReport:
     x = alpha.trace_x
     t_n, u_n = _lucas(x, -1, (p - ell) // 2, p)
-    t_full = _lucas(x, -1, p - ell, p)[0]
-    t_double, u_double = _lucas(x, -1, 2 * (p - ell), p)
+    full = _lucas(x, -1, p - ell, p)
+    double = t_double, u_double = _lucas(x, -1, 2 * (p - ell), p)
     checks: list[Check] = []
     if p % 4 == 3:
         checks.append(check("t(n) == 0", t_n == 0))
@@ -291,12 +297,11 @@ def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> OrderReport:
         # p == 1 (mod 4) with ell == -1
         checks.append(check("t(n)^2 == 4*ell", (t_n * t_n - 4 * ell) % p == 0))
         checks.append(check("u(n-1) == 0", u_n == 0))
-        checks.append(check("alpha^(p-ell) == -1", _power_is(alpha, p - ell, p, -1)))
+        checks.append(check("alpha^(p-ell) == -1", _power_is(alpha, full, p, -1)))
     checks.append(check("t(2(p-ell)) == 2", t_double == 2 % p))
     checks.append(check("u(2(p-ell)-1) == 0", u_double == 0))
-    checks.append(check("alpha^(2(p-ell)) == 1", _power_is(alpha, 2 * (p - ell), p, 1)))
-    sigma = 1 if ell == 1 else -1
-    checks.append(check("t(p-ell) == 2*sigma", (t_full - 2 * sigma) % p == 0))
+    checks.append(check("alpha^(2(p-ell)) == 1", _power_is(alpha, double, p, 1)))
+    checks.append(check("t(p-ell) == 2*sigma", (full[0] - 2 * ell) % p == 0))  # sigma = ell
     return OrderReport(
         p=p,
         x=x,
@@ -426,19 +431,19 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
             chain=None,
             table_checks=checks,
         )
-    if s == 1:
-        return bound_norm1(alpha, p)
-    if s == -1:
-        return bound_norm_minus1(alpha, p)
-    checks = list(table_check(alpha, p))
+    # the gates above and ell != 0 (so p ∤ d) meet every precondition of the modes below
+    if s in (1, -1):
+        return _bound_unit(alpha, p, ell)
+    checks, full = _table_cells(alpha, p, ell)
     if ell == 1:
         bound = p - 1
-        checks.append(check("alpha^(p-1) == 1", _power_is(alpha, p - 1, p, 1)))
+        checks.append(check("alpha^(p-1) == 1", _power_is(alpha, full, p, 1)))
     else:
         primes = [r for r, _ in factorize(p - 1).factors]
         bound = (p + 1) * _descend(p - 1, primes, lambda k: pow(s, k, p) == 1)
-        checks.append(check("alpha^(p+1) == s", _power_is(alpha, p + 1, p, s)))
-        checks.append(check("alpha^bound == 1", _power_is(alpha, bound, p, 1)))
+        checks.append(check("alpha^(p+1) == s", _power_is(alpha, full, p, s)))
+        pair = full if bound == p + 1 else _lucas(x, s, bound, p)  # equal iff s == 1 mod p
+        checks.append(check("alpha^bound == 1", _power_is(alpha, pair, p, 1)))
     return OrderReport(
         p=p,
         x=x,

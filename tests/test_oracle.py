@@ -143,13 +143,3 @@ def test_q_of_p_frozen():
     assert oracle_q_of_p(1, -1, 5).value == 5
     assert oracle_q_of_p(7, 1, 7).value == 2
     assert oracle_q_of_p(1, 5, 5, cap=40).value is None
-
-
-def test_result_shape():
-    res = oracle_order_mod_p(QuadInt(1, 1, 2), 7)
-    assert res.quantity == "order_mod_p"
-    assert res.inputs["p"] == 7
-    res = oracle_n_of_f(QuadInt(1, 1, 2), 3)
-    assert res.quantity == "n_of_f"
-    res = oracle_q_of_p(2, -1, 3)
-    assert res.quantity == "q_of_p"

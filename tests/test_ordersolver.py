@@ -742,6 +742,42 @@ class TestAnalyze:
         rep = analyze(QuadInt(1, 1, 2), 17)
         assert rep.failed_names == ()
 
+    @pytest.mark.parametrize(
+        "alpha, p, mode, ell",
+        [
+            (QuadInt(2, 1, 3), 5, "norm_plus_one", -1),
+            (QuadInt(2, 1, 3), 7, "norm_plus_one", -1),  # with the "(recorded)" rows
+            (QuadInt(2, 1, 3), 769, "norm_plus_one", 1),  # with the "(recorded)" rows
+            (QuadInt(1, 1, 2), 17, "norm_minus_one", 1),
+            (QuadInt(1, 1, 2), 593, "norm_minus_one", 1),
+            (QuadInt(1, 1, 2), 3, "norm_minus_one_diagnostic", -1),  # p == 3 mod 4
+            (QuadInt(1, 1, 2), 5, "norm_minus_one_diagnostic", -1),  # p == 1 mod 4
+            (QuadInt(1, 2, 3), 13, "general", 1),
+            (QuadInt(1, 2, 3), 211, "general", -1),
+            (QuadInt(2, 3, 7), 5, "general", -1),  # s == 1 mod p, so bound == p + 1
+        ],
+    )
+    def test_each_lucas_index_evaluated_once(self, monkeypatch, alpha, p, mode, ell):
+        # every check judges a pair (t_n, u_{n-1}) the report already holds
+        calls = []
+        real = ordersolver._lucas
+        monkeypatch.setattr(ordersolver, "_lucas", lambda *args: calls.append(args) or real(*args))
+        rep = analyze(alpha, p)
+        assert (rep.mode, rep.ell, rep.passed) == (mode, ell, True)
+        assert len(calls) == len(set(calls)), sorted(calls)
+        if p in (7, 769):
+            assert any(c.name.endswith("(recorded)") for c in rep.table_checks)
+        if mode == "general" and alpha.norm % p == 1:
+            assert rep.bound_n == p + 1
+        # skipping the public gates changes nothing in the report
+        if rep.s == 1:
+            assert rep == bound_norm1(alpha, p)
+        elif rep.s == -1:
+            assert rep == bound_norm_minus1(alpha, p)
+        else:
+            cells = table_check(alpha, p)
+            assert list(rep.table_checks[: len(cells)]) == cells
+
 
 def test_statuses_are_distinct():
     assert len({PASS, FAIL, NA}) == 3
