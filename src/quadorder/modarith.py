@@ -1,29 +1,35 @@
 """Modular arithmetic and factorization plumbing, sized for desk-scale inputs.
 
-Factoring is one fixed policy: trial division up to TRIAL_BOUND, then a
-primality test on what survives.  Trial division walks the divisors
-below _WINDOW one by one.  Past that it takes the range _WINDOW integers
-at a time: one gcd of what is left of the input with the product of a
-window's odd primes skips a window that holds none of its prime factors,
-and only a window that does is walked divisor by divisor.  The products
-are built on the first factorization that gets past the first window, by
-a sieve that holds one segment's flags at a time and keeps no list of
-primes up to TRIAL_BOUND; they take about 180 KB.
+Factoring is one fixed policy whose answers are those of trial division
+up to TRIAL_BOUND followed by a primality test on what survives.
+Divisors below _WINDOW are tried one by one.  What they leave, when it is
+below _PSI12 (where the Miller-Rabin witnesses below are a proof), is
+accepted if it is prime and otherwise split completely by Brent's rho
+under the fixed budget _RHO_STEPS; the split gives the trial-division
+answer directly.  Past the budget, or at _PSI12 and above, the range up to
+TRIAL_BOUND is walked _WINDOW integers at a time: one gcd of what is left
+of the input with the product of a window's odd primes skips a window
+that holds none of its prime factors, and only a window that does is
+walked divisor by divisor.  The products are built on the first walk
+that needs them, by a sieve that holds one segment's flags at a time and
+keeps no list of primes up to TRIAL_BOUND; they take about 180 KB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import compress
+from itertools import compress, groupby
 from math import gcd, isqrt, prod
 
 TRIAL_BOUND = 10**6
 _WINDOW = 1 << 10  # integers per window of the product table
 _SEGMENT = 1 << 16  # integers sieved at a time to build it; a multiple of _WINDOW
+_RHO_STEPS = 1 << 16  # rho iterations one factorization may spend before it walks the windows
 
-# Miller-Rabin on these witnesses is exact only below psi_12 = 318665857834031151167461,
-# a composite is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
+# Miller-Rabin on these witnesses is exact only below psi_12, a composite
+# is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
+_PSI12 = 318665857834031151167461
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -145,14 +151,86 @@ def _window_products() -> tuple[int, ...]:
     return tuple(products)
 
 
+def _cofactor_refusal(cofactor: int) -> ValueError:
+    return ValueError(f"composite cofactor {cofactor} exceeds the trial bound {TRIAL_BOUND}")
+
+
+def _rho_divisor(n: int, budget: int) -> tuple[int | None, int]:
+    """A proper divisor of the odd composite n, and what is left of budget.
+
+    Brent's rho (Brent, BIT 20, 1980): y -> y^2 + c mod n for c = 1, 2, ...,
+    with |x - y| multiplied into one product whose gcd with n is taken
+    every 64 steps, and a step-by-step replay of the last batch when that
+    gcd is n.  Returns (None, 0) once budget iterations are spent.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            if budget < r:
+                return None, 0
+            budget -= r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, steps = y, min(64, r - k)
+                if budget < steps:
+                    return None, 0
+                budget -= steps
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                k += steps
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, budget
+
+
+def _prime_factors(n: int) -> list[int] | None:
+    """The primes of n < _PSI12 with multiplicity, ascending; None past _RHO_STEPS."""
+    primes, left, budget = [], [n], _RHO_STEPS
+    while left:
+        m = left.pop()
+        if is_prime(m):
+            primes.append(m)
+            continue
+        d, budget = _rho_divisor(m, budget)
+        if d is None:
+            return None
+        left += (d, m // d)
+    return sorted(primes)
+
+
+def _as_trial_division(
+    base: int, factors: list[tuple[int, int]], primes: list[int]
+) -> Factorization:
+    """What the window walk would answer, given the primes of what it had left."""
+    factors += [(r, len(list(g))) for r, g in groupby(r for r in primes if r <= TRIAL_BOUND)]
+    above = [r for r in primes if r > TRIAL_BOUND]
+    if len(above) > 1:  # the walk would end on their composite product
+        raise _cofactor_refusal(prod(above))
+    return Factorization(base=base, factors=tuple(factors + [(r, 1) for r in above]))
+
+
 @lru_cache(maxsize=1024)  # the default sweep factors 66 numbers; a refusal raises and is not kept
 def factorize(n: int) -> Factorization:
-    """Factor |n| by trial division up to TRIAL_BOUND.
+    """Factor |n| as trial division up to TRIAL_BOUND would.
 
-    Divisors below _WINDOW are tried one by one.  Past that, each window
-    of _WINDOW integers costs one gcd of what is left of |n| with the
-    product of the window's odd primes: a window with no common factor is
-    skipped whole, and one with a common factor is walked divisor by
+    Divisors below _WINDOW are tried one by one.  What they leave, if it
+    is below _PSI12, is split completely by _prime_factors, and the answer
+    is read off those primes.  Otherwise, or past the rho budget, each
+    window of _WINDOW integers costs one gcd of what is left of |n| with
+    the product of the window's odd primes: a window with no common factor
+    is skipped whole, and one with a common factor is walked divisor by
     divisor.  Trial division stops once q * q exceeds what is left.  A
     cofactor surviving it is accepted only if it is at most TRIAL_BOUND^2
     or passes the primality test; otherwise the input exceeds desk scale
@@ -165,9 +243,12 @@ def factorize(n: int) -> Factorization:
     q = 2
     while q <= TRIAL_BOUND and q * q <= rem:
         # q = 1 mod _WINDOW first holds at the start of the second window
-        if q % _WINDOW == 1 and gcd(rem, _window_products()[q // _WINDOW]) == 1:
-            q += _WINDOW
-            continue
+        if q % _WINDOW == 1:
+            if q == _WINDOW + 1 and rem < _PSI12 and (primes := _prime_factors(rem)) is not None:
+                return _as_trial_division(abs(n), factors, primes)
+            if gcd(rem, _window_products()[q // _WINDOW]) == 1:
+                q += _WINDOW
+                continue
         if rem % q == 0:
             k = 0
             while rem % q == 0:
@@ -179,7 +260,5 @@ def factorize(n: int) -> Factorization:
         if rem <= TRIAL_BOUND * TRIAL_BOUND or is_prime(rem):
             factors.append((rem, 1))
         else:
-            raise ValueError(
-                f"composite cofactor {rem} exceeds the trial bound {TRIAL_BOUND}"
-            )
+            raise _cofactor_refusal(rem)
     return Factorization(base=abs(n), factors=tuple(factors))

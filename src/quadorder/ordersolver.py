@@ -326,12 +326,16 @@ class DivisorBound:
 def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     """Bound n = (p-ell)/k from a k-th trace preimage, when one exists.
 
-    Scans y in [0, p) for t_k(y; s) == x mod p.  With s = +1 any divisor
+    A preimage is a y with t_k(y; s) == x mod p.  With s = +1 any divisor
     k of p - ell is allowed and the conclusion is alpha^n == 1; with
     s = -1 the divisor must be odd and the conclusion is alpha^n == ell.
     Returns None when no preimage exists; that simply means this route
-    gives no bound.  The scan tries at most _SCAN_CAP values of y: past
-    that, with p larger still and no preimage found, it refuses.
+    gives no bound.  Existence costs one Lucas term: with x = eta + s/eta,
+    the preimages are y = z + s/z with z^k = eta, where z ranges over a
+    cyclic group of order N = p - ell, or 2(p + 1) when s = ell = -1.  So
+    one exists iff eta^(N/k) = 1, i.e. (t_{N/k}, u_{N/k-1}) == (2, 0).
+    Only then are y = 0, 1, ... scanned for the least preimage, at most
+    _SCAN_CAP of them: past that, with p larger still, it refuses.
     """
     require_odd_prime(p)
     if s not in (1, -1):
@@ -348,6 +352,9 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
             raise ValueError("with norm -1 the divisor must be odd")
         if x % p == 0:
             raise ValueError("with norm -1 the trace must be nonzero mod p")
+    order = 2 * (p + 1) if s == ell == -1 else p - ell
+    if _lucas(x, s, order // k, p) != (2, 0):
+        return None
     preimage = None
     for y in range(min(p, _SCAN_CAP)):
         if _lucas(y, s, k, p)[0] == x % p:
@@ -359,7 +366,7 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
                 f"no trace preimage mod p = {p} among the first {_SCAN_CAP} values "
                 "of y; the scan stops at that limit"
             )
-        return None
+        raise AssertionError(f"eta is a {k}-th power, yet no y < p = {p} has t_{k}(y) == {x}")
     n = (p - ell) // k
     t_n, u_n = _lucas(x, s, n, p)
     if s == 1:

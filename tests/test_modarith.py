@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 
@@ -165,15 +166,21 @@ def test_factorize_prime_cofactor_beyond_bound():
 
 def test_factorize_prime_cofactor_within_bound_square(monkeypatch):
     # 999999999989 exceeds the trial bound but not its square, so it must be
-    # prime, and it is accepted without a primality test
+    # prime; a primality test may confirm it only where its witnesses are a proof
     assert 999999999989 <= TRIAL_BOUND**2
+    real_is_prime = modarith.is_prime
 
-    def not_called(n):
-        raise AssertionError(f"is_prime({n}) was called")
+    def below_psi12(n):
+        if n >= PSI12:
+            raise AssertionError(f"is_prime({n}) was called")
+        return real_is_prime(n)
 
-    monkeypatch.setattr(modarith, "is_prime", not_called)
+    monkeypatch.setattr(modarith, "is_prime", below_psi12)
+    factorize.cache_clear()
     fac = factorize(2 * 999999999989)
     assert fac.factors == ((2, 1), (999999999989, 1))
+    # past psi12 only the walk may decide, and it finds every factor here
+    assert factorize(999983**4).factors == ((999983, 4),)
 
 
 def test_factorize_composite_cofactor_rejected():
@@ -322,6 +329,93 @@ def test_factorize_fast_once_the_table_is_built():
         factorize(2**61 - 1)
 
     assert best_of_3(build) < 0.2
-    # each walks every window up to the trial bound
+    # neither walks the windows: one primality test accepts 2^61 - 1, rho splits the other
     assert best_of_3(uncached) < 0.02
     assert best_of_3(refuse) < 0.02
+
+
+def test_factorize_walks_every_window_from_psi12_up():
+    # at psi12 and above the witnesses prove nothing, so the walk decides
+    modarith._window_products()
+    for n in (2**89 - 1, 1000003 * 1000033 * (2**61 - 1)):
+        assert n >= PSI12
+
+    def uncached():
+        factorize.cache_clear()
+        factorize(2**89 - 1)
+
+    def refuse():
+        with pytest.raises(ValueError, match="composite cofactor"):
+            factorize(1000003 * 1000033 * (2**61 - 1))
+
+    assert best_of_3(uncached) < 0.02
+    assert best_of_3(refuse) < 0.02
+
+
+def contract(n, primes):
+    """factorize's outcome given the primes of |n| with multiplicity: trial division's answer."""
+    small = sorted((q, primes.count(q)) for q in set(primes) if q <= TRIAL_BOUND)
+    above = [q for q in primes if q > TRIAL_BOUND]
+    if len(above) > 1:
+        return f"refused: composite cofactor {math.prod(above)} exceeds the trial bound {TRIAL_BOUND}"
+    return tuple(small + [(q, 1) for q in above])
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [
+        # semiprimes straddling the trial bound
+        [999983, 1000003], [1009, 1000003], [1031, 999983], [999979, 999983],
+        # prime powers above the first window
+        [1031, 1031, 1031], [65537, 65537], [1031, 1031, 1000003], [1000003, 1000003, 3],
+        # three primes
+        [1031, 1033, 1039], [1031, 65537, 1000003], [999979, 999983, 1000003],
+        # two primes above the trial bound, alone and with small ones
+        [1000003, 1000033], [7, 1000003, 1000033], [1013, 2**61 - 1],
+        # psi12 - 1 = 2^2 * 3^3 * 5 * 11 * 17 * 474349721 * 6652754837
+        [2, 2, 3, 3, 3, 5, 11, 17, 474349721, 6652754837],
+    ],
+)
+def test_factorize_known_factorizations(primes):
+    n = math.prod(primes)
+    assert n < PSI12
+    assert outcome(factorize, n) == contract(n, primes)
+
+
+def test_factorize_past_the_rho_budget_walks_and_refuses():
+    # two 38-bit primes: rho would need about 2^19 steps, past its budget
+    p1, p2 = 274877906951, 274878906989
+    assert is_prime(p1) and is_prime(p2) and p1 * p2 < PSI12
+    assert modarith._prime_factors(p1 * p2) is None
+    t0 = time.perf_counter()
+    assert outcome(factorize, p1 * p2) == contract(p1 * p2, [p1, p2])
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_factorize_below_psi12_is_fast_and_builds_no_table():
+    modarith._window_products.cache_clear()
+
+    def uncached():
+        factorize.cache_clear()
+        factorize(2**61 - 1)
+
+    def refuse():
+        with pytest.raises(ValueError, match="composite cofactor"):
+            factorize(1000003 * 1000033)
+
+    assert best_of_3(uncached) < 0.005
+    assert best_of_3(refuse) < 0.005
+    assert modarith._window_products.cache_info().currsize == 0
+
+
+def test_factorize_matches_sympy_below_psi12():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for _ in range(300):
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            part = rng.randrange(2, 10 ** rng.randint(1, 23))
+            if n * part < PSI12:
+                n *= part
+        primes = [q for q, k in sympy.factorint(n).items() for _ in range(k)]
+        assert outcome(factorize, n) == contract(n, primes), n

@@ -252,6 +252,23 @@ class TestNormMinusOne:
         assert str(info.value) == message
 
 
+def trace_images(p, s, ks):
+    """{k: {t_k(y; s) mod p: least y}} by the plain recurrence t_{j+1} = y*t_j - s*t_{j-1}."""
+    images = {k: {} for k in ks}
+    for y in range(p):
+        prev, t = 2, y
+        for j in range(1, max(ks) + 1):
+            if j in images:
+                images[j].setdefault(t, y)
+            prev, t = t, (y * t - s * prev) % p
+    return images
+
+
+def euler_symbol(a, p):
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 class TestDivisorBound:
     def test_s1_hit_frozen(self):
         db = divisor_bound(3, 1, 11, 2)
@@ -279,13 +296,14 @@ class TestDivisorBound:
     def test_refuses_past_the_scan_cap(self, monkeypatch):
         monkeypatch.setattr(ordersolver, "_SCAN_CAP", 3)
         # the preimage 4 lies past the first 3 values of y, and 11 > 3
-        for args in ((3, 1, 11, 2), (4, 1, 11, 5)):
-            with pytest.raises(ValueError) as info:
-                divisor_bound(*args)
-            assert str(info.value) == (
-                "no trace preimage mod p = 11 among the first 3 values of y; "
-                "the scan stops at that limit"
-            )
+        with pytest.raises(ValueError) as info:
+            divisor_bound(3, 1, 11, 2)
+        assert str(info.value) == (
+            "no trace preimage mod p = 11 among the first 3 values of y; "
+            "the scan stops at that limit"
+        )
+        # no preimage exists, and the Lucas test says so before any scan
+        assert divisor_bound(4, 1, 11, 5) is None
         monkeypatch.setattr(ordersolver, "_SCAN_CAP", 11)
         assert divisor_bound(3, 1, 11, 2).preimage == 4
         assert divisor_bound(4, 1, 11, 5) is None
@@ -297,6 +315,30 @@ class TestDivisorBound:
         assert time.perf_counter() - start < 0.5
         assert (db.preimage, db.n) == (3, p - ell_symbol(3, 1, p))
         assert all(c.status == PASS for c in db.checks)
+
+    def test_no_preimage_decided_without_a_scan(self):
+        # the scan would walk 10^6 values of y and then refuse
+        start = time.perf_counter()
+        assert divisor_bound(3, 1, 1000003, 2) is None
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 300, 2) if is_prime(p)])
+    def test_matches_the_image_table(self, p):
+        for s in (1, -1):
+            ks = [k for k in range(1, p + 2) if (p - 1) % k == 0 or (p + 1) % k == 0]
+            if s == -1:
+                ks = [k for k in ks if k % 2]
+            images = trace_images(p, s, ks)
+            for x in range(p):
+                ell = euler_symbol(x * x - 4 * s, p)
+                if ell == 0 or (s == -1 and x == 0):
+                    continue
+                for k in ks:
+                    if (p - ell) % k:
+                        continue
+                    db = divisor_bound(x, s, p, k)
+                    assert (None if db is None else db.preimage) == images[k].get(x), (x, s, k)
+                    assert db is None or all(c.status == PASS for c in db.checks), (x, s, k)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
