@@ -16,11 +16,8 @@ from functools import lru_cache
 
 from .cheby import _descend, _lucas, _order_descent
 from .checks import NA, Check, check, failed_names
-from .modarith import _legendre, factorize, legendre, require_odd_prime, sqrt_mod
+from .modarith import _legendre, factorize, require_odd_prime, sqrt_mod
 from .quadint import QuadInt
-
-NORM_PLUS_ONE = "norm_plus_one"
-NORM_MINUS_ONE = "norm_minus_one"
 
 STOP_NONRESIDUE_AT_START = "nonresidue_at_start"
 STOP_NONRESIDUE_AT_K = "nonresidue_at_k"
@@ -59,10 +56,6 @@ class OrderReport:
     @property
     def failed_names(self) -> tuple[str, ...]:
         return failed_names(self.table_checks)
-
-
-def ell_symbol(x: int, s: int, p: int) -> int:
-    return legendre(x * x - 4 * s, p)
 
 
 def _power_is(alpha: QuadInt, pair: tuple[int, int], p: int, target: int) -> bool:
@@ -128,22 +121,20 @@ def _table_cells(alpha: QuadInt, p: int, ell: int) -> tuple[list[Check], tuple[i
 def _extend_chain(
     start: int, ell: int, p: int, rng: random.Random | None
 ) -> ChainResult:
+    # one sqrt_mod per link decides residuosity too; p - ell is even, so
+    # the first pass always runs and its None is the stop at the start
     chain = [start % p]
-    if _legendre(chain[0] + 2, p) == -1:
-        return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_START)
-    two_part = p - ell
-    while True:
-        k = len(chain) - 1
-        if two_part % (1 << (k + 1)):
-            return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO)
-        if _legendre(chain[-1] + 2, p) == -1:
-            return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_K)
-        root = sqrt_mod((chain[-1] + 2) % p, p)
-        if root is None or root == 0:
+    while (p - ell) % (1 << len(chain)) == 0:
+        root = sqrt_mod(chain[-1] + 2, p)
+        if root is None:
+            stop = STOP_NONRESIDUE_AT_START if len(chain) == 1 else STOP_NONRESIDUE_AT_K
+            return ChainResult(ell, tuple(chain), stop)
+        if root == 0:
             raise AssertionError(f"no nonzero square root of {chain[-1]} + 2 mod {p}")
         if rng is not None and rng.random() < 0.5:
             root = p - root
         chain.append(root)
+    return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO)
 
 
 def build_chain_s1(x: int, p: int, rng: random.Random | None = None) -> ChainResult:
@@ -196,42 +187,18 @@ def _chain_checks(chain: ChainResult, p: int) -> list[Check]:
     ]
 
 
-def bound_norm1(alpha: QuadInt, p: int) -> OrderReport:
-    """Order bound n = (p-ell)/2^m for norm +1, with every claim checked.
-
-    Asserts the downward trace ladder t((p-ell)/2^k) == 2 for k <= m,
-    u(n-1) == 0 and alpha^n == 1.  When 2^{m+1} still divides p - ell the
-    half bound alpha^{n/2} == -1 applies and is asserted too; when even
-    2^{m+2} divides it, the two candidate non-vanishing statements at n/2
-    and n/4 are recorded as data without being asserted.
-    """
-    return _bound_unit(alpha, p, _unit_ell(alpha, p, 1))
-
-
-def bound_norm_minus1(alpha: QuadInt, p: int) -> OrderReport:
-    """Order bound for norm -1, or the exclusion diagnostics when no bound exists.
-
-    For p == 1 (mod 4) with ((x^2+4)/p) = +1 the chain above x^2 + 2 gives
-    n = (p-ell)/2^{m-1} with alpha^n == 1.  For p == 3 (mod 4), and for
-    the residue symbol -1, alpha^n is never ±1 at the half exponent; the
-    report then asserts the exclusion congruences and the weaker bound
-    alpha^{2(p-ell)} == 1.
-    """
-    return _bound_unit(alpha, p, _unit_ell(alpha, p, -1))
-
-
-def _unit_ell(alpha: QuadInt, p: int, s: int) -> int:  # the unit bounds' gates, then ell
-    require_odd_prime(p)
-    if alpha.d % p == 0 or alpha.b % p == 0:
-        raise ValueError("p must not divide b or d")
-    if alpha.norm != s:
-        raise ValueError(f"this bound needs norm {s:+d}")
-    return _legendre(alpha.trace_x**2 - 4 * s, p)  # ±1, as p ∤ b*d (see table_check)
-
-
 def _bound_unit(alpha: QuadInt, p: int, ell: int) -> OrderReport:
-    # one chain theorem for both unit norms: n = (p-ell) >> shift, with
-    # shift = m for norm +1 and m - 1 for norm -1 (its chain starts at x^2 + 2)
+    """Order bound n = (p-ell) >> shift for norm ±1, with every claim checked.
+
+    One chain theorem serves both norms: shift = m for norm +1 and m - 1
+    for norm -1, whose chain starts at x^2 + 2.  Asserted: the trace
+    ladder t((p-ell)/2^k) == 2 for k <= shift, u(n-1) == 0 and
+    alpha^n == 1; when 2^{m+1} divides p - ell, also alpha^{n/2} == -1.
+    For norm +1 with 2^{m+2} | p - ell, the non-vanishing of u at n/2 and
+    n/4 is recorded, not asserted.  Norm -1 with p == 3 (mod 4) or
+    ell = -1 has no such bound: the report asserts the exclusion
+    congruences and the weaker alpha^{2(p-ell)} == 1 instead.
+    """
     x, s = alpha.trace_x, alpha.norm
     if s == -1:
         if p % 4 == 3 or ell == -1:
@@ -276,7 +243,7 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> OrderReport:
         x=x,
         s=s,
         ell=ell,
-        mode=NORM_PLUS_ONE if s == 1 else NORM_MINUS_ONE,
+        mode="norm_plus_one" if s == 1 else "norm_minus_one",
         bound_n=n,
         half_bound_applies=half_applies,
         chain=chain,
@@ -391,7 +358,8 @@ def q_of_p(x: int, s: int, p: int) -> int:
     Else q(p) divides p - ell, factored once (a factorize refusal propagates
     as its ValueError).  When ell = 0 it is p: the odd-index closed form
     2^{nu-1} u_{nu-1} == nu * x^{nu-1} is checked at nu in {1, 3, p-2, p},
-    and the descent from p (u_{p-1} == 0, u_0 = 1) proves no smaller index.
+    and at nu = p it asserts u_{p-1} == 0.  As gcd(p, s) = 1 the vanishing
+    indices are the multiples of q (Lehmer 1930), and u_0 = 1, so q = p.
     """
     require_odd_prime(p)
     if s % p == 0:
@@ -406,7 +374,7 @@ def q_of_p(x: int, s: int, p: int) -> int:
     for nu in {1, 3, p - 2, p}:
         if pow(2, nu - 1, p) * _lucas(x, s, nu, p)[1] % p != nu * pow(x, nu - 1, p) % p:
             raise AssertionError("odd-index closed form failed in the degenerate case")
-    return _order_descent(x, s, p, p, [p])
+    return p
 
 
 def analyze(alpha: QuadInt, p: int) -> OrderReport:

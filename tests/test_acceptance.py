@@ -19,15 +19,12 @@ from quadorder.conductor import (
     bound_prime_power,
     n_of_f,
 )
-from quadorder.modarith import is_prime
+from quadorder.modarith import is_prime, legendre
 from quadorder.oracle import oracle_n_of_f, oracle_order_mod_p, oracle_q_of_p
 from quadorder.ordersolver import (
     analyze,
-    bound_norm1,
-    bound_norm_minus1,
     build_chain_s1,
     build_chain_s_minus1,
-    ell_symbol,
     q_of_p,
     table_check,
 )
@@ -120,7 +117,7 @@ def test_criterion_03_norm_one_half_exponent(acceptance_log):
         for p in ODD_PRIMES:
             if (2 * alpha.b * alpha.d) % p == 0:
                 continue
-            rep = bound_norm1(alpha, p)
+            rep = analyze(alpha, p)
             cases += 1
             halves += rep.half_bound_applies
             if not rep.passed:
@@ -164,12 +161,12 @@ def test_criterion_04_norm_minus_one_chain(acceptance_log):
         for p in ODD_PRIMES:
             if p % 4 != 1 or (2 * alpha.b * alpha.d) % p == 0:
                 continue
-            if ell_symbol(x, -1, p) != 1:
+            if legendre(x * x + 4, p) != 1:
                 continue
             if x % p == 0:
                 skipped_zero_trace += 1
                 continue
-            rep = bound_norm_minus1(alpha, p)
+            rep = analyze(alpha, p)
             cases += 1
             halves += rep.half_bound_applies
             if rep.mode != "norm_minus_one" or rep.chain.m < 1 or not rep.passed:
@@ -199,9 +196,9 @@ def test_criterion_05_norm_minus_one_diagnostics(acceptance_log):
         for p in ODD_PRIMES:
             if (2 * alpha.b * alpha.d) % p == 0:
                 continue
-            if p % 4 == 1 and (ell_symbol(x, -1, p) != -1):
+            if p % 4 == 1 and legendre(x * x + 4, p) != -1:
                 continue
-            rep = bound_norm_minus1(alpha, p)
+            rep = analyze(alpha, p)
             if rep.mode != "norm_minus_one_diagnostic" or not rep.passed:
                 failures += 1
             if p % 4 == 3:

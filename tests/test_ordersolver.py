@@ -9,19 +9,17 @@ from quadorder.ordersolver import (
     STOP_NONRESIDUE_AT_K,
     STOP_NONRESIDUE_AT_START,
     STOP_POWER_OF_TWO,
+    ChainResult,
     analyze,
-    bound_norm1,
-    bound_norm_minus1,
     build_chain_s1,
     build_chain_s_minus1,
     divisor_bound,
-    ell_symbol,
     q_of_p,
     table_check,
 )
 from quadorder.cli import _order_checks
-from quadorder import ordersolver
-from quadorder.modarith import factorize, is_prime
+from quadorder import cheby, ordersolver
+from quadorder.modarith import factorize, is_prime, legendre, sqrt_mod
 from quadorder.oracle import oracle_order_mod_p, oracle_q_of_p
 from quadorder.quadint import QuadInt
 from quadorder.units import fundamental_unit
@@ -32,12 +30,12 @@ def checks_by_name(report):
 
 
 def test_ell_symbol_frozen():
-    assert ell_symbol(2, -1, 17) == 1  # 8 is a square mod 17
-    assert ell_symbol(2, -1, 13) == -1
-    assert ell_symbol(1, -1, 7) == -1  # legendre(5, 7)
-    assert ell_symbol(1, -1, 11) == 1
-    assert ell_symbol(5, 1, 3) == 0  # 21 == 0 mod 3
-    assert ell_symbol(6, 1, 17) == 1
+    # ell = ((x^2 - 4s)/p); 8 is a square mod 17, and 21 == 0 mod 3
+    for x, s, p, ell in [
+        (2, -1, 17, 1), (2, -1, 13, -1), (1, -1, 7, -1), (1, -1, 11, 1), (5, 1, 3, 0),
+        (6, 1, 17, 1),
+    ]:
+        assert legendre(x * x - 4 * s, p) == ell, (x, s, p)
 
 
 class TestChains:
@@ -81,7 +79,7 @@ class TestChains:
     def test_s_minus1_has_m_at_least_one(self):
         for p in (5, 13, 17, 29, 37, 41):
             for x in range(1, p):
-                if ell_symbol(x, -1, p) != 1:
+                if legendre(x * x + 4, p) != 1:
                     continue
                 assert build_chain_s_minus1(x, p).m >= 1
 
@@ -96,6 +94,57 @@ class TestChains:
         ch = build_chain_s1(6, 17)
         for entry in ch.chain[1:]:
             assert entry <= 17 - entry
+
+    def test_matches_the_reference_chain(self):
+        # every start x at every prime p < 300, both ell, without and with an rng
+        for p in SMALL_PRIMES:
+            for ell in (1, -1):
+                for x in range(p):
+                    for seed in (None, p * 1000 + x):
+                        ours = _run_chain(ordersolver._extend_chain, x, ell, p, seed)
+                        assert ours == _run_chain(_reference_chain, x, ell, p, seed), (x, ell, p)
+
+    def test_links_are_decided_without_a_separate_symbol(self, monkeypatch):
+        monkeypatch.setattr(
+            ordersolver, "_legendre", lambda *args: pytest.fail("_extend_chain called _legendre")
+        )
+        assert ordersolver._extend_chain(6, 1, 17, None).chain == (6, 5)
+        assert ordersolver._extend_chain(4, 1, 11, None).stop_reason == STOP_NONRESIDUE_AT_START
+        assert ordersolver._extend_chain(3, 1, 11, None).stop_reason == STOP_POWER_OF_TWO
+
+
+SMALL_PRIMES = [p for p in range(3, 300, 2) if is_prime(p)]
+
+
+def _reference_chain(start, ell, p, rng):
+    # reference loop: tests residuosity by a Legendre symbol at the start and
+    # before each root, then takes the root; _extend_chain must agree with it
+    chain = [start % p]
+    if legendre(chain[0] + 2, p) == -1:
+        return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_START)
+    two_part = p - ell
+    while True:
+        k = len(chain) - 1
+        if two_part % (1 << (k + 1)):
+            return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO)
+        if legendre(chain[-1] + 2, p) == -1:
+            return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_K)
+        root = sqrt_mod((chain[-1] + 2) % p, p)
+        if root is None or root == 0:
+            raise AssertionError(f"no nonzero square root of {chain[-1]} + 2 mod {p}")
+        if rng is not None and rng.random() < 0.5:
+            root = p - root
+        chain.append(root)
+
+
+def _run_chain(build, x, ell, p, seed):
+    # (result or assertion text, the rng's next draw)
+    rng = None if seed is None else random.Random(seed)
+    try:
+        out = build(x, ell, p, rng)
+    except AssertionError as exc:
+        out = str(exc)
+    return out, None if rng is None else rng.random()
 
 
 class TestTable:
@@ -141,7 +190,7 @@ class TestTable:
 
 class TestNormOne:
     def test_half_bound_with_sharpness_frozen(self):
-        rep = bound_norm1(QuadInt(3, 2, 2), 17)
+        rep = analyze(QuadInt(3, 2, 2), 17)
         assert rep.bound_n == 8
         assert rep.chain.m == 1
         assert rep.half_bound_applies
@@ -155,7 +204,7 @@ class TestNormOne:
         assert oracle_order_mod_p(QuadInt(3, 2, 2), 17, cap=26).value == 8
 
     def test_trivial_chain_frozen(self):
-        rep = bound_norm1(QuadInt(2, 1, 3), 11)
+        rep = analyze(QuadInt(2, 1, 3), 11)
         assert rep.bound_n == 10
         assert rep.chain.m == 0
         assert rep.half_bound_applies
@@ -163,20 +212,16 @@ class TestNormOne:
         assert oracle_order_mod_p(QuadInt(2, 1, 3), 11, cap=30).value == 10
 
     def test_odd_exponent_frozen(self):
-        rep = bound_norm1(QuadInt(3, 1, 5), 11)
+        rep = analyze(QuadInt(3, 1, 5), 11)
         assert rep.bound_n == 5
         assert rep.chain.m == 1
         assert not rep.half_bound_applies
         assert rep.passed
         assert oracle_order_mod_p(QuadInt(3, 1, 5), 11, cap=20).value == 5
 
-    def test_rejects_wrong_norm(self):
-        with pytest.raises(ValueError):
-            bound_norm1(QuadInt(1, 1, 2), 7)
-
     def test_oracle_divides(self):
         alpha = QuadInt(3, 2, 2)
-        rep = bound_norm1(alpha, 17)
+        rep = analyze(alpha, 17)
         checks, found = _order_checks(alpha, rep, with_oracle=True)
         assert found == 8
         assert rep.bound_n % found == 0
@@ -185,20 +230,18 @@ class TestNormOne:
     @pytest.mark.parametrize(
         "alpha, p, message",
         [
-            (QuadInt(1, 1, 2), 9, "p = 9 is not an odd prime"),
-            (QuadInt(2, 1, 3), 3, "p must not divide b or d"),
-            (QuadInt(1, 1, 2), 7, "this bound needs norm +1"),
+            (QuadInt(3, 2, 2), 9, "p = 9 is not an odd prime"),
         ],
     )
     def test_refusal_texts(self, alpha, p, message):
         with pytest.raises(ValueError) as info:
-            bound_norm1(alpha, p)
+            analyze(alpha, p)
         assert str(info.value) == message
 
 
 class TestNormMinusOne:
     def test_chain_mode_half_frozen(self):
-        rep = bound_norm_minus1(QuadInt(1, 1, 2), 17)
+        rep = analyze(QuadInt(1, 1, 2), 17)
         assert rep.mode == "norm_minus_one"
         assert rep.bound_n == 16
         assert rep.chain.m == 1
@@ -207,7 +250,7 @@ class TestNormMinusOne:
         assert oracle_order_mod_p(QuadInt(1, 1, 2), 17, cap=40).value == 16
 
     def test_chain_mode_no_half_frozen(self):
-        rep = bound_norm_minus1(QuadInt(1, 1, 5), 29)
+        rep = analyze(QuadInt(1, 1, 5), 29)
         assert rep.bound_n == 14
         assert rep.chain.m == 2
         assert not rep.half_bound_applies
@@ -215,7 +258,7 @@ class TestNormMinusOne:
         assert oracle_order_mod_p(QuadInt(1, 1, 5), 29, cap=40).value == 14
 
     def test_diagnostics_one_mod_four(self):
-        rep = bound_norm_minus1(QuadInt(1, 1, 2), 13)
+        rep = analyze(QuadInt(1, 1, 2), 13)
         assert rep.mode == "norm_minus_one_diagnostic"
         assert rep.bound_n == 28
         assert rep.chain is None
@@ -225,7 +268,7 @@ class TestNormMinusOne:
         assert by_name["alpha^(p-ell) == -1"].status == PASS
 
     def test_diagnostics_three_mod_four(self):
-        rep = bound_norm_minus1(QuadInt(1, 1, 2), 7)
+        rep = analyze(QuadInt(1, 1, 2), 7)
         assert rep.mode == "norm_minus_one_diagnostic"
         assert rep.bound_n == 12
         assert rep.passed
@@ -236,19 +279,16 @@ class TestNormMinusOne:
         # the true order divides the doubled exponent without reaching it
         assert rep.bound_n % oracle_order_mod_p(QuadInt(1, 1, 2), 7, cap=40).value == 0
 
-
     @pytest.mark.parametrize(
         "alpha, p, message",
         [
             (QuadInt(1, 1, 2), 9, "p = 9 is not an odd prime"),
-            (QuadInt(3, 14, 2), 7, "p must not divide b or d"),
-            (QuadInt(3, 2, 2), 7, "this bound needs norm -1"),
             (QuadInt(41, 29, 2), 41, "the chain needs x nonzero mod p"),
         ],
     )
     def test_refusal_texts(self, alpha, p, message):
         with pytest.raises(ValueError) as info:
-            bound_norm_minus1(alpha, p)
+            analyze(alpha, p)
         assert str(info.value) == message
 
 
@@ -313,7 +353,7 @@ class TestDivisorBound:
         start = time.perf_counter()
         db = divisor_bound(3, 1, p, 1)
         assert time.perf_counter() - start < 0.5
-        assert (db.preimage, db.n) == (3, p - ell_symbol(3, 1, p))
+        assert (db.preimage, db.n) == (3, p - legendre(3 * 3 - 4, p))
         assert all(c.status == PASS for c in db.checks)
 
     def test_no_preimage_decided_without_a_scan(self):
@@ -408,7 +448,7 @@ class TestEntryIndex:
                 for s in (-3, -1, 1, 2):
                     if s % p == 0:
                         continue
-                    ell = ell_symbol(x, s, p)
+                    ell = legendre(x * x - 4 * s, p)
                     if ell == 0:
                         continue
                     assert (p - ell) % q_of_p(x, s, p) == 0, (x, s, p)
@@ -447,10 +487,27 @@ class TestEntryIndex:
             best = min(best, time.perf_counter() - t0)
         assert best < 0.05, best
 
+    def test_ramified_cache_miss_evaluates_each_index_once(self, monkeypatch):
+        calls = []
+        for module in (cheby, ordersolver):
+            real = module._lucas
+            monkeypatch.setattr(
+                module, "_lucas", lambda *args, real=real: calls.append(args) or real(*args)
+            )
+        for p in SMALL_PRIMES[:25]:
+            for x in range(1, p):
+                s = x * x * pow(4, -1, p) % p  # x^2 == 4s mod p, and p does not divide s
+                for s in (s, s - p):
+                    calls.clear()
+                    q_of_p.cache_clear()
+                    assert q_of_p(x, s, p) == p
+                    assert len(calls) == len(set(calls)), sorted(calls)
+        q_of_p.cache_clear()
+
     def test_refuses_when_p_minus_ell_cannot_be_factored(self):
         # p - ell = 2 * 1000003 * 1000121: both odd primes exceed the trial bound
         p = 2 * 1000003 * 1000121 + 1
-        assert is_prime(p) and ell_symbol(2, -1, p) == 1
+        assert is_prime(p) and legendre(2 * 2 + 4, p) == 1
         with pytest.raises(ValueError, match="trial bound"):
             q_of_p(2, -1, p)
 
@@ -811,12 +868,7 @@ class TestAnalyze:
             assert any(c.name.endswith("(recorded)") for c in rep.table_checks)
         if mode == "general" and alpha.norm % p == 1:
             assert rep.bound_n == p + 1
-        # skipping the public gates changes nothing in the report
-        if rep.s == 1:
-            assert rep == bound_norm1(alpha, p)
-        elif rep.s == -1:
-            assert rep == bound_norm_minus1(alpha, p)
-        else:
+        if mode == "general":
             cells = table_check(alpha, p)
             assert list(rep.table_checks[: len(cells)]) == cells
 

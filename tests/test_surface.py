@@ -40,12 +40,17 @@ MODULE_ONLY = {
         "DEFAULT_CAP", "OracleResult", "oracle_n_of_f", "oracle_order_mod_p", "oracle_q_of_p",
     ],
     "ordersolver": [
-        "ChainResult", "DivisorBound", "bound_norm1", "bound_norm_minus1", "build_chain_s1",
-        "build_chain_s_minus1", "ell_symbol", "table_check",
+        "ChainResult", "DivisorBound", "build_chain_s1", "build_chain_s_minus1", "table_check",
     ],
     "quadint": ["Mat2"],
     "units": ["is_unit"],
 }
+
+# analyze is the one route to a unit's order bound, and its mode strings have one spelling
+DELETED_FROM_ORDERSOLVER = [
+    "bound_norm1", "bound_norm_minus1", "_unit_ell", "ell_symbol", "NORM_PLUS_ONE",
+    "NORM_MINUS_ONE",
+]
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -61,6 +66,11 @@ def test_root_exports_the_entry_points():
 def test_other_names_import_from_their_module(module, name):
     assert hasattr(importlib.import_module(f"quadorder.{module}"), name)
     assert not hasattr(quadorder, name)
+
+
+@pytest.mark.parametrize("name", DELETED_FROM_ORDERSOLVER)
+def test_deleted_names_are_absent(name):
+    assert not hasattr(quadorder.ordersolver, name)
 
 
 @pytest.fixture(scope="module")
