@@ -1,22 +1,32 @@
 """Modular arithmetic and factorization plumbing, sized for desk-scale inputs.
 
+is_prime is Miller-Rabin on the first k prime bases, with k the least
+whose psi_k (the least strong pseudoprime to those bases) lies above n,
+and all twelve bases from psi_11 up.
+
 Factoring is one fixed policy whose answers are those of trial division
 up to TRIAL_BOUND followed by a primality test on what survives.
-Divisors below _WINDOW are tried one by one.  What they leave, when it is
-below _PSI12 (where the Miller-Rabin witnesses below are a proof), is
+The power of 2 is stripped by a bit trick, and one gcd with the product
+of the odd primes below _WINDOW names the ones that divide what is left;
+only those are divided out.  What they leave has no prime factor below
+_WINDOW, so below (_WINDOW + 1)^2 it is 1 or a prime.  Above that and
+below _PSI12 (where the Miller-Rabin witnesses below are a proof), it is
 accepted if it is prime and otherwise split completely by Brent's rho
 under the fixed budget _RHO_STEPS; the split gives the trial-division
 answer directly.  Past the budget, or at _PSI12 and above, the range up to
 TRIAL_BOUND is walked _WINDOW integers at a time: one gcd of what is left
 of the input with the product of a window's odd primes skips a window
 that holds none of its prime factors, and only a window that does is
-walked divisor by divisor.  The products are built on the first walk
-that needs them, by a sieve that holds one segment's flags at a time and
-keeps no list of primes up to TRIAL_BOUND; they take about 180 KB.
+walked divisor by divisor.  The products are built on the first call
+that needs them, the first window's with its 171 primes on the first
+factorization and the others by a sieve that holds one segment's flags
+at a time and keeps no list of primes up to TRIAL_BOUND; they take about
+180 KB.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import compress, groupby
@@ -31,6 +41,13 @@ _RHO_STEPS = 1 << 16  # rho iterations one factorization may spend before it wal
 # is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
 _PSI12 = 318665857834031151167461
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime
+# bases, those k witnesses decide (Jaeschke, Math. Comp. 61, 1993; OEIS
+# A014233); psi_8 = psi_7 and psi_11 = psi_10 = psi_9, so those are left out
+_WITNESS_COUNTS = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+)
 
 
 def is_prime(n: int) -> bool:
@@ -41,11 +58,10 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < 41 * 41:  # every composite below 41^2 has a prime factor <= 37
         return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _WITNESSES:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the power of 2 in n - 1
+    d = (n - 1) >> s
+    k = next((k for psi, k in _WITNESS_COUNTS if n < psi), len(_WITNESSES))
+    for a in _WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -122,6 +138,27 @@ class Factorization:
 
 
 @cache
+def _first_window() -> tuple[tuple[int, ...], int]:
+    """The odd primes below _WINDOW, ascending, and their product."""
+    primes = tuple(r for r in range(3, _WINDOW, 2) if all(r % t for t in range(3, isqrt(r) + 1, 2)))
+    return primes, prod(primes)
+
+
+def _first_window_primes(n: int) -> Iterator[int]:
+    """The odd primes below _WINDOW that divide n, ascending, from one gcd."""
+    primes, product = _first_window()
+    g = gcd(n, product)  # each of them once
+    for q in primes:
+        if q * q > g:
+            break
+        if g % q == 0:
+            g //= q
+            yield q
+    if g > 1:  # what is left of g is one prime
+        yield g
+
+
+@cache
 def _window_products() -> tuple[int, ...]:
     """Product of the odd primes <= TRIAL_BOUND in each window [w, w+1) * _WINDOW.
 
@@ -129,10 +166,7 @@ def _window_products() -> tuple[int, ...]:
     integers at a time by the odd primes up to isqrt(TRIAL_BOUND), so one
     segment's flags are all that is held besides the products.
     """
-    sieving = [
-        r for r in range(3, isqrt(TRIAL_BOUND) + 1, 2)
-        if all(r % t for t in range(3, isqrt(r) + 1, 2))
-    ]
+    sieving = [r for r in _first_window()[0] if r <= isqrt(TRIAL_BOUND)]  # isqrt(10^6) < _WINDOW
     products = []
     for lo in range(0, TRIAL_BOUND + 1, _SEGMENT):
         odds = range(lo + 1, min(lo + _SEGMENT, TRIAL_BOUND + 1), 2)
@@ -221,28 +255,45 @@ def _as_trial_division(
     return Factorization(base=base, factors=tuple(factors + [(r, 1) for r in above]))
 
 
+def _divide_out(rem: int, q: int, factors: list[tuple[int, int]]) -> int:
+    """rem with every factor q divided out; (q, its exponent) goes onto factors."""
+    k = 0
+    while rem % q == 0:
+        rem //= q
+        k += 1
+    factors.append((q, k))
+    return rem
+
+
 @lru_cache(maxsize=1024)  # the default sweep factors 66 numbers; a refusal raises and is not kept
 def factorize(n: int) -> Factorization:
     """Factor |n| as trial division up to TRIAL_BOUND would.
 
-    Divisors below _WINDOW are tried one by one.  What they leave, if it
-    is below _PSI12, is split completely by _prime_factors, and the answer
-    is read off those primes.  Otherwise, or past the rho budget, each
-    window of _WINDOW integers costs one gcd of what is left of |n| with
-    the product of the window's odd primes: a window with no common factor
-    is skipped whole, and one with a common factor is walked divisor by
-    divisor.  Trial division stops once q * q exceeds what is left.  A
-    cofactor surviving it is accepted only if it is at most TRIAL_BOUND^2
-    or passes the primality test; otherwise the input exceeds desk scale
-    and we refuse rather than guess.
+    The power of 2 is read off the low bits, and the odd primes below
+    _WINDOW that divide |n| come from one gcd with their product.  What
+    they leave, if it is below _PSI12, is split completely by
+    _prime_factors, and the answer is read off those primes.  Otherwise,
+    or past the rho budget, each later window of _WINDOW integers costs one
+    gcd of what is left of |n| with the product of the window's odd primes:
+    a window with no common factor is skipped whole, and one with a common
+    factor is walked divisor by divisor.  Trial division stops once q * q
+    exceeds what is left.  A cofactor surviving it is accepted only if it
+    is at most TRIAL_BOUND^2 or passes the primality test; otherwise the
+    input exceeds desk scale and we refuse rather than guess.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
     rem = abs(n)
     factors: list[tuple[int, int]] = []
-    q = 2
+    k = (rem & -rem).bit_length() - 1
+    if k:
+        rem >>= k
+        factors.append((2, k))
+    for q in _first_window_primes(rem):
+        rem = _divide_out(rem, q, factors)
+    q = _WINDOW + 1
     while q <= TRIAL_BOUND and q * q <= rem:
-        # q = 1 mod _WINDOW first holds at the start of the second window
+        # q = 1 mod _WINDOW holds at the start of each window
         if q % _WINDOW == 1:
             if q == _WINDOW + 1 and rem < _PSI12 and (primes := _prime_factors(rem)) is not None:
                 return _as_trial_division(abs(n), factors, primes)
@@ -250,12 +301,8 @@ def factorize(n: int) -> Factorization:
                 q += _WINDOW
                 continue
         if rem % q == 0:
-            k = 0
-            while rem % q == 0:
-                rem //= q
-                k += 1
-            factors.append((q, k))
-        q += 1 if q == 2 else 2
+            rem = _divide_out(rem, q, factors)
+        q += 2
     if rem > 1:
         if rem <= TRIAL_BOUND * TRIAL_BOUND or is_prime(rem):
             factors.append((rem, 1))

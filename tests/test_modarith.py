@@ -419,3 +419,187 @@ def test_factorize_matches_sympy_below_psi12():
                 n *= part
         primes = [q for q, k in sympy.factorint(n).items() for _ in range(k)]
         assert outcome(factorize, n) == contract(n, primes), n
+
+
+# the witness table: is_prime against the loop over all twelve witnesses
+
+# A014233: psi_k, the least strong pseudoprime to the first k prime bases
+# (Jaeschke, Math. Comp. 61, 1993)
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, PSI12,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, a):
+    """n passes the strong (Miller-Rabin) test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def reference_is_prime(n):
+    """is_prime as one Miller-Rabin loop over all twelve witnesses; the reference loop."""
+    if n < 2:
+        return False
+    for q in BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
+        return True
+    return all(strong_probable_prime(n, a) for a in BASES)
+
+
+# composites that pass the strong test to each of the first k bases:
+# base 2 (A001262), bases 2 and 3 (A072276), and bases 2, 3 and 5
+STRONG_PSEUDOPRIMES = {
+    1: [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+        74665, 80581, 85489, 88357, 90751, 104653, 130561, 196093, 220729,
+        233017, 252601, 253241, 256999, 271951, 280601, 314821, 357761],
+    2: [1373653, 1530787, 1987021, 2284453, 3116107, 5173601, 6787327,
+        11541307, 13694761, 15978007, 16070429, 16879501, 25326001],
+    3: [25326001, 161304001, 960946321, 1157839381, 3215031751],
+}
+
+
+def test_witness_table_is_a014233():
+    # below psi_k the first k witnesses decide; the table may only skip a k
+    # whose psi_k equals the next one's
+    table = modarith._WITNESS_COUNTS
+    assert [psi for psi, _ in table] == sorted({psi for psi in PSI[:11]})
+    for psi, k in table:
+        assert psi == PSI[k - 1] and PSI.index(psi) == k - 1, (psi, k)
+    assert modarith._WITNESSES == BASES
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_each_psi_is_rejected(k):
+    psi = PSI[k - 1]
+    assert all(strong_probable_prime(psi, a) for a in BASES[:k])  # it fools k bases
+    assert not reference_is_prime(psi)
+    assert not is_prime(psi)
+    assert not is_prime(-psi)
+
+
+def test_psi12_is_still_accepted():
+    # all twelve witnesses pass psi12 = 399165290221 * 798330580441
+    assert PSI12 == 399165290221 * 798330580441
+    assert is_prime(PSI12) and reference_is_prime(PSI12)
+
+
+def test_is_prime_matches_reference_below_2e5():
+    assert [n for n in range(-10, 2 * 10**5) if is_prime(n) != reference_is_prime(n)] == []
+
+
+@pytest.mark.parametrize("k", sorted(STRONG_PSEUDOPRIMES))
+def test_is_prime_rejects_strong_pseudoprimes(k):
+    for n in STRONG_PSEUDOPRIMES[k]:
+        assert all(strong_probable_prime(n, a) for a in BASES[:k]), n
+        assert any(n % q == 0 for q in range(3, math.isqrt(n) + 1, 2)), n  # composite
+        assert not is_prime(n) and not reference_is_prime(n), n
+
+
+def draws_around(psi, rng, count=400):
+    """Odd n just below and just above psi, and a spread within a factor of 2."""
+    near = [psi + rng.randrange(-(10**4), 10**4) | 1 for _ in range(count)]
+    wide = [rng.randrange(psi // 2, 2 * psi) | 1 for _ in range(count)]
+    return [n for n in near + wide if n < PSI12]  # psi12 itself is the known miss
+
+
+@pytest.mark.parametrize("psi", sorted(set(PSI)))
+def test_is_prime_matches_reference_around_each_psi(psi):
+    rng = random.Random(psi)
+    for n in draws_around(psi, rng):
+        assert is_prime(n) == reference_is_prime(n), n
+
+
+@pytest.mark.parametrize("psi", sorted(set(PSI)))
+def test_is_prime_matches_sympy_around_each_psi(psi):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(psi + 1)
+    for n in draws_around(psi, rng):
+        assert is_prime(n) == bool(sympy.isprime(n)), n
+
+
+# the first window: one gcd names the odd primes below WINDOW
+
+SMALL_PRIMES = [q for q in range(2, WINDOW) if is_prime(q)]
+EDGE_PRIMES_FLAT = sorted({q for pair in EDGE_PRIMES for q in pair})
+
+
+def test_factorize_matches_reference_up_to_2_15():
+    for n in range(1, 2**15 + 1):
+        for signed in (n, -n):
+            assert outcome(factorize, signed) == outcome(reference_factorize, signed), signed
+
+
+def test_factorize_matches_reference_on_first_window_products():
+    rng = random.Random(15)
+    inputs = [math.prod(SMALL_PRIMES), math.prod(SMALL_PRIMES) ** 2, 1021**9, 3**60, 2**200]
+    inputs += [q**k for q in SMALL_PRIMES[-12:] + SMALL_PRIMES[:12] for k in (2, 5, 11)]
+    for _ in range(300):
+        parts = rng.sample(SMALL_PRIMES, rng.randint(1, 12))
+        inputs.append(math.prod(q ** rng.randint(1, 9) for q in parts))
+    for n in inputs:
+        for signed in (n, -n):
+            assert outcome(factorize, signed) == outcome(reference_factorize, signed), signed
+
+
+def test_factorize_matches_reference_on_powers_of_two_times_m():
+    rng = random.Random(16)
+    for k in range(0, 80, 3):
+        for m in (1, 3, 1021, 1031, 999983, 3 * 1031 * 1033, rng.randrange(1, 10**6) | 1):
+            n = 2**k * m
+            assert outcome(factorize, n) == outcome(reference_factorize, n), n
+
+
+def largest_prime_below(n):
+    return next(q for q in range(n - 1, 1, -1) if is_prime(q))
+
+
+def least_prime_from(n):
+    return next(q for q in range(n, 2 * n) if is_prime(q))
+
+
+def test_factorize_matches_reference_around_the_first_window_square():
+    # what the first window leaves has no prime factor below WINDOW, so below
+    # (WINDOW + 1)^2 it is 1 or a prime and above that it may be composite
+    edge = (WINDOW + 1) ** 2
+    rng = random.Random(17)
+    parts = [
+        largest_prime_below(edge), least_prime_from(edge), largest_prime_below(WINDOW * WINDOW),
+        1031 * 1031, 1031 * 1033, 1033 * 1039 * 1049, least_prime_from(WINDOW),
+    ]
+    for part in parts:
+        for small in (1, 2, 3 * 5 * 7, 1021**3, math.prod(rng.sample(SMALL_PRIMES, 6))):
+            n = small * part
+            assert outcome(factorize, n) == outcome(reference_factorize, n), n
+
+
+def test_factorize_matches_reference_between_the_window_square_and_psi12():
+    # the reference walks to the second-largest prime of the part, so those
+    # stay below 10^5; the largest one runs past the trial bound
+    rng = random.Random(18)
+    big = [q for q in EDGE_PRIMES_FLAT if q < 10**5]
+    checked = 0
+    while checked < 150:
+        part = math.prod(rng.sample(big, rng.randint(1, 2)))
+        part *= least_prime_from(rng.randrange(WINDOW, 10 ** rng.randint(4, 12)))
+        n = math.prod(rng.sample(SMALL_PRIMES, rng.randint(0, 4))) * part
+        if n >= PSI12:
+            continue
+        assert (WINDOW + 1) ** 2 <= part
+        assert outcome(factorize, n) == outcome(reference_factorize, n), n
+        checked += 1
+

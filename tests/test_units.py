@@ -86,9 +86,10 @@ def test_is_unit():
     assert not is_unit(QuadInt(0, 0, 2))
 
 
-def norm_every_convergent_unit(d):
+def norm_every_convergent(d):
     """The first convergent h/y of sqrt(d), or of (1 + sqrt(d))/2 when
-    d == 1 (mod 4), whose candidate unit has norm +-1.
+    d == 1 (mod 4), whose candidate unit has norm +-1, and the number of
+    digits it took, which is the length of the period.
 
     Norms every convergent instead of watching Q return to its start, so
     it is a second route to the unit; the candidate for the half-integer
@@ -97,12 +98,14 @@ def norm_every_convergent_unit(d):
     P, Q = (1, 2) if d % 4 == 1 else (0, 1)
     h2, h1 = 0, 1
     y2, y1 = 1, 0
+    steps = 0
     while True:
         a = (P + math.isqrt(d)) // Q
         P = a * Q - P
         Q = (d - P * P) // Q
         h2, h1 = h1, a * h1 + h2
         y2, y1 = y1, a * y1 + y2
+        steps += 1
         if d % 4 == 1:
             cand_a, cand_b = 2 * h1 - y1, y1
             norm = (cand_a * cand_a - d * cand_b * cand_b) // 4
@@ -110,7 +113,11 @@ def norm_every_convergent_unit(d):
             cand_a, cand_b = h1, y1
             norm = cand_a * cand_a - d * cand_b * cand_b
         if norm in (1, -1):
-            return QuadInt(cand_a, cand_b, d)
+            return QuadInt(cand_a, cand_b, d), steps
+
+
+def norm_every_convergent_unit(d):
+    return norm_every_convergent(d)[0]
 
 
 def is_squarefree(d):
@@ -174,3 +181,52 @@ def test_refuses_at_the_default_cap_quickly():
     with pytest.raises(RuntimeError, match="1000000000039 .* limit of 100000 steps"):
         fundamental_unit(10**12 + 39)
     assert time.perf_counter() - start < 3.0
+
+
+def refusal_text(d, cap):
+    return (
+        f"the continued fraction for d = {d} did not close its period "
+        f"within the limit of {cap} steps"
+    )
+
+
+# one radicand of each kind: (d, period length), by parity of the period
+# and by d mod 4
+PERIOD_KINDS = {
+    "even period, d = 3 mod 4": (571, 42),
+    "even period, d = 1 mod 4": (889, 42),
+    "odd period, d = 2 mod 4": (2458, 43),
+    "odd period, d = 1 mod 4": (1201, 53),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PERIOD_KINDS))
+def test_half_period_walk_at_the_cap(kind, monkeypatch):
+    # the walk stops at the centre, so the cap is decided from the period's
+    # parity there; a period of exactly _STEP_CAP digits is still answered
+    d, length = PERIOD_KINDS[kind]
+    expected, steps = norm_every_convergent(d)
+    assert steps == length
+    assert (length % 2 == 0) == kind.startswith("even")
+    assert (d % 4 == 1) == kind.endswith("1 mod 4")
+    monkeypatch.setattr(units, "_STEP_CAP", length)
+    assert fundamental_unit(d) == expected
+    monkeypatch.setattr(units, "_STEP_CAP", length - 1)
+    with pytest.raises(RuntimeError) as info:
+        fundamental_unit(d)
+    assert str(info.value) == refusal_text(d, length - 1)
+
+
+def test_cap_decides_every_period_below_400(monkeypatch):
+    for d in range(2, 400):
+        if not is_squarefree(d):
+            continue
+        expected, length = norm_every_convergent(d)
+        for cap in (length - 2, length - 1, length, length + 1):
+            monkeypatch.setattr(units, "_STEP_CAP", max(cap, 0))
+            if cap < length:
+                with pytest.raises(RuntimeError) as info:
+                    fundamental_unit(d)
+                assert str(info.value) == refusal_text(d, max(cap, 0)), (d, cap)
+            else:
+                assert fundamental_unit(d) == expected, (d, cap)
