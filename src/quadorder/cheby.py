@@ -6,9 +6,11 @@ They are the scaled Chebyshev polynomials in the pair (x, s), and for a
 2x2 integer matrix with trace x and determinant s they give the trace
 and the corner entry of the n-th power.
 
-Single terms come from one Lucas-doubling kernel, exactly or mod m, and
-vanishing indices from an order descent on it; u_seq and t_seq walk the
-recurrence one step at a time, as the reference the kernel is tested against.
+Single terms come from one Lucas-doubling kernel: the exact evaluators
+take the pair (x, s) itself, s = 0 included, and eval_fast a ChebyParams
+with a modulus.  Vanishing indices come from an order descent on it;
+u_seq and t_seq walk the recurrence one step at a time, as the reference
+the kernel is tested against.
 run_identity_trials fuzzes the polynomial identities over the integers.
 """
 
@@ -135,17 +137,14 @@ def eval_fast(params: ChebyParams, n: int) -> ChebyPair:
     return ChebyPair(n=n, t=t, u_prev=u_prev)
 
 
-def u_odd_closed_form(params: ChebyParams, n: int) -> int:
+def u_odd_closed_form(x: int, s: int, n: int) -> int:
     """u_{n-1}(x; s) for odd n by the single binomial sum, no recurrence.
 
-    2^{n-1} u_{n-1} = sum_k C(n, 2k+1) x^{n-2k-1} (x^2-4s)^k; the division
-    is exact and is asserted to be.
+    2^{n-1} u_{n-1} = sum_k C(n, 2k+1) x^{n-2k-1} (x^2-4s)^k over the
+    integers; the division is exact and is asserted to be.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and at least 1")
-    if params.modulus is not None:
-        raise ValueError("the closed form is exact; build params without a modulus")
-    x, s = params.x, params.s
     disc = x * x - 4 * s
     total = sum(
         comb(n, 2 * k + 1) * x ** (n - 2 * k - 1) * disc**k
@@ -157,29 +156,25 @@ def u_odd_closed_form(params: ChebyParams, n: int) -> int:
     return quot
 
 
-def compose_u(m: int, n: int, params: ChebyParams) -> tuple[int, int]:
+def compose_u(x: int, s: int, m: int, n: int) -> tuple[int, int]:
     """Exact (lhs, rhs) of u_{mn-1}(x;s) = u_{m-1}(t_n(x;s); s^n) * u_{n-1}(x;s)."""
-    _require_exact_indices(m, n, params)
-    x, s = params.x, params.s
+    _require_exact_indices(m, n)
     lhs = u_prev_exact(x, s, m * n)
     rhs = u_prev_exact(t_exact(x, s, n), s**n, m) * u_prev_exact(x, s, n)
     return lhs, rhs
 
 
-def compose_t(m: int, n: int, params: ChebyParams) -> tuple[int, int]:
+def compose_t(x: int, s: int, m: int, n: int) -> tuple[int, int]:
     """Exact (lhs, rhs) of t_{mn}(x;s) = t_n(t_m(x;s); s^m)."""
-    _require_exact_indices(m, n, params)
-    x, s = params.x, params.s
+    _require_exact_indices(m, n)
     lhs = t_exact(x, s, m * n)
     rhs = t_exact(t_exact(x, s, m), s**m, n)
     return lhs, rhs
 
 
-def _require_exact_indices(m: int, n: int, params: ChebyParams) -> None:
+def _require_exact_indices(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError("composition indices must be at least 1")
-    if params.modulus is not None:
-        raise ValueError("composition identities are checked exactly; drop the modulus")
 
 
 @dataclass(frozen=True)
@@ -226,20 +221,19 @@ def run_identity_trials(
         odd = 2 * rng.randint(0, (_MN_BOUND - 1) // 2) + 1
         mu = rng.randint(2, 50)
         where = f"x={x} s={s} m={m} n={n} odd={odd} mu={mu}"
-        params = ChebyParams(x, s)
         u_n = u_prev_exact(x, s, n)
         t_n = t_exact(x, s, n)
         u_mn = u_prev_exact(x, s, m * n)
         outcomes = {}
         outcomes[names[0]] = (x * x - 4 * s) * u_n * u_n == t_n * t_n - 4 * s**n
         outcomes[names[1]] = t_n * t_n == t_exact(x, s, 2 * n) + 2 * s**n
-        lhs_t, rhs_t = compose_t(m, n, params)
+        lhs_t, rhs_t = compose_t(x, s, m, n)
         outcomes[names[2]] = lhs_t == rhs_t
-        lhs_u, rhs_u = compose_u(m, n, params)
+        lhs_u, rhs_u = compose_u(x, s, m, n)
         outcomes[names[3]] = lhs_u == rhs_u
         outcomes[names[4]] = u_mn == 0 if u_n == 0 else u_mn % u_n == 0
         outcomes[names[5]] = u_n % mu != 0 or u_mn % mu == 0
-        outcomes[names[6]] = u_odd_closed_form(params, odd) == u_prev_exact(x, s, odd)
+        outcomes[names[6]] = u_odd_closed_form(x, s, odd) == u_prev_exact(x, s, odd)
         for name, ok in outcomes.items():
             if ok:
                 passed[name] += 1

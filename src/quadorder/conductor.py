@@ -96,6 +96,12 @@ class MultiplicativeBound:
         return self.n_fg <= self.n_f * self.n_g
 
 
+def _shared_with_b(b: int, **conductors: int) -> list[str]:
+    """A side note for each named conductor sharing a factor with b; none when b = 0."""
+    gcds = {name: gcd(b, c) for name, c in conductors.items()}
+    return [f"gcd(b, {name}) = {g}" for name, g in gcds.items() if b and g != 1]
+
+
 def bound_multiplicative(alpha: QuadInt, f: int, g: int) -> MultiplicativeBound:
     """n(fg) against n(f)n(g) for coprime conductors.
 
@@ -105,18 +111,13 @@ def bound_multiplicative(alpha: QuadInt, f: int, g: int) -> MultiplicativeBound:
     """
     if gcd(f, g) != 1:
         raise ValueError("the conductors must be coprime")
-    side = []
-    if alpha.b != 0 and gcd(alpha.b, f) != 1:
-        side.append(f"gcd(b, f) = {gcd(alpha.b, f)}")
-    if alpha.b != 0 and gcd(alpha.b, g) != 1:
-        side.append(f"gcd(b, g) = {gcd(alpha.b, g)}")
     return MultiplicativeBound(
         f=f,
         g=g,
         n_f=n_of_f(alpha, f),
         n_g=n_of_f(alpha, g),
         n_fg=n_of_f(alpha, f * g),
-        side_conditions=tuple(side),
+        side_conditions=tuple(_shared_with_b(alpha.b, f=f, g=g)),
     )
 
 
@@ -155,9 +156,7 @@ def bound_prime_power(
     if f % p == 0:
         raise ValueError("p must not divide f")
     x, s = alpha.trace_x, alpha.norm
-    side = []
-    if alpha.b != 0 and gcd(alpha.b, f) != 1:
-        side.append(f"gcd(b, f) = {gcd(alpha.b, f)}")
+    side = _shared_with_b(alpha.b, f=f)
     if alpha.b % p == 0:
         side.append("p divides b")
     q = q_of_p(x, s, p)

@@ -10,18 +10,18 @@ The power of 2 is stripped by a bit trick, and one gcd with the product
 of the odd primes below _WINDOW names the ones that divide what is left;
 only those are divided out.  What they leave has no prime factor below
 _WINDOW, so below (_WINDOW + 1)^2 it is 1 or a prime.  Above that and
-below _PSI12 (where the Miller-Rabin witnesses below are a proof), it is
-accepted if it is prime and otherwise split completely by Brent's rho
-under the fixed budget _RHO_STEPS; the split gives the trial-division
-answer directly.  Past the budget, or at _PSI12 and above, the range up to
-TRIAL_BOUND is walked _WINDOW integers at a time: one gcd of what is left
-of the input with the product of a window's odd primes skips a window
-that holds none of its prime factors, and only a window that does is
-walked divisor by divisor.  The products are built on the first call
-that needs them, the first window's with its 171 primes on the first
-factorization and the others by a sieve that holds one segment's flags
-at a time and keeps no list of primes up to TRIAL_BOUND; they take about
-180 KB.
+below _PSI12 (where the Miller-Rabin witnesses below are a proof),
+Brent's rho splits it completely under the fixed budget _RHO_STEPS; the
+primes up to TRIAL_BOUND are kept and the product of those above is what
+trial division would leave.  Past the budget, or at _PSI12 and above,
+the range up to TRIAL_BOUND is walked _WINDOW integers at a time: one
+gcd of what is left with the product of a window's odd primes skips a
+window that holds none of its prime factors, and only a window that does
+is walked divisor by divisor.  Both routes end in one cofactor rule.
+The products are built on the first call that needs them, the first
+window's with its 171 primes on the first factorization and the others
+by a sieve that holds one segment's flags at a time and keeps no list of
+primes up to TRIAL_BOUND; they take about 180 KB.
 """
 
 from __future__ import annotations
@@ -106,10 +106,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
         return 0
     if _legendre(a, p) == -1:
         return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # the power of 2 in p - 1
+    q = (p - 1) >> s
     z = 2
     while _legendre(z, p) != -1:
         z += 1
@@ -140,7 +138,7 @@ class Factorization:
 @cache
 def _first_window() -> tuple[tuple[int, ...], int]:
     """The odd primes below _WINDOW, ascending, and their product."""
-    primes = tuple(r for r in range(3, _WINDOW, 2) if all(r % t for t in range(3, isqrt(r) + 1, 2)))
+    primes = tuple(filter(is_prime, range(3, _WINDOW, 2)))  # is_prime is exact below 41^2
     return primes, prod(primes)
 
 
@@ -183,10 +181,6 @@ def _window_products() -> tuple[int, ...]:
         for j in range(0, len(odds), half):
             products.append(prod(compress(odds[j : j + half], flags[j : j + half])))
     return tuple(products)
-
-
-def _cofactor_refusal(cofactor: int) -> ValueError:
-    return ValueError(f"composite cofactor {cofactor} exceeds the trial bound {TRIAL_BOUND}")
 
 
 def _rho_divisor(n: int, budget: int) -> tuple[int | None, int]:
@@ -244,17 +238,6 @@ def _prime_factors(n: int) -> list[int] | None:
     return sorted(primes)
 
 
-def _as_trial_division(
-    base: int, factors: list[tuple[int, int]], primes: list[int]
-) -> Factorization:
-    """What the window walk would answer, given the primes of what it had left."""
-    factors += [(r, len(list(g))) for r, g in groupby(r for r in primes if r <= TRIAL_BOUND)]
-    above = [r for r in primes if r > TRIAL_BOUND]
-    if len(above) > 1:  # the walk would end on their composite product
-        raise _cofactor_refusal(prod(above))
-    return Factorization(base=base, factors=tuple(factors + [(r, 1) for r in above]))
-
-
 def _divide_out(rem: int, q: int, factors: list[tuple[int, int]]) -> int:
     """rem with every factor q divided out; (q, its exponent) goes onto factors."""
     k = 0
@@ -269,17 +252,10 @@ def _divide_out(rem: int, q: int, factors: list[tuple[int, int]]) -> int:
 def factorize(n: int) -> Factorization:
     """Factor |n| as trial division up to TRIAL_BOUND would.
 
-    The power of 2 is read off the low bits, and the odd primes below
-    _WINDOW that divide |n| come from one gcd with their product.  What
-    they leave, if it is below _PSI12, is split completely by
-    _prime_factors, and the answer is read off those primes.  Otherwise,
-    or past the rho budget, each later window of _WINDOW integers costs one
-    gcd of what is left of |n| with the product of the window's odd primes:
-    a window with no common factor is skipped whole, and one with a common
-    factor is walked divisor by divisor.  Trial division stops once q * q
-    exceeds what is left.  A cofactor surviving it is accepted only if it
-    is at most TRIAL_BOUND^2 or passes the primality test; otherwise the
-    input exceeds desk scale and we refuse rather than guess.
+    The module docstring has the two routes.  Both end in one cofactor
+    rule: what survives is accepted only if it is at most TRIAL_BOUND^2 or
+    passes the primality test; otherwise the input exceeds desk scale and
+    we refuse rather than guess.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -291,21 +267,22 @@ def factorize(n: int) -> Factorization:
         factors.append((2, k))
     for q in _first_window_primes(rem):
         rem = _divide_out(rem, q, factors)
-    q = _WINDOW + 1
-    while q <= TRIAL_BOUND and q * q <= rem:
-        # q = 1 mod _WINDOW holds at the start of each window
-        if q % _WINDOW == 1:
-            if q == _WINDOW + 1 and rem < _PSI12 and (primes := _prime_factors(rem)) is not None:
-                return _as_trial_division(abs(n), factors, primes)
-            if gcd(rem, _window_products()[q // _WINDOW]) == 1:
+    if (_WINDOW + 1) ** 2 <= rem < _PSI12 and (primes := _prime_factors(rem)) is not None:
+        factors += [(r, len(list(g))) for r, g in groupby(r for r in primes if r <= TRIAL_BOUND)]
+        rem = prod(r for r in primes if r > TRIAL_BOUND)
+    else:
+        q = _WINDOW + 1
+        while q <= TRIAL_BOUND and q * q <= rem:
+            # q = 1 mod _WINDOW holds at the start of each window
+            if q % _WINDOW == 1 and gcd(rem, _window_products()[q // _WINDOW]) == 1:
                 q += _WINDOW
                 continue
-        if rem % q == 0:
-            rem = _divide_out(rem, q, factors)
-        q += 2
+            if rem % q == 0:
+                rem = _divide_out(rem, q, factors)
+            q += 2
     if rem > 1:
         if rem <= TRIAL_BOUND * TRIAL_BOUND or is_prime(rem):
             factors.append((rem, 1))
         else:
-            raise _cofactor_refusal(rem)
+            raise ValueError(f"composite cofactor {rem} exceeds the trial bound {TRIAL_BOUND}")
     return Factorization(base=abs(n), factors=tuple(factors))

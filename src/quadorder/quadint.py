@@ -116,8 +116,6 @@ class QuadInt:
             raise ValueError("negative powers are not integral in general")
         if n == 0:
             return QuadInt.one(self.d)
-        if self.a == 0 and self.b == 0:
-            return QuadInt(0, 0, self.d)
         t, u = _lucas(self.trace_x, self.norm, n)
         if self.r == 1:
             return QuadInt(t, u * self.b, self.d)

@@ -104,38 +104,34 @@ def test_eval_fast_hypothesis(x, s, n, m):
 
 
 def test_odd_closed_form_matches_recurrence():
-    for x, s in [(2, -1), (1, -1), (3, 1), (-5, 2), (7, -3), (0, 5)]:
-        params = ChebyParams(x, s)
+    for x, s in [(2, -1), (1, -1), (3, 1), (-5, 2), (7, -3), (0, 5), (3, 0), (0, 0)]:
         for n in range(1, 22, 2):
-            assert u_odd_closed_form(params, n) == u_prev_exact(x, s, n)
+            assert u_odd_closed_form(x, s, n) == u_prev_exact(x, s, n)
 
 
 def test_odd_closed_form_frozen():
-    assert u_odd_closed_form(ChebyParams(3, 2), 5) == 31
-    assert u_odd_closed_form(FIB, 11) == 89
+    assert u_odd_closed_form(3, 2, 5) == 31
+    assert u_odd_closed_form(1, -1, 11) == 89
 
 
 def test_odd_closed_form_rejects_even_and_modular():
     with pytest.raises(ValueError):
-        u_odd_closed_form(ChebyParams(3, 2), 4)
-    with pytest.raises(ValueError):
-        u_odd_closed_form(ChebyParams(3, 2, 11), 5)
+        u_odd_closed_form(3, 2, 4)
 
 
 def test_compose_identities_exact():
     for x in range(-3, 4):
-        for s in (-2, -1, 1, 2):
-            params = ChebyParams(x, s)
+        for s in (-2, -1, 0, 1, 2):
             for m in range(1, 6):
                 for n in range(1, 6):
-                    lhs, rhs = compose_u(m, n, params)
+                    lhs, rhs = compose_u(x, s, m, n)
                     assert lhs == rhs, (x, s, m, n)
-                    lhs, rhs = compose_t(m, n, params)
+                    lhs, rhs = compose_t(x, s, m, n)
                     assert lhs == rhs, (x, s, m, n)
 
 
 def test_compose_u_frozen():
     # u_5 = u_1(t_3; s^3) * u_2 for the Fibonacci parameters
-    lhs, rhs = compose_u(2, 3, FIB)
+    lhs, rhs = compose_u(1, -1, 2, 3)
     assert lhs == u_prev_exact(1, -1, 6) == 8
     assert rhs == 8

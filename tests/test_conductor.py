@@ -130,6 +130,8 @@ def test_multiplicative_records_shared_factor():
     mb = bound_multiplicative(QuadInt(1, 3, 2), 3, 5)
     assert "gcd(b, f) = 3" in mb.side_conditions
     assert mb.holds
+    both = bound_multiplicative(QuadInt(1, 15, 2), 3, 5)
+    assert both.side_conditions == ("gcd(b, f) = 3", "gcd(b, g) = 5")
 
 
 def test_multiplicative_requires_coprime():

@@ -262,9 +262,46 @@ def test_factorize_matches_reference_on_edge_squares(window):
         assert outcome(factorize, n) == outcome(reference_factorize, n), n
 
 
+def straddling_primes(seed=15, per_class=3):
+    """Seeded prime lists, product below PSI12, with 0, 1, 2 or 3 primes above TRIAL_BOUND.
+
+    The primes up to the bound lie above the first window, so what it leaves
+    is at least (WINDOW + 1)^2 and goes to rho; a single prime above the
+    bound lies at most TRIAL_BOUND^2 or past it.
+    """
+    rng = random.Random(seed)
+
+    def prime_in(lo, hi):
+        q = rng.randrange(lo, hi)
+        while not is_prime(q):
+            q += 1
+        return q
+
+    # (primes at most the bound, primes above it, the range of the latter)
+    classes = [
+        (2, 0, None, None),
+        (1, 1, TRIAL_BOUND, TRIAL_BOUND**2),
+        (1, 1, TRIAL_BOUND**2, 10**15),
+        (1, 2, TRIAL_BOUND, 2 * 10**7),
+        (0, 3, TRIAL_BOUND, 10**7),
+    ]
+    lists = []
+    for below, above, lo, hi in classes:
+        for _ in range(per_class):
+            primes = [prime_in(WINDOW, TRIAL_BOUND - 100) for _ in range(below)]
+            primes += [prime_in(lo, hi) for _ in range(above)]
+            assert math.prod(primes) < PSI12
+            lists.append(sorted(primes))
+    return lists
+
+
+STRADDLING = straddling_primes()
+
+
 @pytest.mark.parametrize(
     "n",
     [
+        *(math.prod(primes) * (-1) ** i for i, primes in enumerate(STRADDLING)),
         0, 1, -1, 2, -2, -360, 999983**2, 999983 * 1000003, 1000003 * 1000033,
         -1000003 * 1000033, 1000003**2, 2**61 - 1, -(2**61 - 1), 2 * (2**61 - 1),
         PSI12 - 1, PSI12, PSI12 + 1, TRIAL_BOUND**2, -TRIAL_BOUND**2,
@@ -374,6 +411,7 @@ def contract(n, primes):
         [1000003, 1000033], [7, 1000003, 1000033], [1013, 2**61 - 1],
         # psi12 - 1 = 2^2 * 3^3 * 5 * 11 * 17 * 474349721 * 6652754837
         [2, 2, 3, 3, 3, 5, 11, 17, 474349721, 6652754837],
+        *STRADDLING,
     ],
 )
 def test_factorize_known_factorizations(primes):

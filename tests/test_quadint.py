@@ -161,8 +161,10 @@ def test_mat2_basics():
 
 
 def test_zero_element():
-    zero = QuadInt(0, 0, 2)
-    assert zero.norm == 0
-    assert zero * zero == zero
-    assert zero**3 == zero
-    assert zero**0 == QuadInt.one(2)
+    # d = 5 puts zero in the half-integer class
+    for d in (2, 5):
+        zero = QuadInt(0, 0, d)
+        assert zero.norm == 0
+        assert zero * zero == zero
+        assert zero**1 == zero**3 == zero
+        assert zero**0 == QuadInt.one(d)
