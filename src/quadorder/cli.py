@@ -3,8 +3,8 @@
 Exit codes are strict: 0 means every asserted congruence held, 1 means a
 mathematical assertion failed (a reportable counterexample), 2 means the
 inputs broke a precondition.  JSON output always has the shape
-{command, inputs, results, pass}; CSV sweeps emit a fixed column set
-with a mandatory header.
+{command, inputs, results, pass}; CSV sweeps write a mandatory header,
+then each row of a fixed column set as it is made.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ CSV_COLUMNS = (
     "kind d a b p f x s ell mode m m_random bound n_exact f0 oracle tightness "
     "checks_passed checks_failed failed_names pass"
 ).split()
+_BLANK_ROW = dict.fromkeys(CSV_COLUMNS)
 
 
 def _printable_unit(d: int) -> QuadInt:
@@ -41,7 +42,7 @@ def _printable_unit(d: int) -> QuadInt:
 
 
 def _alpha_from_args(args: argparse.Namespace) -> QuadInt:
-    if getattr(args, "fundunit", False):
+    if args.fundunit:
         return _printable_unit(args.d)
     text = args.alpha
     parts = [tok.strip() for tok in text.split(",")]
@@ -54,10 +55,10 @@ def _alpha_from_args(args: argparse.Namespace) -> QuadInt:
     return QuadInt(a, b, args.d)
 
 
-def _emit(args, command, inputs, results, ok, lines, stream=None) -> int:
+def _emit(as_json: bool, command, inputs, results, ok, lines, stream=None) -> int:
     """Write the JSON payload, or else the text lines; return the exit code."""
     stream = stream or sys.stdout
-    if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+    if as_json:
         payload = {"command": command, "inputs": inputs, "results": results, "pass": ok}
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
@@ -163,13 +164,11 @@ def cmd_order(args: argparse.Namespace) -> int:
         lines.append(f"oracle order: {found}")
     ok = _add_checks(checks, results, lines)
     inputs = {"d": alpha.d, "a": alpha.a, "b": alpha.b, "p": p, "oracle": bool(args.oracle)}
-    return _emit(args, "order", inputs, results, ok, lines)
+    return _emit(args.json, "order", inputs, results, ok, lines)
 
 
 def cmd_conductor(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
-    if args.f < 1:
-        raise ValueError("the conductor must be at least 1")
     report = conductor.bound_full(alpha, args.f)
     checks, oracle_n = _conductor_checks(alpha, report, args.oracle)
     results = _named(
@@ -192,14 +191,14 @@ def cmd_conductor(args: argparse.Namespace) -> int:
     ]
     ok = _add_checks(checks, results, lines)
     inputs = {"d": alpha.d, "a": alpha.a, "b": alpha.b, "f": args.f, "oracle": bool(args.oracle)}
-    return _emit(args, "conductor", inputs, results, ok, lines)
+    return _emit(args.json, "conductor", inputs, results, ok, lines)
 
 
 def cmd_fundunit(args: argparse.Namespace) -> int:
     eps = _printable_unit(args.d)
     results = _named(fundamental_unit=str(eps), a=eps.a, b=eps.b, norm=eps.norm, r=eps.r)
     lines = [f"fundamental unit: {eps}", f"norm: {eps.norm}", f"representation class: r = {eps.r}"]
-    return _emit(args, "fundunit", {"d": args.d}, results, units.is_unit(eps), lines)
+    return _emit(args.json, "fundunit", {"d": args.d}, results, units.is_unit(eps), lines)
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
@@ -214,33 +213,21 @@ def cmd_identities(args: argparse.Namespace) -> int:
         failure = f"  first failure at {t.first_failure}" if t.first_failure else ""
         lines.append(f"{t.name}: {t.passed}/{t.total}{failure}")
     lines.append("all identities hold" if ok else "IDENTITY FAILURE")
-    return _emit(args, "identities", inputs, [asdict(t) for t in tallies], ok, lines)
+    return _emit(args.json, "identities", inputs, [asdict(t) for t in tallies], ok, lines)
 
 
-def _row(
-    kind, alpha, checks, p=None, f=None, ell=None, mode=None, m=None, m_random=None,
-    bound=None, n_exact=None, f0=None, oracle=None, tightness=None,
-) -> dict:
-    """One sweep row, its keys in CSV column order; the checks give the tally."""
+def _row(kind, alpha, checks, **columns) -> dict:
+    """One sweep row keyed by CSV_COLUMNS, None where unset; the checks give the tally."""
     failed = failed_names(checks)
     return {
+        **_BLANK_ROW,
+        **columns,
         "kind": kind,
         "d": alpha.d,
         "a": alpha.a,
         "b": alpha.b,
-        "p": p,
-        "f": f,
         "x": alpha.trace_x,
         "s": alpha.norm,
-        "ell": ell,
-        "mode": mode,
-        "m": m,
-        "m_random": m_random,
-        "bound": bound,
-        "n_exact": n_exact,
-        "f0": f0,
-        "oracle": oracle,
-        "tightness": tightness,
         "checks_passed": sum(c.status == PASS for c in checks),
         "checks_failed": len(failed),
         "failed_names": ";".join(failed),
@@ -297,39 +284,28 @@ def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int):
 
 def run_sweep(
     d_set, coeff_bound: int, p_max: int, f_max: int, seed: int, with_oracle: bool = False
-) -> list[dict]:
-    """Deterministic grid of order and conductor rows.
+):
+    """An iterator over a deterministic grid of order and conductor rows, each made as read.
 
     Iteration is lexicographic in (d, a, b), with order rows over odd
     primes below p_max and conductor rows over f up to f_max; cases that
     break a precondition are skipped rather than reported as failures.
-    With the oracle, a first pass checks every row's step cap, so an
-    over-budget grid is refused before any scan, naming its row.
-    The rng only feeds the alternate-root chain rebuild, so a fixed seed
-    reproduces the dataset byte for byte.
+    With the oracle, a first pass checks every row's step cap before this
+    returns, so an over-budget grid is refused before any scan, naming its
+    row. The rng only feeds the alternate-root chain rebuild, so a fixed
+    seed reproduces the dataset byte for byte.
     """
     rng = random.Random(seed)
     if with_oracle:
         # a pass of its own: holding every report for the rows would raise peak memory
         for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max):
             _oracle_cap(alpha, report)
-    return [
+    return (
         _order_row(alpha, report, rng, with_oracle)
         if isinstance(report, ordersolver.OrderReport)
         else _conductor_row(alpha, report, with_oracle)
         for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max)
-    ]
-
-
-def _csv_lines(rows: list[dict]):
-    yield ",".join(CSV_COLUMNS)
-    for row in rows:
-        yield ",".join(
-            [
-                "" if v is None else ("true" if v else "false") if isinstance(v, bool) else str(v)
-                for v in row.values()
-            ]
-        )
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -348,12 +324,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with out as stream:
         print(f"seed {args.seed}", file=sys.stderr)
         rows = run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed, args.oracle)
-        ok = all(row["pass"] for row in rows)
-        inputs = {
-            "d_set": d_set, "coeff_bound": args.coeff_bound, "p_max": args.p_max,
-            "f_max": args.f_max, "seed": args.seed, "oracle": bool(args.oracle),
-        }
-        return _emit(args, "sweep", inputs, rows, ok, _csv_lines(rows), stream)
+        if args.format == "json":  # "pass" sorts before "results", so every row comes first
+            rows = list(rows)
+            inputs = {
+                "d_set": d_set, "coeff_bound": args.coeff_bound, "p_max": args.p_max,
+                "f_max": args.f_max, "seed": args.seed, "oracle": bool(args.oracle),
+            }
+            return _emit(True, "sweep", inputs, rows, all(r["pass"] for r in rows), (), stream)
+        ok = True
+        stream.write(",".join(CSV_COLUMNS) + "\n")
+        for row in rows:
+            ok &= row["pass"]
+            stream.write(",".join([
+                "" if v is None else "true" if v is True else "false" if v is False else str(v)
+                for v in row.values()
+            ]) + "\n")
+        return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ import pytest
 import quadorder
 from quadorder import conductor, modarith, ordersolver, quadint
 from quadorder.cheby import run_identity_trials
-from quadorder.cli import CSV_COLUMNS, build_parser, main
+from quadorder.cli import CSV_COLUMNS, build_parser, main, run_sweep
 from quadorder.units import fundamental_unit
 
 
@@ -186,6 +186,16 @@ def test_conductor_nonexistent_exits_2(capsys):
     code, _, err = run(capsys, "conductor", "--d", "6", "--alpha", "1,1", "--f", "5")
     assert code == 2
     assert "error:" in err
+
+
+def test_conductor_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "conductor", "--d", "2", "--alpha", "1,1", "--f", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: the conductor must be at least 1\n"
+    # a rational alpha is refused as such first, whatever f is
+    code, _, err = run(capsys, "conductor", "--d", "2", "--alpha", "1,0", "--f", "0")
+    assert code == 2
+    assert err.startswith("error: b = 0 is rational")
 
 
 def test_conductor_refuses_unfactorable_p_minus_ell_quickly(capsys):
@@ -376,7 +386,38 @@ def test_sweep_json_format(capsys):
     payload = json.loads(out)
     assert payload["command"] == "sweep"
     assert payload["pass"] is True
-    assert all(set(CSV_COLUMNS) >= set(row) for row in payload["results"])
+    assert all(set(CSV_COLUMNS) == set(row) for row in payload["results"])
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_sweep_rows_follow_the_csv_columns(with_oracle):
+    rows = list(run_sweep([2, 5], 1, 20, 4, 0, with_oracle))
+    assert {row["kind"] for row in rows} == {"order", "conductor"}
+    for row in rows:
+        assert tuple(row) == tuple(CSV_COLUMNS)
+
+
+def test_sweep_streams_rows_made_before_an_assertion(capsys, monkeypatch):
+    argv = ["sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "8", "--f-max", "3"]
+    code, full, _ = run(capsys, *argv)
+    assert code == 0
+    lines = full.splitlines(keepends=True)
+    conductor_rows = [i for i, line in enumerate(lines) if line.startswith("conductor,")]
+    assert len(conductor_rows) > 5
+    real, calls = conductor.bound_full, []
+
+    def fails_on_the_fifth_call(alpha, f):
+        calls.append(f)
+        if len(calls) == 5:
+            raise AssertionError("injected")
+        return real(alpha, f)
+
+    monkeypatch.setattr(conductor, "bound_full", fails_on_the_fifth_call)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "assertion failure: injected" in err
+    # the header and every row before the fifth conductor row were already written
+    assert out == "".join(lines[: conductor_rows[4]])
 
 
 def test_sweep_output_file(tmp_path, capsys):
@@ -452,6 +493,7 @@ def test_parser_builds():
     [
         ["order", "--d", "13", "--fundunit", "--p", "29", "--json"],
         ["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--json"],
+        ["sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "20", "--f-max", "4"],
     ],
 )
 def test_output_unchanged_under_optimize(argv):
