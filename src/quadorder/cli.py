@@ -2,7 +2,8 @@
 
 Exit codes are strict: 0 means every asserted congruence held, 1 means a
 mathematical assertion failed (a reportable counterexample), 2 means the
-inputs broke a precondition.  JSON output always has the shape
+inputs broke a precondition or the output pipe closed, and main writes its
+one "error: " line.  JSON output always has the shape
 {command, inputs, results, pass}; CSV sweeps write a mandatory header,
 then each row of a fixed column set as it is made.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -72,17 +74,6 @@ def _named(**values) -> list[dict]:
     return [{"name": name, "value": value} for name, value in values.items()]
 
 
-def _add_checks(checks, results: list, lines: list) -> bool:
-    """Append the check entries and [status] lines, then the result line; return pass."""
-    for c in checks:
-        results.append({"name": c.name, "status": c.status, "note": c.note})
-        note = f"  ({c.note})" if c.note else ""
-        lines.append(f"  [{c.status:>4}] {c.name}{note}")
-    ok = not failed_names(checks)
-    lines.append("result: " + ("all checks pass" if ok else "CHECK FAILURE"))
-    return ok
-
-
 def _oracle_cap(alpha: QuadInt, report) -> int | None:
     """The oracle's step cap for the report's claim, if any; refused above oracle.DEFAULT_CAP."""
     order = isinstance(report, ordersolver.OrderReport)
@@ -97,46 +88,46 @@ def _oracle_cap(alpha: QuadInt, report) -> int | None:
     return cap
 
 
-def _order_checks(
-    alpha: QuadInt, report: ordersolver.OrderReport, with_oracle: bool
-) -> tuple[list, int | None]:
-    """The report's own checks, plus the oracle's order when asked; and that order."""
-    checks = list(report.table_checks)
-    if not with_oracle or report.bound_n is None:
+def _checks(alpha: QuadInt, report, with_oracle: bool) -> tuple[list, int | None]:
+    """The report's own checks, plus the oracle's cross-check when asked; and the oracle's value."""
+    order = isinstance(report, ordersolver.OrderReport)
+    checks = list(report.table_checks if order else report.checks)
+    cap = _oracle_cap(alpha, report) if with_oracle else None
+    if cap is None:  # no oracle asked, or a degenerate order report with no bound to scan to
         return checks, None
-    found = oracle.oracle_order_mod_p(alpha, report.p, _oracle_cap(alpha, report)).value
-    claim = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
-    checks.append(
-        check(f"oracle order divides {claim}", found is not None and report.bound_n % found == 0)
-    )
+    if order:
+        found = oracle.oracle_order_mod_p(alpha, report.p, cap).value
+        claim = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
+        ok = found is not None and report.bound_n % found == 0
+        checks.append(check(f"oracle order divides {claim}", ok))
+    else:
+        found = oracle.oracle_n_of_f(alpha, report.f, cap).value
+        checks.append(check("oracle n(f) == n_exact", found == report.n_exact, f"oracle {found}"))
     return checks, found
 
 
-def _conductor_checks(
-    alpha: QuadInt, report: conductor.ConductorReport, with_oracle: bool
-) -> tuple[list, int | None]:
-    """The report's own checks, plus the oracle's n(f) when asked; and that n(f)."""
-    checks = list(report.checks)
-    if not with_oracle:
-        return checks, None
-    found = oracle.oracle_n_of_f(alpha, report.f, _oracle_cap(alpha, report)).value
-    checks.append(check("oracle n(f) == n_exact", found == report.n_exact, f"oracle {found}"))
-    return checks, found
+def _emit_case(args, alpha: QuadInt, modulus: dict, checks, results: list, lines: list) -> int:
+    """Append the check entries, [status] lines and result line to a single case, and emit it."""
+    for c in checks:
+        results.append({"name": c.name, "status": c.status, "note": c.note})
+        note = f"  ({c.note})" if c.note else ""
+        lines.append(f"  [{c.status:>4}] {c.name}{note}")
+    ok = not failed_names(checks)
+    lines.append("result: " + ("all checks pass" if ok else "CHECK FAILURE"))
+    inputs = {"d": alpha.d, "a": alpha.a, "b": alpha.b, **modulus, "oracle": bool(args.oracle)}
+    return _emit(args.json, args.command, inputs, results, ok, lines)
 
 
 def cmd_order(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
-    p = args.p
-    report = ordersolver.analyze(alpha, p)
+    report = ordersolver.analyze(alpha, args.p)
     if report.mode == "degenerate":
-        print(
+        raise ValueError(
             "ell = 0: p divides x^2 - 4s, so no exponent p - ell is available; "
             "the cofactor sequence first vanishes mod p at index "
-            f"{ordersolver.q_of_p(report.x, report.s, p)}",
-            file=sys.stderr,
+            f"{ordersolver.q_of_p(report.x, report.s, report.p)}"
         )
-        return 2
-    checks, found = _order_checks(alpha, report, args.oracle)
+    checks, found = _checks(alpha, report, args.oracle)
     results = _named(
         x=report.x,
         s=report.s,
@@ -147,7 +138,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     )
     lines = [
         f"alpha = {alpha}  (d={alpha.d}, norm {report.s}, x = {report.x})",
-        f"p = {p}, ell = {report.ell}, mode {report.mode}",
+        f"p = {report.p}, ell = {report.ell}, mode {report.mode}",
     ]
     chain = report.chain
     if chain is not None:
@@ -162,15 +153,13 @@ def cmd_order(args: argparse.Namespace) -> int:
     if args.oracle:
         results += _named(oracle_order=found)
         lines.append(f"oracle order: {found}")
-    ok = _add_checks(checks, results, lines)
-    inputs = {"d": alpha.d, "a": alpha.a, "b": alpha.b, "p": p, "oracle": bool(args.oracle)}
-    return _emit(args.json, "order", inputs, results, ok, lines)
+    return _emit_case(args, alpha, {"p": report.p}, checks, results, lines)
 
 
 def cmd_conductor(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
     report = conductor.bound_full(alpha, args.f)
-    checks, oracle_n = _conductor_checks(alpha, report, args.oracle)
+    checks, oracle_n = _checks(alpha, report, args.oracle)
     results = _named(
         f0=report.f0,
         n_exact=report.n_exact,
@@ -189,9 +178,7 @@ def cmd_conductor(args: argparse.Namespace) -> int:
           for t in report.per_prime),
         f"n(f) = {report.n_exact}, bound {bound_text}",
     ]
-    ok = _add_checks(checks, results, lines)
-    inputs = {"d": alpha.d, "a": alpha.a, "b": alpha.b, "f": args.f, "oracle": bool(args.oracle)}
-    return _emit(args.json, "conductor", inputs, results, ok, lines)
+    return _emit_case(args, alpha, {"f": args.f}, checks, results, lines)
 
 
 def cmd_fundunit(args: argparse.Namespace) -> int:
@@ -216,8 +203,21 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return _emit(args.json, "identities", inputs, [asdict(t) for t in tallies], ok, lines)
 
 
-def _row(kind, alpha, checks, **columns) -> dict:
+def _row(alpha: QuadInt, report, rng: random.Random, with_oracle: bool) -> dict:
     """One sweep row keyed by CSV_COLUMNS, None where unset; the checks give the tally."""
+    checks, found = _checks(alpha, report, with_oracle)
+    if isinstance(report, ordersolver.OrderReport):
+        kind, bound, claimed = "order", report.bound_n, found
+        columns = {"p": report.p, "ell": report.ell, "mode": report.mode}
+        chain = report.chain
+        if chain is not None:
+            # the chain's start and ell are what its builder passed, so only the roots differ
+            m_random = ordersolver._extend_chain(chain.chain[0], chain.ell, report.p, rng).m
+            columns.update(m=chain.m, m_random=m_random)
+            checks.append(check("chain length is root independent", m_random == chain.m))
+    else:
+        kind, bound, claimed = "conductor", report.bound, report.n_exact
+        columns = {"f": report.f, "n_exact": report.n_exact, "f0": report.f0}
     failed = failed_names(checks)
     return {
         **_BLANK_ROW,
@@ -228,38 +228,14 @@ def _row(kind, alpha, checks, **columns) -> dict:
         "b": alpha.b,
         "x": alpha.trace_x,
         "s": alpha.norm,
+        "bound": bound,
+        "oracle": found,
+        "tightness": None if claimed is None or bound is None else f"{claimed / bound:.6f}",
         "checks_passed": sum(c.status == PASS for c in checks),
         "checks_failed": len(failed),
         "failed_names": ";".join(failed),
         "pass": not failed,
     }
-
-
-def _order_row(
-    alpha: QuadInt, report: ordersolver.OrderReport, rng: random.Random, with_oracle: bool
-) -> dict:
-    checks, found = _order_checks(alpha, report, with_oracle)
-    chain, m, m_random = report.chain, None, None
-    if chain is not None:
-        rebuild = (
-            ordersolver.build_chain_s1 if report.s == 1 else ordersolver.build_chain_s_minus1
-        )
-        m, m_random = chain.m, rebuild(report.x, report.p, rng).m
-        checks.append(check("chain length is root independent", m_random == m))
-    tightness = None if found is None else f"{found / report.bound_n:.6f}"
-    return _row(
-        "order", alpha, checks, p=report.p, ell=report.ell, mode=report.mode, m=m,
-        m_random=m_random, bound=report.bound_n, oracle=found, tightness=tightness,
-    )
-
-
-def _conductor_row(alpha: QuadInt, report: conductor.ConductorReport, with_oracle: bool) -> dict:
-    checks, found = _conductor_checks(alpha, report, with_oracle)
-    tightness = None if report.bound is None else f"{report.n_exact / report.bound:.6f}"
-    return _row(
-        "conductor", alpha, checks, f=report.f, bound=report.bound, n_exact=report.n_exact,
-        f0=report.f0, oracle=found, tightness=tightness,
-    )
 
 
 def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int):
@@ -301,9 +277,7 @@ def run_sweep(
         for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max):
             _oracle_cap(alpha, report)
     return (
-        _order_row(alpha, report, rng, with_oracle)
-        if isinstance(report, ordersolver.OrderReport)
-        else _conductor_row(alpha, report, with_oracle)
+        _row(alpha, report, rng, with_oracle)
         for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max)
     )
 
@@ -409,9 +383,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, where it is caught, not at exit
+        return code
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the output pipe was closed", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)

@@ -110,9 +110,10 @@ def test_sweep_oracle_over_budget_exits_2_before_any_scan(capsys, monkeypatch):
 
 
 def test_order_degenerate_exits_2(capsys):
-    code, _, err = run(capsys, "order", "--d", "5", "--alpha", "1,1", "--p", "5")
+    code, out, err = run(capsys, "order", "--d", "5", "--alpha", "1,1", "--p", "5")
     assert code == 2
-    assert "ell = 0" in err
+    assert out == ""
+    assert err.startswith("error: ell = 0:")
     assert "index 5" in err
 
 
@@ -486,6 +487,30 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["order", "--d", "2", "--alpha", "1,1", "--p", "7"])
     assert args.p == 7
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["sweep"], b"kind,d,a,b,"),
+        (["order", "--d", "2", "--alpha", "1,1", "--p", "17"], None),
+    ],
+)
+def test_closed_pipe_exits_2_without_a_traceback(argv, first_line):
+    # the reader goes after one line, or before any; exit 1 stays reserved for counterexamples
+    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, a short output waits for a flush
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadorder.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    if first_line is not None:
+        assert proc.stdout.readline().startswith(first_line)
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error: the output pipe was closed"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -17,7 +18,7 @@ from quadorder.ordersolver import (
     q_of_p,
     table_check,
 )
-from quadorder.cli import _order_checks
+from quadorder.cli import _checks
 from quadorder import cheby, ordersolver
 from quadorder.modarith import factorize, is_prime, legendre, sqrt_mod
 from quadorder.oracle import oracle_order_mod_p, oracle_q_of_p
@@ -111,6 +112,30 @@ class TestChains:
         assert ordersolver._extend_chain(6, 1, 17, None).chain == (6, 5)
         assert ordersolver._extend_chain(4, 1, 11, None).stop_reason == STOP_NONRESIDUE_AT_START
         assert ordersolver._extend_chain(3, 1, 11, None).stop_reason == STOP_POWER_OF_TWO
+
+    def test_rebuild_from_the_report_chain_matches_the_builder(self):
+        # the sweep's alternate-root rebuild starts from a report's chain[0] and
+        # ell; that must be the builder's own call, draw for draw
+        for d, a, b in itertools.product((2, 3, 5), range(-3, 4), range(-3, 4)):
+            try:
+                alpha = QuadInt(a, b, d)
+            except ValueError:
+                continue
+            if alpha.norm not in (1, -1):
+                continue
+            build = build_chain_s1 if alpha.norm == 1 else build_chain_s_minus1
+            for p in SMALL_PRIMES:
+                try:
+                    rep = analyze(alpha, p)
+                except ValueError:
+                    continue
+                if rep.chain is None:
+                    continue
+                for seed in range(5):
+                    rng_a, rng_b = random.Random(seed), random.Random(seed)
+                    rebuilt = ordersolver._extend_chain(rep.chain.chain[0], rep.chain.ell, p, rng_a)
+                    assert rebuilt == build(rep.x, p, rng_b), (alpha, p, seed)
+                    assert rng_a.random() == rng_b.random(), (alpha, p, seed)
 
 
 SMALL_PRIMES = [p for p in range(3, 300, 2) if is_prime(p)]
@@ -222,7 +247,7 @@ class TestNormOne:
     def test_oracle_divides(self):
         alpha = QuadInt(3, 2, 2)
         rep = analyze(alpha, 17)
-        checks, found = _order_checks(alpha, rep, with_oracle=True)
+        checks, found = _checks(alpha, rep, with_oracle=True)
         assert found == 8
         assert rep.bound_n % found == 0
         assert {c.name: c for c in checks}["oracle order divides n"].status == PASS
@@ -819,7 +844,7 @@ class TestAnalyze:
         # the oracle's order rides along with the report's checks, not inside it
         alpha = QuadInt(1, 1, 2)
         rep = analyze(alpha, 17)
-        checks, found = _order_checks(alpha, rep, with_oracle=True)
+        checks, found = _checks(alpha, rep, with_oracle=True)
         assert rep.passed
         assert found == oracle_order_mod_p(alpha, 17, cap=40).value == 16
         assert checks[:-1] == list(rep.table_checks)
