@@ -239,23 +239,34 @@ def _row(alpha: QuadInt, report, rng: random.Random, with_oracle: bool) -> dict:
 
 
 def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int):
-    """(alpha, report) for every grid case that meets its preconditions, in row order."""
+    """(alpha, report) for every grid case that meets its preconditions, in row order.
+
+    alpha = a + b*sqrt(d) and its conjugate share x and s, and so every report
+    and every refusal: conjugation fixes 1 mod p, and f | b_n is one test for
+    both. The b < 0 member builds and keeps them; its conjugate, later in the
+    same (d, a), yields them again.
+    """
     primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
+    jobs = [(ordersolver.analyze, p) for p in primes]
+    jobs += [(conductor.bound_full, f) for f in range(1, f_max + 1)]
     coeffs = range(-coeff_bound, coeff_bound + 1)
-    for d, a, b in product(sorted(set(d_set)), coeffs, coeffs):
-        if b == 0:
-            continue
-        try:
-            alpha = QuadInt(a, b, d)
-        except ValueError:
-            continue
-        jobs = [(ordersolver.analyze, p) for p in primes]
-        jobs += [(conductor.bound_full, f) for f in range(1, f_max + 1)]
-        for build, modulus in jobs:
+    for d, a in product(sorted(set(d_set)), coeffs):
+        kept = {}  # |b| -> the reports of a - |b|*sqrt(d), until its conjugate takes them
+        for b in filter(None, coeffs):
             try:
-                yield alpha, build(alpha, modulus)
+                alpha = QuadInt(a, b, d)
             except ValueError:
                 continue
+            if b > 0:
+                yield from ((alpha, report) for report in kept.pop(b))
+                continue
+            reports = kept[-b] = []
+            for build, modulus in jobs:
+                try:
+                    reports.append(build(alpha, modulus))
+                except ValueError:
+                    continue
+                yield alpha, reports[-1]
 
 
 def run_sweep(
@@ -391,8 +402,12 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so the exit flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: the output pipe was closed", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print("error: the output pipe was closed", file=sys.stderr, flush=True)
+        except BrokenPipeError:  # stderr went to the same closed pipe (2>&1)
+            os.dup2(devnull, sys.stderr.fileno())
         return 2
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)

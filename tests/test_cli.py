@@ -3,8 +3,10 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import quadorder
-from quadorder import conductor, modarith, ordersolver, quadint
+from quadorder import cli, conductor, modarith, ordersolver, quadint
 from quadorder.cheby import run_identity_trials
 from quadorder.cli import CSV_COLUMNS, build_parser, main, run_sweep
+from quadorder.quadint import QuadInt
 from quadorder.units import fundamental_unit
 
 
@@ -403,22 +406,74 @@ def test_sweep_streams_rows_made_before_an_assertion(capsys, monkeypatch):
     code, full, _ = run(capsys, *argv)
     assert code == 0
     lines = full.splitlines(keepends=True)
-    conductor_rows = [i for i, line in enumerate(lines) if line.startswith("conductor,")]
-    assert len(conductor_rows) > 5
-    real, calls = conductor.bound_full, []
+    # alpha = -sqrt(2) at f = 2; b < 0, so this call builds the report its conjugate reuses
+    failing = next(i for i, line in enumerate(lines) if line.startswith("conductor,2,0,-1,,2,"))
+    assert 1 < failing < len(lines) - 1
+    real = conductor.bound_full
 
-    def fails_on_the_fifth_call(alpha, f):
-        calls.append(f)
-        if len(calls) == 5:
+    def fails_at_one_input(alpha, f):
+        if (alpha.a, alpha.b, f) == (0, -1, 2):
             raise AssertionError("injected")
         return real(alpha, f)
 
-    monkeypatch.setattr(conductor, "bound_full", fails_on_the_fifth_call)
+    monkeypatch.setattr(conductor, "bound_full", fails_at_one_input)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "assertion failure: injected" in err
-    # the header and every row before the fifth conductor row were already written
-    assert out == "".join(lines[: conductor_rows[4]])
+    # the header and every row before that row were already written
+    assert out == "".join(lines[:failing])
+
+
+def _unshared_rows(d_set, coeff_bound, p_max, f_max, seed, with_oracle):
+    """The sweep's rows with every alpha building its own reports, conjugates included."""
+    rng = random.Random(seed)
+    primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
+    coeffs = range(-coeff_bound, coeff_bound + 1)
+    rows = []
+    for d, a, b in itertools.product(sorted(set(d_set)), coeffs, coeffs):
+        if b == 0:
+            continue
+        try:
+            alpha = QuadInt(a, b, d)
+        except ValueError:
+            continue
+        jobs = [(ordersolver.analyze, p) for p in primes]
+        jobs += [(conductor.bound_full, f) for f in range(1, f_max + 1)]
+        for build, modulus in jobs:
+            try:
+                report = build(alpha, modulus)
+            except ValueError:
+                continue
+            rows.append(cli._row(alpha, report, rng, with_oracle))
+    return rows
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sweep_rows_equal_an_unshared_reference(seed, with_oracle):
+    grid = ([-3, -1, 2, 3, 5, 13], 3, 60, 30, seed, with_oracle)
+    expected = _unshared_rows(*grid)
+    assert any(row["b"] > 0 for row in expected)
+    assert list(run_sweep(*grid)) == expected
+
+
+def test_default_sweep_builds_each_conjugate_pairs_reports_once(monkeypatch):
+    built = collections.Counter()
+
+    def counted(build):
+        def wrapper(alpha, modulus):
+            built[build.__name__, alpha.d, alpha.a, abs(alpha.b), modulus] += 1
+            return build(alpha, modulus)
+        return wrapper
+
+    monkeypatch.setattr(ordersolver, "analyze", counted(ordersolver.analyze))
+    monkeypatch.setattr(conductor, "bound_full", counted(conductor.bound_full))
+    args = build_parser().parse_args(["sweep"])
+    d_set = [int(tok) for tok in args.d_set.split(",")]
+    rows = run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed)
+    assert sum(1 for _ in rows) == 31464
+    assert set(built.values()) == {1}  # once per (d, a, |b|) and modulus
+    assert collections.Counter(name for name, *_ in built) == {"analyze": 4680, "bound_full": 11700}
 
 
 def test_sweep_output_file(tmp_path, capsys):
@@ -511,6 +566,19 @@ def test_closed_pipe_exits_2_without_a_traceback(argv, first_line):
     assert proc.returncode == 2
     assert "Traceback" not in err
     assert err.splitlines()[-1] == "error: the output pipe was closed"
+
+
+def test_closed_pipe_shared_with_stderr_exits_2():
+    # 2>&1: the "error: " line itself meets the closed pipe, and the exit code must survive it
+    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadorder.cli", "sweep", "--coeff-bound", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+    )
+    assert proc.stdout.readline() == b"seed 0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
 
 
 @pytest.mark.parametrize(
