@@ -2,10 +2,10 @@
 
 Exit codes are strict: 0 means every asserted congruence held, 1 means a
 mathematical assertion failed (a reportable counterexample), 2 means the
-inputs broke a precondition or the output pipe closed, and main writes its
-one "error: " line.  JSON output always has the shape
-{command, inputs, results, pass}; CSV sweeps write a mandatory header,
-then each row of a fixed column set as it is made.
+inputs broke a precondition or the output could not be written (a closed
+pipe, a full device), and main writes its one "error: " line.  JSON
+output always has the shape {command, inputs, results, pass}; CSV sweeps
+write a mandatory header, then each row of a fixed column set as it is made.
 """
 
 from __future__ import annotations
@@ -74,15 +74,25 @@ def _named(**values) -> list[dict]:
     return [{"name": name, "value": value} for name, value in values.items()]
 
 
+def _fields(report, *skip: str) -> list[dict]:
+    """The report's own fields as named results, in field order, less those skipped."""
+    return _named(**{name: v for name, v in asdict(report).items() if name not in skip})
+
+
+def _claim(report) -> tuple[str, int, int | None, tuple]:
+    """The report's modulus name and value, the index the oracle checks, and its own checks."""
+    if isinstance(report, ordersolver.OrderReport):
+        return "p", report.p, report.bound_n, report.table_checks
+    return "f", report.f, report.n_exact, report.checks
+
+
 def _oracle_cap(alpha: QuadInt, report) -> int | None:
     """The oracle's step cap for the report's claim, if any; refused above oracle.DEFAULT_CAP."""
-    order = isinstance(report, ordersolver.OrderReport)
-    claimed = report.bound_n if order else report.n_exact
+    name, modulus, claimed, _ = _claim(report)
     cap = None if claimed is None else 2 * claimed + 10
     if cap is not None and cap > oracle.DEFAULT_CAP:
-        where = f"p = {report.p}" if order else f"f = {report.f}"
         raise ValueError(
-            f"the oracle cross-check of alpha = {alpha} at {where} would take up to "
+            f"the oracle cross-check of alpha = {alpha} at {name} = {modulus} would take up to "
             f"{cap} steps, above its limit of {oracle.DEFAULT_CAP}"
         )
     return cap
@@ -90,24 +100,25 @@ def _oracle_cap(alpha: QuadInt, report) -> int | None:
 
 def _checks(alpha: QuadInt, report, with_oracle: bool) -> tuple[list, int | None]:
     """The report's own checks, plus the oracle's cross-check when asked; and the oracle's value."""
-    order = isinstance(report, ordersolver.OrderReport)
-    checks = list(report.table_checks if order else report.checks)
+    name, modulus, claimed, own = _claim(report)
+    checks = list(own)
     cap = _oracle_cap(alpha, report) if with_oracle else None
     if cap is None:  # no oracle asked, or a degenerate order report with no bound to scan to
         return checks, None
-    if order:
-        found = oracle.oracle_order_mod_p(alpha, report.p, cap).value
+    if name == "p":
+        found = oracle.oracle_order_mod_p(alpha, modulus, cap).value
         claim = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
-        ok = found is not None and report.bound_n % found == 0
+        ok = found is not None and claimed % found == 0
         checks.append(check(f"oracle order divides {claim}", ok))
     else:
-        found = oracle.oracle_n_of_f(alpha, report.f, cap).value
-        checks.append(check("oracle n(f) == n_exact", found == report.n_exact, f"oracle {found}"))
+        found = oracle.oracle_n_of_f(alpha, modulus, cap).value
+        checks.append(check("oracle n(f) == n_exact", found == claimed, f"oracle {found}"))
     return checks, found
 
 
 def _emit_case(args, alpha: QuadInt, modulus: dict, checks, results: list, lines: list) -> int:
-    """Append the check entries, [status] lines and result line to a single case, and emit it."""
+    """Emit one case: the alpha line, the lines given, then each check as a line and an entry."""
+    lines = [f"alpha = {alpha}  (d={alpha.d}, norm {alpha.norm}, x = {alpha.trace_x})", *lines]
     for c in checks:
         results.append({"name": c.name, "status": c.status, "note": c.note})
         note = f"  ({c.note})" if c.note else ""
@@ -128,18 +139,8 @@ def cmd_order(args: argparse.Namespace) -> int:
             f"{ordersolver.q_of_p(report.x, report.s, report.p)}"
         )
     checks, found = _checks(alpha, report, args.oracle)
-    results = _named(
-        x=report.x,
-        s=report.s,
-        ell=report.ell,
-        mode=report.mode,
-        bound_n=report.bound_n,
-        half_bound_applies=report.half_bound_applies,
-    )
-    lines = [
-        f"alpha = {alpha}  (d={alpha.d}, norm {report.s}, x = {report.x})",
-        f"p = {report.p}, ell = {report.ell}, mode {report.mode}",
-    ]
+    results = _fields(report, "p", "table_checks", "chain")  # the chain follows, with its m
+    lines = [f"p = {report.p}, ell = {report.ell}, mode {report.mode}"]
     chain = report.chain
     if chain is not None:
         results.append(
@@ -160,18 +161,11 @@ def cmd_conductor(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
     report = conductor.bound_full(alpha, args.f)
     checks, oracle_n = _checks(alpha, report, args.oracle)
-    results = _named(
-        f0=report.f0,
-        n_exact=report.n_exact,
-        bound=report.bound,
-        per_prime=[asdict(t) for t in report.per_prime],
-        notes=list(report.notes),
-    )
+    results = _fields(report, "f")
     if args.oracle:
         results += _named(oracle_n=oracle_n)
     bound_text = report.bound if report.bound is not None else "not claimed"
     lines = [
-        f"alpha = {alpha}  (d={alpha.d}, norm {alpha.norm}, x = {alpha.trace_x})",
         f"f = {report.f}, reduced f0 = {report.f0}",
         *(f"note: {note}" for note in report.notes),
         *(f"  p = {t.p} k = {t.k}: q(p) = {t.q_p}, contribution {t.contribution}"
@@ -333,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orders of quadratic integers mod p, conductor indices, and their bounds.",
         epilog=(
             "exit codes: 0 all asserted congruences held, 1 a mathematical "
-            "assertion failed, 2 bad usage or an unmet precondition."
+            "assertion failed, 2 bad usage, an unmet precondition or an unwritable output."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,13 +394,15 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the exit flush cannot raise again
+    except OSError as exc:
+        # the output is gone: point stdout at devnull so the exit flush cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        closed = isinstance(exc, BrokenPipeError)
+        why = "the output pipe was closed" if closed else f"cannot write the output: {exc.strerror}"
         try:
-            print("error: the output pipe was closed", file=sys.stderr, flush=True)
-        except BrokenPipeError:  # stderr went to the same closed pipe (2>&1)
+            print(f"error: {why}", file=sys.stderr, flush=True)
+        except OSError:  # stderr went to the same dead output (2>&1)
             os.dup2(devnull, sys.stderr.fileno())
         return 2
     except AssertionError as exc:

@@ -229,16 +229,14 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
     notes = []
     if c > 1:
         notes.append(f"common factor {c} with b removed, leaving f0 = {f0}")
+    per, bound = [], None
     if f % 2 == 0:
         notes.append("even conductor: the product bound is stated for odd f only")
-        return ConductorReport(
-            f=f, f0=f0, n_exact=n_exact, bound=None, per_prime=(), notes=tuple(notes)
-        )
-    per = []
-    for p, k in factorize(f0).factors:  # f0 is odd here
-        q = q_of_p(x, s, p)
-        per.append(PrimeBound(p, k, q, q * p ** (k - 1)))
-    bound = prod(t.contribution for t in per)
+    else:
+        for p, k in factorize(f0).factors:  # f0 is odd here
+            q = q_of_p(x, s, p)
+            per.append(PrimeBound(p, k, q, q * p ** (k - 1)))
+        bound = prod(t.contribution for t in per)
     return ConductorReport(
         f=f, f0=f0, n_exact=n_exact, bound=bound, per_prime=tuple(per), notes=tuple(notes)
     )

@@ -4,8 +4,8 @@ The route: reduce alpha to its trace/norm pair (x, s), read off the
 symbol ell = ((x^2-4s)/p), and refine the exponent p - ell through a
 chain of modular square roots while the 2-part of p - ell allows.  Every
 claim the solver makes is emitted as a named Check so callers can render
-or assert them; precondition problems surface as "n/a" rather than
-failures.
+or assert them.  table_check reports an unmet precondition as a single
+"n/a" row; analyze refuses one with ValueError.
 """
 
 from __future__ import annotations
@@ -187,24 +187,20 @@ def _chain_checks(chain: ChainResult, p: int) -> list[Check]:
     ]
 
 
-def _bound_unit(alpha: QuadInt, p: int, ell: int) -> OrderReport:
+def _bound_unit(alpha: QuadInt, p: int, ell: int) -> tuple[ChainResult, int, bool, list[Check]]:
     """Order bound n = (p-ell) >> shift for norm ±1, with every claim checked.
 
+    Returns the chain, n, whether the half bound applies, and the checks.
     One chain theorem serves both norms: shift = m for norm +1 and m - 1
     for norm -1, whose chain starts at x^2 + 2.  Asserted: the trace
     ladder t((p-ell)/2^k) == 2 for k <= shift, u(n-1) == 0 and
     alpha^n == 1; when 2^{m+1} divides p - ell, also alpha^{n/2} == -1.
     For norm +1 with 2^{m+2} | p - ell, the non-vanishing of u at n/2 and
-    n/4 is recorded, not asserted.  Norm -1 with p == 3 (mod 4) or
-    ell = -1 has no such bound: the report asserts the exclusion
-    congruences and the weaker alpha^{2(p-ell)} == 1 instead.
+    n/4 is recorded, not asserted.
     """
     x, s = alpha.trace_x, alpha.norm
-    if s == -1:
-        if p % 4 == 3 or ell == -1:
-            return _norm_minus1_diagnostics(alpha, p, ell)
-        if x % p == 0:
-            raise ValueError("the chain needs x nonzero mod p")
+    if s == -1 and x % p == 0:
+        raise ValueError("the chain needs x nonzero mod p")
     chain = build_chain_s1(x, p) if s == 1 else build_chain_s_minus1(x, p)
     m = chain.m
     shift = m if s == 1 else m - 1
@@ -238,20 +234,12 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> OrderReport:
         u_quarter = _lucas(x, 1, n // 4, p)[1]
         checks.append(Check("u(n/2-1) != 0 (recorded)", NA, "holds" if u_half else "zero"))
         checks.append(Check("u(n/4-1) != 0 (recorded)", NA, "holds" if u_quarter else "zero"))
-    return OrderReport(
-        p=p,
-        x=x,
-        s=s,
-        ell=ell,
-        mode="norm_plus_one" if s == 1 else "norm_minus_one",
-        bound_n=n,
-        half_bound_applies=half_applies,
-        chain=chain,
-        table_checks=tuple(checks),
-    )
+    return chain, n, half_applies, checks
 
 
-def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> OrderReport:
+def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> list[Check]:
+    """The checks for norm -1 with no chain bound: the exclusion congruences, then
+    alpha^{2(p-ell)} == 1 with its t and u rows, then t(p-ell) == 2*sigma."""
     x = alpha.trace_x
     t_n, u_n = _lucas(x, -1, (p - ell) // 2, p)
     full = _lucas(x, -1, p - ell, p)
@@ -269,17 +257,7 @@ def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> OrderReport:
     checks.append(check("u(2(p-ell)-1) == 0", u_double == 0))
     checks.append(check("alpha^(2(p-ell)) == 1", _power_is(alpha, double, p, 1)))
     checks.append(check("t(p-ell) == 2*sigma", (full[0] - 2 * ell) % p == 0))  # sigma = ell
-    return OrderReport(
-        p=p,
-        x=x,
-        s=-1,
-        ell=ell,
-        mode="norm_minus_one_diagnostic",
-        bound_n=2 * (p - ell),
-        half_bound_applies=False,
-        chain=None,
-        table_checks=tuple(checks),
-    )
+    return checks
 
 
 @dataclass(frozen=True)
@@ -378,7 +356,12 @@ def q_of_p(x: int, s: int, p: int) -> int:
 
 
 def analyze(alpha: QuadInt, p: int) -> OrderReport:
-    """Dispatch to the right branch for alpha mod p and collect one report."""
+    """Dispatch to the right branch for alpha mod p and collect one report.
+
+    Norm -1 with p == 3 (mod 4) or ell = -1 has no chain bound: its report
+    asserts the exclusion congruences and the weaker alpha^{2(p-ell)} == 1
+    instead.
+    """
     require_odd_prime(p)
     s = alpha.norm
     if s == 0:
@@ -389,44 +372,31 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
         raise ValueError("p divides the norm; no multiplicative order exists mod p")
     x = alpha.trace_x
     ell = _legendre(x * x - 4 * s, p)
+    chain, half_applies = None, False
+    # past ell == 0 (so p ∤ d), the gates above meet every precondition of the modes below
     if ell == 0:
+        mode, bound = "degenerate", None
         u_q = _lucas(x, s, q_of_p(x, s, p), p)[1]
-        checks = (
+        checks = [
             check("u(q-1) == 0", u_q == 0),
             check("alpha^q is scalar mod p", u_q * alpha.b % p == 0),
-        )
-        return OrderReport(
-            p=p,
-            x=x,
-            s=s,
-            ell=0,
-            mode="degenerate",
-            bound_n=None,
-            half_bound_applies=False,
-            chain=None,
-            table_checks=checks,
-        )
-    # the gates above and ell != 0 (so p ∤ d) meet every precondition of the modes below
-    if s in (1, -1):
-        return _bound_unit(alpha, p, ell)
-    checks, full = _table_cells(alpha, p, ell)
-    if ell == 1:
-        bound = p - 1
-        checks.append(check("alpha^(p-1) == 1", _power_is(alpha, full, p, 1)))
+        ]
+    elif s == -1 and (p % 4 == 3 or ell == -1):
+        mode, bound = "norm_minus_one_diagnostic", 2 * (p - ell)
+        checks = _norm_minus1_diagnostics(alpha, p, ell)
+    elif s in (1, -1):
+        mode = "norm_plus_one" if s == 1 else "norm_minus_one"
+        chain, bound, half_applies, checks = _bound_unit(alpha, p, ell)
     else:
-        primes = [r for r, _ in factorize(p - 1).factors]
-        bound = (p + 1) * _descend(p - 1, primes, lambda k: pow(s, k, p) == 1)
-        checks.append(check("alpha^(p+1) == s", _power_is(alpha, full, p, s)))
-        pair = full if bound == p + 1 else _lucas(x, s, bound, p)  # equal iff s == 1 mod p
-        checks.append(check("alpha^bound == 1", _power_is(alpha, pair, p, 1)))
-    return OrderReport(
-        p=p,
-        x=x,
-        s=s,
-        ell=ell,
-        mode="general",
-        bound_n=bound,
-        half_bound_applies=False,
-        chain=None,
-        table_checks=tuple(checks),
-    )
+        mode = "general"
+        checks, full = _table_cells(alpha, p, ell)
+        if ell == 1:
+            bound = p - 1
+            checks.append(check("alpha^(p-1) == 1", _power_is(alpha, full, p, 1)))
+        else:
+            primes = [r for r, _ in factorize(p - 1).factors]
+            bound = (p + 1) * _descend(p - 1, primes, lambda k: pow(s, k, p) == 1)
+            checks.append(check("alpha^(p+1) == s", _power_is(alpha, full, p, s)))
+            pair = full if bound == p + 1 else _lucas(x, s, bound, p)  # equal iff s == 1 mod p
+            checks.append(check("alpha^bound == 1", _power_is(alpha, pair, p, 1)))
+    return OrderReport(p, x, s, ell, mode, bound, half_applies, chain, tuple(checks))

@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -581,6 +582,30 @@ def test_closed_pipe_shared_with_stderr_exits_2():
     assert proc.wait(timeout=60) == 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize(
+    "argv, stdout_full",
+    [
+        (["order", "--d", "2", "--alpha", "1,1", "--p", "17"], True),
+        (["sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "20", "--f-max", "4",
+          "--output", "/dev/full"], False),
+    ],
+)
+def test_failed_output_write_exits_2_without_a_traceback(argv, stdout_full):
+    # a full device is no counterexample: one "error: " line and exit 2, as for a closed pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadorder.cli", *argv],
+            stdout=full if stdout_full else subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env=env, timeout=60,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: cannot write the output: {os.strerror(errno.ENOSPC)}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -636,6 +661,29 @@ GOLDEN_SWEEP = ["sweep", "--d-set", "2,5", "--coeff-bound", "2", "--p-max", "30"
          "fc9fb22ac48eec146c97d218f852f93cbd72b50f36174c0d101ac49c4071b7de"),
         (GOLDEN_SWEEP + ["--format", "json"],
          "1cd5d056f4920ee04f6fe3ddc3efdbe7a69cef86310fe5d1eafb16a5738cd181"),
+        # one row per report shape the rows above leave out: norm +1 with the
+        # half bound and both recorded rows, general with ell = -1 and 1, the
+        # norm -1 diagnostic, and an even conductor sharing a factor with b
+        (["order", "--d", "3", "--alpha", "2,1", "--p", "13", "--oracle"],
+         "55a3de70a4e248f3fbe3e330ba6a57aba8032fa95b17e04d558d54339871e049"),
+        (["order", "--d", "3", "--alpha", "2,1", "--p", "13", "--oracle", "--json"],
+         "fd697f926db5b40ee56edd052af8a54f74f484c558bf5c968109ba401fc1d2d1"),
+        (["order", "--d", "2", "--alpha", "3,1", "--p", "5", "--oracle"],
+         "5c7d76997f92d785ff1d19cf684659c10dba33daf673f91ee7573ef036d9a4fa"),
+        (["order", "--d", "2", "--alpha", "3,1", "--p", "5", "--oracle", "--json"],
+         "9e3f44ccf80dee56d32baf3c90fac9bce66cd281e5def3510c20c605a74b89c4"),
+        (["order", "--d", "2", "--alpha", "3,1", "--p", "17", "--oracle"],
+         "0b159e7bde9d16c4ab2852ad143681c4cb009384f9eb095f59190f6ae61605ea"),
+        (["order", "--d", "2", "--alpha", "3,1", "--p", "17", "--oracle", "--json"],
+         "77a05c8c4fd176e9de09b174be99c46d9d416eb1476c2b422c24908bcc44d905"),
+        (["order", "--d", "2", "--alpha", "1,1", "--p", "7", "--oracle"],
+         "6f2a13856be0cc91c78b727d9ea67be61d31ea08ea0011a53b26d1485f0b5a58"),
+        (["order", "--d", "2", "--alpha", "1,1", "--p", "7", "--oracle", "--json"],
+         "af057b63f6c61720f85ca67bfcf189f55f27c1a3987bf5248dbc5bc3adadc72e"),
+        (["conductor", "--d", "2", "--alpha", "1,2", "--f", "12", "--oracle"],
+         "b86853643614c837f85831da97e7d9ca1d4e05a13462ce536044ccd8bc77f797"),
+        (["conductor", "--d", "2", "--alpha", "1,2", "--f", "12", "--oracle", "--json"],
+         "1b904c259f90e94a10794a1bfa7d35dca8839d39ede162788711d17a7af22ec5"),
     ],
 )
 def test_readme_commands_golden_bytes(capsys, argv, digest):
