@@ -79,16 +79,17 @@ def _fields(report, *skip: str) -> list[dict]:
     return _named(**{name: v for name, v in asdict(report).items() if name not in skip})
 
 
-def _claim(report) -> tuple[str, int, int | None, tuple]:
-    """The report's modulus name and value, the index the oracle checks, and its own checks."""
+def _claim(report) -> tuple[str, int, int | None, str, tuple]:
+    """The report's modulus name and value, claimed index, oracle check's name and own checks."""
     if isinstance(report, ordersolver.OrderReport):
-        return "p", report.p, report.bound_n, report.table_checks
-    return "f", report.f, report.n_exact, report.checks
+        what = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
+        return "p", report.p, report.bound_n, f"oracle order divides {what}", report.table_checks
+    return "f", report.f, report.n_exact, "oracle n(f) == n_exact", report.checks
 
 
-def _oracle_cap(alpha: QuadInt, report) -> int | None:
-    """The oracle's step cap for the report's claim, if any; refused above oracle.DEFAULT_CAP."""
-    name, modulus, claimed, _ = _claim(report)
+def _oracle_cap(alpha: QuadInt, claim) -> int | None:
+    """The oracle's step cap for the claim, if any; refused above oracle.DEFAULT_CAP."""
+    name, modulus, claimed, _, _ = claim
     cap = None if claimed is None else 2 * claimed + 10
     if cap is not None and cap > oracle.DEFAULT_CAP:
         raise ValueError(
@@ -98,21 +99,19 @@ def _oracle_cap(alpha: QuadInt, report) -> int | None:
     return cap
 
 
-def _checks(alpha: QuadInt, report, with_oracle: bool) -> tuple[list, int | None]:
+def _checks(alpha: QuadInt, claim, with_oracle: bool) -> tuple[list, int | None]:
     """The report's own checks, plus the oracle's cross-check when asked; and the oracle's value."""
-    name, modulus, claimed, own = _claim(report)
+    name, modulus, claimed, check_name, own = claim
     checks = list(own)
-    cap = _oracle_cap(alpha, report) if with_oracle else None
+    cap = _oracle_cap(alpha, claim) if with_oracle else None
     if cap is None:  # no oracle asked, or a degenerate order report with no bound to scan to
         return checks, None
     if name == "p":
         found = oracle.oracle_order_mod_p(alpha, modulus, cap).value
-        claim = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
-        ok = found is not None and claimed % found == 0
-        checks.append(check(f"oracle order divides {claim}", ok))
+        checks.append(check(check_name, found is not None and claimed % found == 0))
     else:
         found = oracle.oracle_n_of_f(alpha, modulus, cap).value
-        checks.append(check("oracle n(f) == n_exact", found == claimed, f"oracle {found}"))
+        checks.append(check(check_name, found == claimed, f"oracle {found}"))
     return checks, found
 
 
@@ -138,7 +137,7 @@ def cmd_order(args: argparse.Namespace) -> int:
             "the cofactor sequence first vanishes mod p at index "
             f"{ordersolver.q_of_p(report.x, report.s, report.p)}"
         )
-    checks, found = _checks(alpha, report, args.oracle)
+    checks, found = _checks(alpha, _claim(report), args.oracle)
     results = _fields(report, "p", "table_checks", "chain")  # the chain follows, with its m
     lines = [f"p = {report.p}, ell = {report.ell}, mode {report.mode}"]
     chain = report.chain
@@ -160,7 +159,7 @@ def cmd_order(args: argparse.Namespace) -> int:
 def cmd_conductor(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
     report = conductor.bound_full(alpha, args.f)
-    checks, oracle_n = _checks(alpha, report, args.oracle)
+    checks, oracle_n = _checks(alpha, _claim(report), args.oracle)
     results = _fields(report, "f")
     if args.oracle:
         results += _named(oracle_n=oracle_n)
@@ -197,70 +196,77 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return _emit(args.json, "identities", inputs, [asdict(t) for t in tallies], ok, lines)
 
 
-def _row(alpha: QuadInt, report, rng: random.Random, with_oracle: bool) -> dict:
-    """One sweep row keyed by CSV_COLUMNS, None where unset; the checks give the tally."""
-    checks, found = _checks(alpha, report, with_oracle)
-    if isinstance(report, ordersolver.OrderReport):
-        kind, bound, claimed = "order", report.bound_n, found
-        columns = {"p": report.p, "ell": report.ell, "mode": report.mode}
-        chain = report.chain
-        if chain is not None:
-            # the chain's start and ell are what its builder passed, so only the roots differ
-            m_random = ordersolver._extend_chain(chain.chain[0], chain.ell, report.p, rng).m
-            columns.update(m=chain.m, m_random=m_random)
-            checks.append(check("chain length is root independent", m_random == chain.m))
-    else:
-        kind, bound, claimed = "conductor", report.bound, report.n_exact
-        columns = {"f": report.f, "n_exact": report.n_exact, "f0": report.f0}
+def _tally(checks) -> dict:
+    """The last four columns: how many checks passed and failed, the failed names, and pass."""
     failed = failed_names(checks)
-    return {
-        **_BLANK_ROW,
-        **columns,
-        "kind": kind,
-        "d": alpha.d,
-        "a": alpha.a,
-        "b": alpha.b,
-        "x": alpha.trace_x,
-        "s": alpha.norm,
-        "bound": bound,
-        "oracle": found,
-        "tightness": None if claimed is None or bound is None else f"{claimed / bound:.6f}",
-        "checks_passed": sum(c.status == PASS for c in checks),
-        "checks_failed": len(failed),
-        "failed_names": ";".join(failed),
-        "pass": not failed,
-    }
+    tally = sum(c.status == PASS for c in checks), len(failed), ";".join(failed), not failed
+    return dict(zip(CSV_COLUMNS[-4:], tally))
 
 
-def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int):
-    """(alpha, report) for every grid case that meets its preconditions, in row order.
+def _tightness(claimed, bound) -> str | None:
+    return None if claimed is None or bound is None else f"{claimed / bound:.6f}"
+
+
+def _row_part(alpha: QuadInt, report) -> tuple[dict, tuple, ordersolver.ChainResult | None]:
+    """The row conjugates share (b unset), tallied on the report's own checks; its claim, chain."""
+    claim = _claim(report)
+    if claim[0] == "p":  # an order row's tightness is the oracle's order, so _row sets it
+        kind, bound, claimed, chain = "order", report.bound_n, None, report.chain
+        columns = {"p": report.p, "ell": report.ell, "mode": report.mode, "m": chain and chain.m}
+    else:
+        kind, bound, claimed, chain = "conductor", report.bound, report.n_exact, None
+        columns = {"f": report.f, "n_exact": report.n_exact, "f0": report.f0}
+    return {**_BLANK_ROW, **columns, "kind": kind, "d": alpha.d, "a": alpha.a, "x": alpha.trace_x,
+            "s": alpha.norm, "bound": bound, "tightness": _tightness(claimed, bound),
+            **_tally(claim[-1])}, claim, chain
+
+
+def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> dict:
+    """alpha's row keyed by CSV_COLUMNS: the shared part, then its own b, oracle and re-draw."""
+    shared, claim, chain = part
+    row = {**shared, "b": alpha.b}
+    if not (with_oracle or chain):
+        return row
+    checks, row["oracle"] = _checks(alpha, claim, with_oracle)
+    row["tightness"] = _tightness(row["oracle"] if claim[0] == "p" else claim[2], row["bound"])
+    if chain is not None:
+        # the chain's start and ell are what its builder passed, so only the roots differ
+        row["m_random"] = ordersolver._extend_chain(chain.chain[0], chain.ell, claim[1], rng).m
+        checks.append(check("chain length is root independent", row["m_random"] == chain.m))
+    row.update(_tally(checks))
+    return row
+
+
+def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int, keep):
+    """(alpha, keep(alpha, report)) for every grid case that meets its preconditions, in row order.
 
     alpha = a + b*sqrt(d) and its conjugate share x and s, and so every report
     and every refusal: conjugation fixes 1 mod p, and f | b_n is one test for
-    both. The b < 0 member builds and keeps them; its conjugate, later in the
-    same (d, a), yields them again.
+    both. The b < 0 member keeps what keep makes of each report, and its
+    conjugate, later in the same (d, a), yields that again.
     """
     primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
     jobs = [(ordersolver.analyze, p) for p in primes]
     jobs += [(conductor.bound_full, f) for f in range(1, f_max + 1)]
     coeffs = range(-coeff_bound, coeff_bound + 1)
     for d, a in product(sorted(set(d_set)), coeffs):
-        kept = {}  # |b| -> the reports of a - |b|*sqrt(d), until its conjugate takes them
+        kept = {}  # |b| -> what keep made for a - |b|*sqrt(d), until its conjugate takes it
         for b in filter(None, coeffs):
             try:
                 alpha = QuadInt(a, b, d)
             except ValueError:
                 continue
             if b > 0:
-                yield from ((alpha, report) for report in kept.pop(b))
+                yield from ((alpha, part) for part in kept.pop(b))
                 continue
-            reports = kept[-b] = []
+            parts = kept[-b] = []
             for build, modulus in jobs:
                 try:
-                    reports.append(build(alpha, modulus))
+                    report = build(alpha, modulus)
                 except ValueError:
                     continue
-                yield alpha, reports[-1]
+                parts.append(keep(alpha, report))
+                yield alpha, parts[-1]
 
 
 def run_sweep(
@@ -271,20 +277,18 @@ def run_sweep(
     Iteration is lexicographic in (d, a, b), with order rows over odd
     primes below p_max and conductor rows over f up to f_max; cases that
     break a precondition are skipped rather than reported as failures.
-    With the oracle, a first pass checks every row's step cap before this
-    returns, so an over-budget grid is refused before any scan, naming its
-    row. The rng only feeds the alternate-root chain rebuild, so a fixed
-    seed reproduces the dataset byte for byte.
+    Conjugates share their reports and their rows but for b, the oracle
+    scan and the chain re-draw. With the oracle, a first pass refuses an
+    over-budget grid before any scan, naming its row. The rng only feeds
+    the chain re-draw, so a fixed seed reproduces the dataset byte for byte.
     """
     rng = random.Random(seed)
+    grid = (d_set, coeff_bound, p_max, f_max)
     if with_oracle:
         # a pass of its own: holding every report for the rows would raise peak memory
-        for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max):
-            _oracle_cap(alpha, report)
-    return (
-        _row(alpha, report, rng, with_oracle)
-        for alpha, report in _grid_reports(d_set, coeff_bound, p_max, f_max)
-    )
+        for alpha, claim in _grid_reports(*grid, lambda _, report: _claim(report)):
+            _oracle_cap(alpha, claim)
+    return (_row(alpha, part, rng, with_oracle) for alpha, part in _grid_reports(*grid, _row_part))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

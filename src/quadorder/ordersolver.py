@@ -366,6 +366,8 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
     s = alpha.norm
     if s == 0:
         raise ValueError("the norm is zero; no power is invertible")
+    if alpha.b == 0:
+        raise ValueError("b = 0 is rational; alpha is an integer, with no quadratic order to bound")
     if alpha.b % p == 0:
         raise ValueError("p must not divide b")
     if s % p == 0:

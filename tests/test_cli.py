@@ -121,6 +121,18 @@ def test_order_degenerate_exits_2(capsys):
     assert "index 5" in err
 
 
+def test_order_rational_alpha_exits_2_as_rational(capsys):
+    # b = 0 is refused as rational, not as "p must not divide b", as conductor refuses it
+    code, out, err = run(capsys, "order", "--d", "2", "--alpha", "3,0", "--p", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: b = 0 is rational")
+    # a zero norm is refused before that, and p | b after it
+    code, _, err = run(capsys, "order", "--d", "2", "--alpha", "0,0", "--p", "7")
+    assert (code, err) == (2, "error: the norm is zero; no power is invertible\n")
+    code, _, err = run(capsys, "order", "--d", "2", "--alpha", "3,7", "--p", "7")
+    assert (code, err) == (2, "error: p must not divide b\n")
+
+
 def test_order_degenerate_61_bit_prime_exits_2_quickly(capsys):
     # p = 2^61 - 1 divides d, so ell = 0 and q(p) = p: the closed-form check
     # behind it must not walk p/2 terms
@@ -445,7 +457,7 @@ def _unshared_rows(d_set, coeff_bound, p_max, f_max, seed, with_oracle):
                 report = build(alpha, modulus)
             except ValueError:
                 continue
-            rows.append(cli._row(alpha, report, rng, with_oracle))
+            rows.append(cli._row(alpha, cli._row_part(alpha, report), rng, with_oracle))
     return rows
 
 
@@ -475,6 +487,121 @@ def test_default_sweep_builds_each_conjugate_pairs_reports_once(monkeypatch):
     assert sum(1 for _ in rows) == 31464
     assert set(built.values()) == {1}  # once per (d, a, |b|) and modulus
     assert collections.Counter(name for name, *_ in built) == {"analyze": 4680, "bound_full": 11700}
+
+
+def test_default_sweep_builds_each_conjugate_pairs_row_part_once(monkeypatch):
+    built = collections.Counter()
+    real_part = cli._row_part
+
+    def counted_part(alpha, report):
+        part = real_part(alpha, report)
+        name, modulus = part[1][:2]
+        built[alpha.d, alpha.a, abs(alpha.b), name, modulus] += 1
+        return part
+
+    redraws = []
+    real_extend = ordersolver._extend_chain
+
+    def counted_extend(start, ell, p, rng):
+        if rng is not None:  # the sweep's re-draw; the reports' own chains take no rng
+            redraws.append(p)
+        return real_extend(start, ell, p, rng)
+
+    monkeypatch.setattr(cli, "_row_part", counted_part)
+    monkeypatch.setattr(ordersolver, "_extend_chain", counted_extend)
+    args = build_parser().parse_args(["sweep"])
+    d_set = [int(tok) for tok in args.d_set.split(",")]
+    rows, by_sign = 0, collections.Counter()
+    for row in run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed):
+        # each chain row re-draws its own chain while it is made, and no other row does
+        assert redraws == ([row["p"]] if row["m"] is not None else [])
+        by_sign[row["b"] > 0] += len(redraws)
+        redraws.clear()
+        rows += 1
+    assert rows == 31464
+    assert set(built.values()) == {1}  # once per (d, a, |b|) and modulus
+    assert sum(built.values()) == 15732
+    assert by_sign == {False: 166, True: 166}
+
+
+def test_oracle_sweep_scans_once_per_row_on_its_own_alpha(monkeypatch):
+    scans = []
+
+    def recorded(scan):
+        def wrapper(alpha, modulus, cap):
+            scans.append((alpha.d, alpha.a, alpha.b, modulus))
+            return scan(alpha, modulus, cap)
+        return wrapper
+
+    monkeypatch.setattr(quadorder.oracle, "oracle_order_mod_p",
+                        recorded(quadorder.oracle.oracle_order_mod_p))
+    monkeypatch.setattr(quadorder.oracle, "oracle_n_of_f", recorded(quadorder.oracle.oracle_n_of_f))
+    rows = run_sweep([2, 3, 5], 2, 60, 12, 0, True)
+    assert scans == []  # the cap pass scans nothing
+    for row in rows:
+        modulus = row["p"] if row["kind"] == "order" else row["f"]
+        own = (row["d"], row["a"], row["b"], modulus)
+        # a degenerate order row has no bound to scan to
+        assert scans == ([] if row["kind"] == "order" and row["bound"] is None else [own])
+        scans.clear()
+
+
+def _sweep_csv_rows(capsys, *extra):
+    """Exit code and the CSV rows of a small sweep, keyed by kind, a, b and modulus."""
+    argv = ["sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "20", "--f-max", "4"]
+    code, out, _ = run(capsys, *argv, *extra)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    return code, {(r["kind"], r["a"], r["b"], r["p"] or r["f"]): r for r in rows}
+
+
+def _fails_alone(rows, case, failed: str) -> None:
+    """Only the row of case fails, on the check named; its conjugate's row passes."""
+    kind, a, b, modulus = case
+    assert rows[case]["pass"] == "false"
+    assert rows[case]["failed_names"] == failed
+    assert rows[kind, a, str(-int(b)), modulus]["pass"] == "true"
+    assert [key for key, row in rows.items() if row["pass"] != "true"] == [case]
+
+
+def test_sweep_wrong_oracle_answer_fails_only_its_own_row(capsys, monkeypatch):
+    real = quadorder.oracle.oracle_order_mod_p
+
+    def wrong_at_one_alpha(alpha, p, cap):
+        result = real(alpha, p, cap)
+        if (alpha.a, alpha.b, p) == (1, 1, 17):  # b > 0: its conjugate's part was made first
+            return dataclasses.replace(result, value=result.value + 1)
+        return result
+
+    monkeypatch.setattr(quadorder.oracle, "oracle_order_mod_p", wrong_at_one_alpha)
+    code, rows = _sweep_csv_rows(capsys, "--oracle")
+    assert code == 1
+    _fails_alone(rows, ("order", "1", "1", "17"), "oracle order divides n")
+    assert rows["order", "1", "1", "17"]["oracle"] == "17"
+    assert rows["order", "1", "-1", "17"]["oracle"] == "16"
+
+
+def test_sweep_chain_redraw_mismatch_fails_only_its_own_row(capsys, monkeypatch):
+    current = []
+    real_row, real_extend = cli._row, ordersolver._extend_chain
+
+    def tracked_row(alpha, part, rng, with_oracle):
+        current[:] = [alpha]
+        return real_row(alpha, part, rng, with_oracle)
+
+    def longer_at_one_alpha(start, ell, p, rng):
+        result = real_extend(start, ell, p, rng)
+        if rng is not None and (current[0].a, current[0].b, p) == (1, 1, 17):
+            return dataclasses.replace(result, chain=result.chain + (0,))  # one link too many
+        return result
+
+    monkeypatch.setattr(cli, "_row", tracked_row)
+    monkeypatch.setattr(ordersolver, "_extend_chain", longer_at_one_alpha)
+    code, rows = _sweep_csv_rows(capsys)
+    assert code == 1
+    _fails_alone(rows, ("order", "1", "1", "17"), "chain length is root independent")
+    row, conjugate = rows["order", "1", "1", "17"], rows["order", "1", "-1", "17"]
+    assert int(row["m_random"]) == int(row["m"]) + 1
+    assert conjugate["m_random"] == conjugate["m"]
 
 
 def test_sweep_output_file(tmp_path, capsys):
