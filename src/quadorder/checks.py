@@ -1,7 +1,7 @@
 """Named checks: every claim a report makes, as pass, fail or n/a with a note.
 
-A report is judged by its failed checks alone; n/a rows record what was
-not asserted (an unmet precondition, or a truth value kept as data).
+A report is judged by its failed checks alone; n/a rows record a truth
+value kept as data, not asserted.  An unmet precondition is a ValueError.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The route: reduce alpha to its trace/norm pair (x, s), read off the
 symbol ell = ((x^2-4s)/p), and refine the exponent p - ell through a
 chain of modular square roots while the 2-part of p - ell allows.  Every
 claim the solver makes is emitted as a named Check so callers can render
-or assert them.  table_check reports an unmet precondition as a single
-"n/a" row; analyze refuses one with ValueError.
+or assert them.  analyze and table_check share one precondition gate and
+refuse an unmet precondition with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class OrderReport:
     def passed(self) -> bool:
         return not failed_names(self.table_checks)
 
-    @property
-    def failed_names(self) -> tuple[str, ...]:
-        return failed_names(self.table_checks)
-
 
 def _power_is(alpha: QuadInt, pair: tuple[int, int], p: int, target: int) -> bool:
     # pair is (t_n, u_{n-1}); alpha^n == target mod p iff t_n == 2*target and b*u_{n-1} == 0
@@ -64,29 +60,39 @@ def _power_is(alpha: QuadInt, pair: tuple[int, int], p: int, target: int) -> boo
     return (t - 2 * target) % p == 0 and u_prev * alpha.b % p == 0
 
 
+def _gate(alpha: QuadInt, p: int) -> int:
+    # ell = ((x^2-4s)/p) once p is an odd prime and b, s are units mod p;
+    # x^2 - 4s is b^2*d or 4*b^2*d, so then ell = 0 iff p | d
+    require_odd_prime(p)
+    s = alpha.norm
+    if s == 0:
+        raise ValueError("the norm is zero; no power is invertible")
+    if alpha.b == 0:
+        raise ValueError("b = 0 is rational; alpha is an integer, with no quadratic order to bound")
+    if alpha.b % p == 0:
+        raise ValueError("p must not divide b")
+    if s % p == 0:
+        raise ValueError("p divides the norm; no multiplicative order exists mod p")
+    return _legendre(alpha.trace_x**2 - 4 * s, p)
+
+
 def table_check(alpha: QuadInt, p: int) -> list[Check]:
     """Congruence table for the exponent p - ell and its half.
 
-    Applicability needs p coprime to b, d and the norm; otherwise a single
-    n/a entry explains why.  The half-exponent cells split on the residue
+    Refuses what analyze refuses, and p | d (ell = 0), where no exponent
+    p - ell is defined.  The half-exponent cells split on the residue
     class of the norm; in the non-residue branch the asserted form is
     (x^2-4s)*u^2 == 4*sigma, and for half-integral representations the
     older (a^2-s)*u^2 == sigma shape is reported without being asserted.
     """
-    require_odd_prime(p)
-    s = alpha.norm
-    if s == 0:
-        return [Check("preconditions", NA, "the norm is zero")]
-    if alpha.d % p == 0 or alpha.b % p == 0:
-        return [Check("preconditions", NA, "p divides b or d")]
-    if s % p == 0:
-        return [Check("preconditions", NA, "p divides the norm, so no power is invertible mod p")]
-    ell = _legendre(alpha.trace_x**2 - 4 * s, p)  # ±1: x^2 - 4s is b^2*d or 4*b^2*d, p ∤ b*d
+    ell = _gate(alpha, p)
+    if ell == 0:
+        raise ValueError("p divides d, so ell = 0 and no exponent p - ell is defined")
     return _table_cells(alpha, p, ell)[0]
 
 
 def _table_cells(alpha: QuadInt, p: int, ell: int) -> tuple[list[Check], tuple[int, int]]:
-    # table_check past its n/a gates; also hands back the pair at p - ell
+    # table_check past its gate; also hands back the pair at p - ell
     x, s = alpha.trace_x, alpha.norm
     sigma = 1 if ell == 1 else s
     full = t_full, u_full = _lucas(x, s, p - ell, p)
@@ -201,8 +207,10 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> tuple[ChainResult, int, boo
     x, s = alpha.trace_x, alpha.norm
     if s == -1 and x % p == 0:
         raise ValueError("the chain needs x nonzero mod p")
-    chain = build_chain_s1(x, p) if s == 1 else build_chain_s_minus1(x, p)
+    chain = _extend_chain(x if s == 1 else x * x + 2, ell, p, None)
     m = chain.m
+    if m < 1 and s == -1:
+        raise AssertionError("the norm -1 chain stopped before its first link")
     shift = m if s == 1 else m - 1
     n = (p - ell) >> shift
     checks = _chain_checks(chain, p)
@@ -362,20 +370,10 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
     asserts the exclusion congruences and the weaker alpha^{2(p-ell)} == 1
     instead.
     """
-    require_odd_prime(p)
-    s = alpha.norm
-    if s == 0:
-        raise ValueError("the norm is zero; no power is invertible")
-    if alpha.b == 0:
-        raise ValueError("b = 0 is rational; alpha is an integer, with no quadratic order to bound")
-    if alpha.b % p == 0:
-        raise ValueError("p must not divide b")
-    if s % p == 0:
-        raise ValueError("p divides the norm; no multiplicative order exists mod p")
-    x = alpha.trace_x
-    ell = _legendre(x * x - 4 * s, p)
+    ell = _gate(alpha, p)
+    x, s = alpha.trace_x, alpha.norm
     chain, half_applies = None, False
-    # past ell == 0 (so p ∤ d), the gates above meet every precondition of the modes below
+    # past ell == 0 (so p ∤ d), the gate meets every precondition of the modes below
     if ell == 0:
         mode, bound = "degenerate", None
         u_q = _lucas(x, s, q_of_p(x, s, p), p)[1]

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cheby import _lucas
@@ -71,6 +71,9 @@ class QuadInt:
     a: int
     b: int
     d: int
+    # read many times per alpha, so __post_init__ computes them once
+    norm: int = field(init=False, repr=False, compare=False)
+    trace_x: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_radicand(self.d)
@@ -78,6 +81,9 @@ class QuadInt:
             raise ValueError(
                 "for d == 1 (mod 4) the two coordinates must have equal parity"
             )
+        n = self.a * self.a - self.b * self.b * self.d
+        object.__setattr__(self, "norm", n // 4 if self.r == 1 else n)
+        object.__setattr__(self, "trace_x", self.a if self.r == 1 else 2 * self.a)
 
     @classmethod
     def one(cls, d: int) -> "QuadInt":
@@ -86,15 +92,6 @@ class QuadInt:
     @property
     def r(self) -> int:
         return self.d % 4
-
-    @property
-    def norm(self) -> int:
-        n = self.a * self.a - self.b * self.b * self.d
-        return n // 4 if self.r == 1 else n
-
-    @property
-    def trace_x(self) -> int:
-        return self.a if self.r == 1 else 2 * self.a
 
     def __neg__(self) -> "QuadInt":
         return QuadInt(-self.a, -self.b, self.d)

@@ -27,14 +27,14 @@ _STEP_CAP = 10**5
 
 
 def fundamental_unit(d: int) -> QuadInt:
-    """Smallest unit above 1 in the maximal order of the field of sqrt(d).
+    """Smallest unit above 1 in the maximal order of the real field of sqrt(d), d > 1.
 
     Expands sqrt(d), or (1 + sqrt(d))/2 when d == 1 (mod 4), to the centre
     of its first period; the unit is h + y*sqrt(d) from the period's last
     convergent h/y, or (2h - y, y) in the half-integer storage convention.
     """
-    if d <= 1:
-        raise ValueError("d must be a square-free integer greater than 1")
+    if d < 0:
+        raise ValueError(f"d = {d} < 0: units of imaginary fields are roots of unity, none above 1")
     _check_radicand(d)
     half = d % 4 == 1
     root = isqrt(d)

@@ -26,6 +26,7 @@ class AcceptanceLog:
 
 
 _LOG = AcceptanceLog()
+_PANEL: list[str] = []
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +34,17 @@ def acceptance_log() -> AcceptanceLog:
     return _LOG
 
 
+@pytest.fixture(scope="session")
+def panel_log() -> list[str]:
+    """Lines for the run summary's "reference panel" section."""
+    return _PANEL
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if _PANEL:
+        terminalreporter.section("reference panel")
+        for line in _PANEL:
+            terminalreporter.write_line(line)
     if _LOG.lines:
         terminalreporter.section("acceptance criteria")
         for _, _, line in sorted(_LOG.lines, key=lambda t: (t[0], t[1])):

@@ -648,6 +648,25 @@ def test_sweep_rejects_bad_d(capsys):
     assert code == 2
 
 
+def test_sweep_reads_a_negative_d_set_as_a_value(capsys):
+    # "-1,-2" looks like an option to argparse unless the parser is told otherwise
+    grid = ["--coeff-bound", "1", "--p-max", "10", "--f-max", "2"]
+    spaced = run(capsys, "sweep", "--d-set", "-1,-2", *grid)
+    glued = run(capsys, "sweep", "--d-set=-1,-2", *grid)
+    assert spaced == glued
+    assert spaced[0] == 0
+    assert {row["d"] for row in csv.DictReader(io.StringIO(spaced[1]))} == {"-1", "-2"}
+
+
+def test_imaginary_fundunit_exits_2_naming_why(capsys):
+    for argv in (["fundunit", "--d", "-7"], ["order", "--d", "-7", "--fundunit", "--p", "11"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: d = -7 < 0: units of imaginary fields are roots of unity, none above 1\n"
+        )
+
+
 def test_sweep_help_documents_csv(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])

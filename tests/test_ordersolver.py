@@ -1,11 +1,12 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadorder.checks import FAIL, NA, PASS
+from quadorder.checks import FAIL, NA, PASS, failed_names
 from quadorder.ordersolver import (
     STOP_NONRESIDUE_AT_K,
     STOP_NONRESIDUE_AT_START,
@@ -113,6 +114,25 @@ class TestChains:
         assert ordersolver._extend_chain(4, 1, 11, None).stop_reason == STOP_NONRESIDUE_AT_START
         assert ordersolver._extend_chain(3, 1, 11, None).stop_reason == STOP_POWER_OF_TWO
 
+    def test_analyze_builds_its_chain_without_the_public_builders(self, monkeypatch):
+        # analyze passes its own ell to _extend_chain; the validated builders,
+        # which re-prove p prime and recompute ell, give the same chain
+        cases = [(alpha, p) for alpha in (QuadInt(2, 1, 3), QuadInt(1, 1, 2), QuadInt(3, 1, 5))
+                 for p in SMALL_PRIMES[1:40]]
+        expected = {}
+        for alpha, p in cases:
+            build = build_chain_s1 if alpha.norm == 1 else build_chain_s_minus1
+            try:
+                expected[alpha, p] = build(alpha.trace_x, p)
+            except ValueError:
+                pass
+        for name in ("build_chain_s1", "build_chain_s_minus1"):
+            monkeypatch.setattr(ordersolver, name, lambda *_: pytest.fail("a public builder ran"))
+        chained = {(alpha, p): rep.chain for alpha, p in cases
+                   if (rep := analyze(alpha, p)).chain is not None}
+        assert chained == expected
+        assert len(chained) > 20
+
     def test_rebuild_from_the_report_chain_matches_the_builder(self):
         # the sweep's alternate-root rebuild starts from a report's chain[0] and
         # ell; that must be the builder's own call, draw for draw
@@ -192,16 +212,25 @@ class TestTable:
         assert "u((p-ell)/2-1) == 0" in names
         assert all(c.status == PASS for c in cells)
 
-    def test_not_applicable_when_p_divides_norm(self):
-        cells = table_check(QuadInt(1, 1, 6), 5)
-        assert len(cells) == 1
-        assert cells[0].status == NA
+    def test_refuses_when_p_divides_norm(self):
+        with pytest.raises(ValueError, match="p divides the norm"):
+            table_check(QuadInt(1, 1, 6), 5)
 
-    def test_not_applicable_when_p_divides_b_or_d(self):
-        cells = table_check(QuadInt(1, 5, 6), 5)
-        assert len(cells) == 1 and cells[0].status == NA
-        cells = table_check(QuadInt(1, 1, 5), 5)
-        assert len(cells) == 1 and cells[0].status == NA
+    def test_refuses_when_p_divides_b_or_d(self):
+        with pytest.raises(ValueError, match="p must not divide b"):
+            table_check(QuadInt(1, 5, 6), 5)
+        with pytest.raises(ValueError, match="p divides d, so ell = 0"):
+            table_check(QuadInt(1, 1, 5), 5)
+
+    def test_refuses_what_analyze_refuses(self):
+        # one gate: the same refusal, text for text, and p | d besides
+        for alpha in (QuadInt(0, 0, 2), QuadInt(3, 0, 2), QuadInt(1, 7, 2), QuadInt(3, 1, 2)):
+            for p in (7, 9):
+                with pytest.raises(ValueError) as refused:
+                    analyze(alpha, p)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+                    table_check(alpha, p)
+        assert analyze(QuadInt(1, 1, 5), 5).mode == "degenerate"
 
     def test_half_integer_variant_is_informational(self):
         cells = table_check(QuadInt(1, 1, 5), 7)
@@ -864,7 +893,7 @@ class TestAnalyze:
 
     def test_report_failed_names_empty_on_pass(self):
         rep = analyze(QuadInt(1, 1, 2), 17)
-        assert rep.failed_names == ()
+        assert failed_names(rep.table_checks) == ()
 
     @pytest.mark.parametrize(
         "alpha, p, mode, ell",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -66,6 +67,16 @@ def test_norm_trace_frozen():
     assert (alpha.trace_x, alpha.norm) == (1, 2)
     alpha = QuadInt(2, 1, -1)
     assert (alpha.trace_x, alpha.norm) == (4, 5)
+
+
+def test_norm_and_trace_are_computed_once_and_stay_out_of_identity():
+    # set by __post_init__; equality, hashing and the repr still see (a, b, d) alone
+    alpha = QuadInt(3, 2, 2)
+    assert vars(alpha) == {"a": 3, "b": 2, "d": 2, "norm": 1, "trace_x": 6}
+    assert repr(alpha) == "QuadInt(a=3, b=2, d=2)"
+    assert alpha == QuadInt(3, 2, 2) and hash(alpha) == hash(QuadInt(3, 2, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alpha.norm = 5
 
 
 def test_mul_frozen():
