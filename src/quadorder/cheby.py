@@ -6,12 +6,12 @@ They are the scaled Chebyshev polynomials in the pair (x, s), and for a
 2x2 integer matrix with trace x and determinant s they give the trace
 and the corner entry of the n-th power.
 
-Single terms come from one Lucas-doubling kernel: the exact evaluators
-take the pair (x, s) itself, s = 0 included, and eval_fast a ChebyParams
-with a modulus.  Vanishing indices come from an order descent on it;
-u_seq and t_seq walk the recurrence one step at a time, as the reference
-the kernel is tested against.
-run_identity_trials fuzzes the polynomial identities over the integers.
+Single terms come from one Lucas-doubling kernel, _lucas, over the
+integers (s = 0 included) or mod m; vanishing indices come from an order
+descent on it, and run_identity_trials fuzzes the identities with it.
+u_prev_exact, t_exact, eval_fast and compose_* wrap it only for the tests
+and perfbench's tracer; u_seq and t_seq walk the recurrence one step at a
+time, as the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -141,15 +141,14 @@ def u_odd_closed_form(x: int, s: int, n: int) -> int:
     """u_{n-1}(x; s) for odd n by the single binomial sum, no recurrence.
 
     2^{n-1} u_{n-1} = sum_k C(n, 2k+1) x^{n-2k-1} (x^2-4s)^k over the
-    integers; the division is exact and is asserted to be.
+    integers, by Horner's rule in x^2; the division is exact and is checked.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and at least 1")
-    disc = x * x - 4 * s
-    total = sum(
-        comb(n, 2 * k + 1) * x ** (n - 2 * k - 1) * disc**k
-        for k in range((n + 1) // 2)
-    )
+    x2, disc = x * x, x * x - 4 * s
+    total, power = 0, 1
+    for k in range((n + 1) // 2):
+        total, power = total * x2 + comb(n, 2 * k + 1) * power, power * disc
     quot, rem = divmod(total, 1 << (n - 1))
     if rem:
         raise ArithmeticError("binomial sum was not divisible by 2^(n-1)")
@@ -189,15 +188,13 @@ class IdentityTally:
 _X_BOUND, _S_BOUND, _MN_BOUND = 50, 20, 40
 
 
-def run_identity_trials(
-    trials: int,
-    seed: int,
-) -> list[IdentityTally]:
+def run_identity_trials(trials: int, seed: int) -> list[IdentityTally]:
     """Exact-equality fuzzing of the polynomial identities.
 
     Each trial draws x, a nonzero s, indices m and n, an odd index, and a
     transport modulus, then evaluates both sides of every identity over
-    the integers.  Any mismatch is recorded with the offending tuple.
+    the integers from seven _lucas calls, one per distinct term; no
+    identity compares a value with itself.  A mismatch records its tuple.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -211,8 +208,8 @@ def run_identity_trials(
         "transport: mu | u(n-1) implies mu | u(mn-1)",
         "odd closed form matches the recurrence",
     ]
-    passed = {name: 0 for name in names}
-    first = {name: "" for name in names}
+    passed = dict.fromkeys(names, 0)
+    first = dict.fromkeys(names, "")
     for _ in range(trials):
         x = rng.randint(-_X_BOUND, _X_BOUND)
         s = rng.randint(1, _S_BOUND) * rng.choice((-1, 1))
@@ -220,23 +217,21 @@ def run_identity_trials(
         n = rng.randint(1, _MN_BOUND)
         odd = 2 * rng.randint(0, (_MN_BOUND - 1) // 2) + 1
         mu = rng.randint(2, 50)
-        where = f"x={x} s={s} m={m} n={n} odd={odd} mu={mu}"
-        u_n = u_prev_exact(x, s, n)
-        t_n = t_exact(x, s, n)
-        u_mn = u_prev_exact(x, s, m * n)
-        outcomes = {}
-        outcomes[names[0]] = (x * x - 4 * s) * u_n * u_n == t_n * t_n - 4 * s**n
-        outcomes[names[1]] = t_n * t_n == t_exact(x, s, 2 * n) + 2 * s**n
-        lhs_t, rhs_t = compose_t(x, s, m, n)
-        outcomes[names[2]] = lhs_t == rhs_t
-        lhs_u, rhs_u = compose_u(x, s, m, n)
-        outcomes[names[3]] = lhs_u == rhs_u
-        outcomes[names[4]] = u_mn == 0 if u_n == 0 else u_mn % u_n == 0
-        outcomes[names[5]] = u_n % mu != 0 or u_mn % mu == 0
-        outcomes[names[6]] = u_odd_closed_form(x, s, odd) == u_prev_exact(x, s, odd)
-        for name, ok in outcomes.items():
+        t_n, u_n = _lucas(x, s, n)
+        t_mn, u_mn = _lucas(x, s, m * n)
+        s_n = s**n
+        outcomes = (
+            (x * x - 4 * s) * u_n * u_n == t_n * t_n - 4 * s_n,
+            t_n * t_n == _lucas(x, s, 2 * n)[0] + 2 * s_n,
+            t_mn == _lucas(_lucas(x, s, m)[0], s**m, n)[0],
+            u_mn == _lucas(t_n, s_n, m)[1] * u_n,
+            u_mn == 0 if u_n == 0 else u_mn % u_n == 0,
+            u_n % mu != 0 or u_mn % mu == 0,
+            u_odd_closed_form(x, s, odd) == _lucas(x, s, odd)[1],
+        )
+        for name, ok in zip(names, outcomes):
             if ok:
                 passed[name] += 1
             elif not first[name]:
-                first[name] = where
+                first[name] = f"x={x} s={s} m={m} n={n} odd={odd} mu={mu}"
     return [IdentityTally(name, passed[name], trials, first[name]) for name in names]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import compress, groupby
+from itertools import compress, count, groupby
 from math import gcd, isqrt, prod
 
 TRIAL_BOUND = 10**6
@@ -101,6 +101,16 @@ def sqrt_mod(a: int, p: int) -> int | None:
     non-residue search.
     """
     require_odd_prime(p)
+    return _sqrt_mod(a, p, _nonresidue(p))
+
+
+def _nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod a proved odd prime p."""
+    return next(z for z in count(2) if _legendre(z, p) == -1)
+
+
+def _sqrt_mod(a: int, p: int, z: int) -> int | None:
+    """sqrt_mod for a proved odd prime p, given a non-residue z mod p."""
     a %= p
     if a == 0:
         return 0
@@ -108,9 +118,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
         return None
     s = ((p - 1) & (1 - p)).bit_length() - 1  # the power of 2 in p - 1
     q = (p - 1) >> s
-    z = 2
-    while _legendre(z, p) != -1:
-        z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .cheby import _descend, _lucas, _order_descent
 from .checks import NA, Check, check, failed_names
-from .modarith import _legendre, factorize, require_odd_prime, sqrt_mod
+from .modarith import _legendre, _nonresidue, _sqrt_mod, factorize, require_odd_prime
 from .quadint import QuadInt
 
 STOP_NONRESIDUE_AT_START = "nonresidue_at_start"
@@ -124,14 +124,12 @@ def _table_cells(alpha: QuadInt, p: int, ell: int) -> tuple[list[Check], tuple[i
     return out, full
 
 
-def _extend_chain(
-    start: int, ell: int, p: int, rng: random.Random | None
-) -> ChainResult:
-    # one sqrt_mod per link decides residuosity too; p - ell is even, so
-    # the first pass always runs and its None is the stop at the start
-    chain = [start % p]
+def _extend_chain(start: int, ell: int, p: int, rng: random.Random | None) -> ChainResult:
+    # one root per link, from one non-residue for the chain, decides residuosity;
+    # p - ell is even, so the first pass always runs: its None is the stop at the start
+    chain, z = [start % p], _nonresidue(p)
     while (p - ell) % (1 << len(chain)) == 0:
-        root = sqrt_mod(chain[-1] + 2, p)
+        root = _sqrt_mod(chain[-1] + 2, p, z)
         if root is None:
             stop = STOP_NONRESIDUE_AT_START if len(chain) == 1 else STOP_NONRESIDUE_AT_K
             return ChainResult(ell, tuple(chain), stop)

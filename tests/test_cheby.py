@@ -1,12 +1,17 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadorder import cheby
 from quadorder.cheby import (
     ChebyPair,
     ChebyParams,
     compose_t,
     compose_u,
     eval_fast,
+    run_identity_trials,
     t_exact,
     t_seq,
     u_odd_closed_form,
@@ -109,6 +114,29 @@ def test_odd_closed_form_matches_recurrence():
             assert u_odd_closed_form(x, s, n) == u_prev_exact(x, s, n)
 
 
+def _binomial_sum(x, s, n):
+    # the term-by-term sum u_odd_closed_form evaluated before Horner's rule
+    disc = x * x - 4 * s
+    total = sum(
+        comb(n, 2 * k + 1) * x ** (n - 2 * k - 1) * disc**k
+        for k in range((n + 1) // 2)
+    )
+    quot, rem = divmod(total, 1 << (n - 1))
+    assert rem == 0
+    return quot
+
+
+def test_odd_closed_form_matches_the_binomial_sum():
+    # x = 0 leaves only the last term, and x^2 = 4s (2, 1 and -4, 4) makes
+    # disc = 0, leaving only the first
+    rng = random.Random(20261019)
+    pairs = [(0, 5), (0, -3), (0, 0), (2, 1), (-4, 4), (3, 0), (1, -1)]
+    pairs += [(rng.randint(-60, 60), rng.randint(-25, 25)) for _ in range(20)]
+    for x, s in pairs:
+        for n in range(1, 100, 2):
+            assert u_odd_closed_form(x, s, n) == _binomial_sum(x, s, n), (x, s, n)
+
+
 def test_odd_closed_form_frozen():
     assert u_odd_closed_form(3, 2, 5) == 31
     assert u_odd_closed_form(1, -1, 11) == 89
@@ -135,3 +163,42 @@ def test_compose_u_frozen():
     lhs, rhs = compose_u(1, -1, 2, 3)
     assert lhs == u_prev_exact(1, -1, 6) == 8
     assert rhs == 8
+
+
+def test_identity_trials_evaluate_each_term_once(monkeypatch):
+    # seven distinct terms a trial: (t_n, u_{n-1}), (t_mn, u_{mn-1}), t_2n,
+    # t_m, the two composed sides and u_{odd-1}
+    calls = []
+    real = cheby._lucas
+    monkeypatch.setattr(cheby, "_lucas", lambda *args: calls.append(args) or real(*args))
+    tallies = run_identity_trials(60, seed=3)
+    assert len(calls) == 7 * 60
+    assert all(t.passed == t.total == 60 for t in tallies)
+
+
+def test_a_wrong_composed_side_fails_only_the_compose_identities(monkeypatch):
+    # only the composed sides evaluate at |x| > _X_BOUND (x = t_m or t_n), so
+    # this perturbation reaches them alone; had an identity come to compare a
+    # value with itself, its tally would stay at total
+    real = cheby._lucas
+
+    def perturbed(x, s, n, m=None):
+        t, u = real(x, s, n, m)
+        return (t + 1, u + 1) if abs(x) > cheby._X_BOUND else (t, u)
+
+    monkeypatch.setattr(cheby, "_lucas", perturbed)
+    tallies = run_identity_trials(200, seed=4)
+    failing = [t.name for t in tallies if t.passed < t.total]
+    assert failing == [
+        "compose t: t(mn) == t_n(t_m(x;s); s^m)",
+        "compose u: u(mn-1) == u(m-1)(t_n; s^n)*u(n-1)",
+    ]
+    assert all(t.first_failure for t in tallies if t.name in failing)
+
+
+def test_a_wrong_closed_form_fails_only_its_identity(monkeypatch):
+    real = cheby.u_odd_closed_form
+    monkeypatch.setattr(cheby, "u_odd_closed_form", lambda x, s, n: real(x, s, n) + 1)
+    tallies = run_identity_trials(50, seed=4)
+    failing = [(t.name, t.passed) for t in tallies if t.passed < t.total]
+    assert failing == [("odd closed form matches the recurrence", 0)]

@@ -758,6 +758,7 @@ def test_failed_output_write_exits_2_without_a_traceback(argv, stdout_full):
         ["order", "--d", "13", "--fundunit", "--p", "29", "--json"],
         ["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--json"],
         ["sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "20", "--f-max", "4"],
+        ["identities", "--trials", "200", "--seed", "5"],
     ],
 )
 def test_output_unchanged_under_optimize(argv):

@@ -130,6 +130,24 @@ def test_sqrt_mod_zero():
     assert sqrt_mod(121, 11) == 0
 
 
+@pytest.mark.parametrize("p", [3, 13, 17, 97, 193, 257])
+def test_sqrt_core_gives_the_canonical_root_for_any_nonresidue(p):
+    # the canonical root min(r, p - r) does not depend on which non-residue
+    # Tonelli-Shanks is handed; sqrt_mod hands it the least one
+    nonresidues = [z for z in range(2, p) if legendre(z, p) == -1]
+    assert modarith._nonresidue(p) == nonresidues[0]
+    for a in range(p):
+        expected = sqrt_mod(a, p)
+        assert all(modarith._sqrt_mod(a, p, z) == expected for z in nonresidues), a
+
+
+def test_sqrt_mod_still_proves_p():
+    with pytest.raises(ValueError, match="p = 9 is not an odd prime"):
+        sqrt_mod(4, 9)
+    with pytest.raises(ValueError, match="p = 2 is not an odd prime"):
+        sqrt_mod(1, 2)
+
+
 def test_factorize_roundtrip():
     for n in range(1, 600):
         fac = factorize(n)

@@ -20,7 +20,7 @@ from quadorder.ordersolver import (
     table_check,
 )
 from quadorder.cli import _checks, _claim
-from quadorder import cheby, ordersolver
+from quadorder import cheby, modarith, ordersolver
 from quadorder.modarith import factorize, is_prime, legendre, sqrt_mod
 from quadorder.oracle import oracle_order_mod_p, oracle_q_of_p
 from quadorder.quadint import QuadInt
@@ -113,6 +113,16 @@ class TestChains:
         assert ordersolver._extend_chain(6, 1, 17, None).chain == (6, 5)
         assert ordersolver._extend_chain(4, 1, 11, None).stop_reason == STOP_NONRESIDUE_AT_START
         assert ordersolver._extend_chain(3, 1, 11, None).stop_reason == STOP_POWER_OF_TWO
+
+    def test_links_share_one_nonresidue_and_no_proof_of_p(self, monkeypatch):
+        # the caller has proved p prime, and one Tonelli-Shanks non-residue
+        # serves every link of the chain
+        monkeypatch.setattr(modarith, "is_prime", lambda n: pytest.fail("p was proved again"))
+        found = []
+        real = ordersolver._nonresidue
+        monkeypatch.setattr(ordersolver, "_nonresidue", lambda p: found.append(p) or real(p))
+        assert ordersolver._extend_chain(24, 1, 257, None).chain == (24, 119, 11, 28, 95)
+        assert found == [257]
 
     def test_analyze_builds_its_chain_without_the_public_builders(self, monkeypatch):
         # analyze passes its own ell to _extend_chain; the validated builders,
