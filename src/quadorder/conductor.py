@@ -2,11 +2,14 @@
 
 n(f) is the vanishing index of the cofactor sequence u mod f0, where f0
 strips from f its common factor with b.  f0 = A * B is factored once, A
-coprime to s.  n(A) comes from one order descent from the multiple
-lcm q(p) * p^(k-1) over p^k || A (6 * 2^(k-1) for p = 2: element orders
-in PGL(2, F_2) = S_3 divide 6).  Each prime of B divides x and s, so
-M^2 == 0 mod p and u vanishes mod p^k from index 2k on: n(f0) is the
-first multiple of n(A) that vanishes mod B, at most 2 * max k away.
+coprime to s.  Mod each p^k || A the vanishing indices are the multiples
+of the least, n(p^k), so by CRT n(A) is their lcm.  n(p) = q(p) for odd
+p; else n(p^k) comes from an order descent mod p^k from the multiple
+q(p) * p^(k-1), or 3 * 2^k for p = 2 (element orders in PGL(2, F_2) = S_3
+divide 6).  u mod m depends only on x and s mod m, so each index is cached
+under those residues.  Each prime of B divides x and s, so M^2 == 0 mod p
+and u vanishes mod p^k from index 2k on: n(f0) is the first multiple of
+n(A) that vanishes mod B, at most 2 * max k away.
 """
 
 from __future__ import annotations
@@ -44,9 +47,17 @@ class PrimeBound:
     contribution: int
 
 
-@lru_cache(maxsize=16384)  # the default sweep grid holds about 8,500 keys
+@lru_cache(maxsize=1024)  # at most p^(2k) keys per p^k; the default sweep grid holds about 560
+def _prime_power_index(x: int, s: int, p: int, k: int) -> int:
+    """n(p^k) for p not dividing s, by order descent mod p^k from its multiple."""
+    if p == 2:  # element orders in PGL(2, F_2) = S_3 divide 6
+        return _order_descent(x, s, 2**k, 3 * 2**k, [2, 3])
+    return _order_descent(x, s, p**k, q_of_p(x % p, s % p, p) * p ** (k - 1), [p])
+
+
+@lru_cache(maxsize=16384)  # at most f0^2 keys per f0; the default sweep grid holds about 5,800
 def _entry_index(x: int, s: int, f0: int) -> int:
-    """n(f) from the reduced conductor f0; the module docstring has the route."""
+    """n(f) from f0 as the lcm of prime-power indices, keyed mod f0; the module has the route."""
     factors = factorize(f0).factors
     for p, _ in factors:
         if s % p == 0 and x % p != 0:
@@ -54,16 +65,12 @@ def _entry_index(x: int, s: int, f0: int) -> int:
                 f"no power of alpha has its irrational part divisible by {p}: "
                 "the cofactor sequence never vanishes there"
             )
-    coprime = [(p, k) for p, k in factors if s % p]
-    part_a = prod(p**k for p, k in coprime)
-    mult = lcm(*(q_of_p(x, s, p) * p ** (k - 1) for p, k in coprime if p != 2))
-    # mult exceeds n(A) only at primes of A, and at 3 through the 6 for p = 2
-    primes = [p for p, _ in coprime]
-    if part_a % 2 == 0:
-        mult = lcm(mult, 3 * (part_a & -part_a))
-        primes.append(3)
-    n_a = _order_descent(x, s, part_a, mult, primes)
-    if part_a == f0:
+    n_a = lcm(*(
+        _prime_power_index(x % p**k, s % p**k, p, k) if p == 2 or k > 1
+        else q_of_p(x % p, s % p, p)
+        for p, k in factors if s % p
+    ))
+    if all(s % p for p, _ in factors):
         return n_a
     shared_k = max(k for p, k in factors if s % p == 0)
     for j in range(1, 2 * shared_k + 1):
@@ -79,7 +86,7 @@ def n_of_f(alpha: QuadInt, f: int) -> int:
     if f == 1 or alpha.b == 0:
         return 1
     _, _, f0 = reduce_f(alpha.b, f)
-    return _entry_index(alpha.trace_x, alpha.norm, f0)
+    return _entry_index(alpha.trace_x % f0, alpha.norm % f0, f0)
 
 
 @dataclass(frozen=True)
@@ -225,7 +232,7 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
     c, _, f0 = reduce_f(alpha.b, f)
     x, s = alpha.trace_x, alpha.norm
-    n_exact = _entry_index(x, s, f0)
+    n_exact = _entry_index(x % f0, s % f0, f0)
     notes = []
     if c > 1:
         notes.append(f"common factor {c} with b removed, leaving f0 = {f0}")
@@ -234,7 +241,7 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         notes.append("even conductor: the product bound is stated for odd f only")
     else:
         for p, k in factorize(f0).factors:  # f0 is odd here
-            q = q_of_p(x, s, p)
+            q = q_of_p(x % p, s % p, p)
             per.append(PrimeBound(p, k, q, q * p ** (k - 1)))
         bound = prod(t.contribution for t in per)
     return ConductorReport(

@@ -334,7 +334,7 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
 
-@lru_cache(maxsize=4096)  # the default sweep grid holds about 3,000 keys
+@lru_cache(maxsize=4096)  # the default sweep grid holds about 2,300 keys
 def q_of_p(x: int, s: int, p: int) -> int:
     """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p, by order descent.
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import quadorder
-from quadorder import cli, conductor, modarith, ordersolver, quadint
+from quadorder import cheby, cli, conductor, modarith, ordersolver, quadint
 from quadorder.cheby import run_identity_trials
 from quadorder.cli import CSV_COLUMNS, build_parser, main, run_sweep
 from quadorder.quadint import QuadInt
@@ -840,9 +840,12 @@ def test_readme_commands_golden_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+CACHES = (modarith.factorize, ordersolver.q_of_p, conductor._entry_index,
+          conductor._prime_power_index, quadint._check_radicand)
+
+
 def test_sweep_factors_each_argument_once(capsys):
-    for cached in (modarith.factorize, ordersolver.q_of_p, conductor._entry_index,
-                   quadint._check_radicand):
+    for cached in CACHES:
         cached.cache_clear()
     body = modarith.factorize.__wrapped__.__code__
     factored = collections.Counter()
@@ -859,3 +862,22 @@ def test_sweep_factors_each_argument_once(capsys):
     assert code == 0
     assert factored and max(factored.values()) == 1, factored.most_common(3)
     assert modarith.factorize.cache_info().misses == len(factored)
+
+
+def test_sweep_conductor_work_is_pinned(capsys, monkeypatch):
+    # the conductor half of the default grid, cold: n(f) is the lcm of cached
+    # prime-power indices, and one descent mod the whole f0 took 27,784 terms
+    for cached in CACHES:
+        cached.cache_clear()
+    calls = collections.Counter()
+
+    def counted(*args):
+        calls["_lucas"] += 1
+        return lucas(*args)
+
+    lucas = cheby._lucas
+    monkeypatch.setattr(cheby, "_lucas", counted)
+    monkeypatch.setattr(conductor, "_lucas", counted)
+    code, _, _ = run(capsys, "sweep", "--p-max", "3")
+    assert code == 0
+    assert 0 < calls["_lucas"] <= 10_741, calls

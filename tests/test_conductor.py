@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quadorder import conductor
+from quadorder.cheby import _lucas, _order_descent
 from quadorder.conductor import (
     PrimeBound,
     bound_full,
@@ -49,6 +50,69 @@ def test_entry_index_caches_only_the_index():
     # R2 = 1 + sqrt(2) has trace 2 and norm -1; f0 = 45
     assert type(conductor._entry_index(2, -1, 45)) is int
     assert conductor._entry_index(2, -1, 45) == n_of_f(R2, 45) == 12
+
+
+def reference_entry_index(x, s, f0):
+    """n(f) by one order descent mod the whole of f0: a second route to
+    _entry_index's lcm of prime-power indices."""
+    factors = factorize(f0).factors
+    for p, _ in factors:
+        if s % p == 0 and x % p != 0:
+            raise ValueError(
+                f"no power of alpha has its irrational part divisible by {p}: "
+                "the cofactor sequence never vanishes there"
+            )
+    coprime = [(p, k) for p, k in factors if s % p]
+    part_a = math.prod(p**k for p, k in coprime)
+    mult = math.lcm(*(q_of_p(x, s, p) * p ** (k - 1) for p, k in coprime if p != 2))
+    # mult exceeds n(A) only at primes of A, and at 3 through the 6 for p = 2
+    primes = [p for p, _ in coprime]
+    if part_a % 2 == 0:
+        mult = math.lcm(mult, 3 * (part_a & -part_a))
+        primes.append(3)
+    n_a = _order_descent(x, s, part_a, mult, primes)
+    if part_a == f0:
+        return n_a
+    shared_k = max(k for p, k in factors if s % p == 0)
+    for j in range(1, 2 * shared_k + 1):
+        if _lucas(x, s, j * n_a, f0)[1] == 0:
+            return j * n_a
+    raise AssertionError(f"u does not vanish mod {f0} by index {2 * shared_k * n_a}")
+
+
+def _value_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# prime powers up to 2^10, 3^6, 7^4 and 5^5, and 2^3 * 11^2, 3^3 * 13^2 and 3^2 * 5^2 * 7^2
+PANEL_F0 = [*range(1, 101), 512, 729, 968, 1024, 2401, 3125, 4563, 11025]
+
+
+def test_entry_index_matches_one_descent_mod_f0():
+    # every (x, s) with |x| <= 8 and 0 < |s| <= 9, unreduced and reduced mod f0
+    for f0 in PANEL_F0:
+        for x in range(-8, 9):
+            for s in range(-9, 10):
+                if s == 0:
+                    continue
+                expected = _value_or_refusal(reference_entry_index, x, s, f0)
+                got = _value_or_refusal(conductor._entry_index, x, s, f0)
+                assert got == expected, (x, s, f0)
+                got = _value_or_refusal(conductor._entry_index, x % f0, s % f0, f0)
+                assert got == expected, (x % f0, s % f0, f0)
+
+
+def test_entry_index_strict_at_a_wall_sun_sun_prime():
+    # 13 and 31 divide u_{q(p)-1} of 1 + sqrt(2) twice (OEIS A238736), so there
+    # n(p^2) = q(p), below the bound q(p) * p
+    assert (q_of_p(2, -1, 13), n_of_f(R2, 169)) == (7, 7)
+    assert (q_of_p(2, -1, 31), n_of_f(R2, 961)) == (30, 30)
+    assert oracle_n_of_f(R2, 169, cap=20).value == 7
+    assert n_of_f(R2, 13**3) == 7 * 13
+    assert n_of_f(R2, 11**2) == q_of_p(2, -1, 11) * 11
 
 
 def test_n_of_f_matches_oracle():

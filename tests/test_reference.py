@@ -177,6 +177,21 @@ def _check_conductor(alpha: QuadInt, f: int, tally, mismatches) -> None:
         mismatches.append(("n(f)", alpha, f, n, rep.n_exact, ref_n, rep.checks))
 
 
+# high prime powers, the 2-power whose descent starts from 3 * 2^k, and the
+# squares of 13 and 31, where n(p^2) = q(p) for 1 + sqrt 2 (OEIS A238736)
+PRIME_POWERS = (2**39, 3**25, 5**17, 7**14, 13**2, 31**2, (2**19 - 1) ** 2)
+
+
+@pytest.mark.parametrize("f", PRIME_POWERS)
+def test_reference_prime_powers(f):
+    tally, mismatches = Counter(), []
+    alphas = [alpha for alpha in ALPHAS if gcd(f, alpha.norm) == 1]
+    for alpha in alphas:
+        _check_conductor(alpha, f, tally, mismatches)
+    assert not mismatches, mismatches
+    assert tally["f", "checked"] == len(alphas) > 0, tally
+
+
 @pytest.fixture
 def seeded_sympy():
     state = sympy.core.random.rng.getstate()
