@@ -10,8 +10,8 @@ Single terms come from one Lucas-doubling kernel, _lucas, over the
 integers (s = 0 included) or mod m; vanishing indices come from an order
 descent on it, and run_identity_trials fuzzes the identities with it.
 u_prev_exact, t_exact, eval_fast and compose_* wrap it only for the tests
-and perfbench's tracer; u_seq and t_seq walk the recurrence one step at a
-time, as the reference the kernel is tested against.
+and perfbench's tracer.  ChebyParams validates its pair when made; the
+results, ChebyPair and IdentityTally, are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -35,34 +36,10 @@ class ChebyParams:
             raise ValueError("modulus must be at least 2")
 
 
-@dataclass(frozen=True)
-class ChebyPair:
+class ChebyPair(NamedTuple):
     n: int
     t: int
     u_prev: int  # u_{n-1}
-
-
-def u_seq(params: ChebyParams, n_max: int) -> list[int]:
-    """u_0 .. u_{n_max}, reduced mod params.modulus when set."""
-    return _seq(params, n_max, 1, params.x)
-
-
-def t_seq(params: ChebyParams, n_max: int) -> list[int]:
-    """t_0 .. t_{n_max}, reduced mod params.modulus when set."""
-    return _seq(params, n_max, 2, params.x)
-
-
-def _seq(params: ChebyParams, n_max: int, w0: int, w1: int) -> list[int]:
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    x, s, m = params.x, params.s, params.modulus
-    seq = [w0, w1]
-    if m is not None:
-        seq = [w0 % m, w1 % m]
-    while len(seq) <= n_max:
-        nxt = x * seq[-1] - s * seq[-2]
-        seq.append(nxt % m if m is not None else nxt)
-    return seq[: n_max + 1]
 
 
 def _lucas(x: int, s: int, n: int, m: int | None = None) -> tuple[int, int]:
@@ -176,8 +153,7 @@ def _require_exact_indices(m: int, n: int) -> None:
         raise ValueError("composition indices must be at least 1")
 
 
-@dataclass(frozen=True)
-class IdentityTally:
+class IdentityTally(NamedTuple):
     name: str
     passed: int
     total: int

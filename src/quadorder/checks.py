@@ -2,19 +2,19 @@
 
 A report is judged by its failed checks alone; n/a rows record a truth
 value kept as data, not asserted.  An unmet precondition is a ValueError.
+Checks, like the reports that hold them, are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 NA = "n/a"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     note: str = ""

@@ -17,7 +17,6 @@ import random
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from itertools import product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
@@ -75,9 +74,16 @@ def _named(**values) -> list[dict]:
     return [{"name": name, "value": value} for name, value in values.items()]
 
 
+def _plain(value):
+    """value with every record in it as a dict, since json.dump writes a NamedTuple as a list."""
+    if hasattr(value, "_asdict"):
+        return {name: _plain(v) for name, v in value._asdict().items()}
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _fields(report, *skip: str) -> list[dict]:
     """The report's own fields as named results, in field order, less those skipped."""
-    return _named(**{name: v for name, v in asdict(report).items() if name not in skip})
+    return _named(**{name: _plain(v) for name, v in report._asdict().items() if name not in skip})
 
 
 def _claim(report) -> tuple[str, int, int | None, str, tuple]:
@@ -194,7 +200,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
         failure = f"  first failure at {t.first_failure}" if t.first_failure else ""
         lines.append(f"{t.name}: {t.passed}/{t.total}{failure}")
     lines.append("all identities hold" if ok else "IDENTITY FAILURE")
-    return _emit(args.json, "identities", inputs, [asdict(t) for t in tallies], ok, lines)
+    return _emit(args.json, "identities", inputs, [t._asdict() for t in tallies], ok, lines)
 
 
 def _tally(checks) -> dict:

@@ -14,9 +14,9 @@ n(A) that vanishes mod B, at most 2 * max k away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .cheby import _lucas, _order_descent
 from .checks import Check, check
@@ -39,8 +39,7 @@ def reduce_f(b: int, f: int) -> tuple[int, int, int]:
     return c, b // c, f // c
 
 
-@dataclass(frozen=True)
-class PrimeBound:
+class PrimeBound(NamedTuple):
     p: int
     k: int
     q_p: int
@@ -89,8 +88,7 @@ def n_of_f(alpha: QuadInt, f: int) -> int:
     return _entry_index(alpha.trace_x % f0, alpha.norm % f0, f0)
 
 
-@dataclass(frozen=True)
-class MultiplicativeBound:
+class MultiplicativeBound(NamedTuple):
     f: int
     g: int
     n_f: int
@@ -128,8 +126,7 @@ def bound_multiplicative(alpha: QuadInt, f: int, g: int) -> MultiplicativeBound:
     )
 
 
-@dataclass(frozen=True)
-class PrimePowerBound:
+class PrimePowerBound(NamedTuple):
     p: int
     k: int
     f: int
@@ -203,8 +200,7 @@ def _lift_diagnostics(x: int, s: int, p: int, k: int, f: int, nu: int) -> tuple[
     )
 
 
-@dataclass(frozen=True)
-class ConductorReport:
+class ConductorReport(NamedTuple):
     f: int
     f0: int
     n_exact: int

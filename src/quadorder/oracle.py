@@ -9,7 +9,7 @@ the bare recurrence mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modarith import require_odd_prime
 from .quadint import QuadInt
@@ -17,8 +17,7 @@ from .quadint import QuadInt
 DEFAULT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: int | None
     cap: int
 

@@ -11,8 +11,8 @@ refuse an unmet precondition with a ValueError naming it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cheby import _descend, _lucas, _order_descent
 from .checks import NA, Check, check, failed_names
@@ -26,8 +26,7 @@ STOP_POWER_OF_TWO = "power_of_two_exhausted"
 _SCAN_CAP = 10**6  # values of y divisor_bound tries before it refuses
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     ell: int
     chain: tuple[int, ...]
     stop_reason: str
@@ -37,8 +36,7 @@ class ChainResult:
         return len(self.chain) - 1
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     p: int
     x: int
     s: int
@@ -266,8 +264,7 @@ def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> list[Check]:
     return checks
 
 
-@dataclass(frozen=True)
-class DivisorBound:
+class DivisorBound(NamedTuple):
     k: int
     n: int
     preimage: int

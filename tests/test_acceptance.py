@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from quadorder.cheby import ChebyParams, eval_fast, t_seq, u_seq
+from quadorder.cheby import ChebyParams, eval_fast
 from quadorder.cheby import run_identity_trials
 from quadorder.checks import FAIL, NA, PASS
 from quadorder.conductor import (
@@ -30,6 +30,7 @@ from quadorder.ordersolver import (
 )
 from quadorder.quadint import QuadInt
 from quadorder.units import fundamental_unit, is_unit
+from test_cheby import t_seq, u_seq  # the step-by-step recurrence, kept in the tests
 
 D_GRID = [-7, -5, -2, -1, 2, 3, 5, 6, 7, 10, 13]
 CONDUCTOR_D = [-7, -2, 2, 3, 5, 13]

@@ -13,11 +13,34 @@ from quadorder.cheby import (
     eval_fast,
     run_identity_trials,
     t_exact,
-    t_seq,
     u_odd_closed_form,
     u_prev_exact,
-    u_seq,
 )
+
+
+# the step-by-step reference the Lucas kernel is tested against
+def u_seq(params: ChebyParams, n_max: int) -> list[int]:
+    """u_0 .. u_{n_max}, reduced mod params.modulus when set."""
+    return _seq(params, n_max, 1, params.x)
+
+
+def t_seq(params: ChebyParams, n_max: int) -> list[int]:
+    """t_0 .. t_{n_max}, reduced mod params.modulus when set."""
+    return _seq(params, n_max, 2, params.x)
+
+
+def _seq(params: ChebyParams, n_max: int, w0: int, w1: int) -> list[int]:
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    x, s, m = params.x, params.s, params.modulus
+    seq = [w0, w1]
+    if m is not None:
+        seq = [w0 % m, w1 % m]
+    while len(seq) <= n_max:
+        nxt = x * seq[-1] - s * seq[-2]
+        seq.append(nxt % m if m is not None else nxt)
+    return seq[: n_max + 1]
+
 
 PELL = ChebyParams(2, -1)
 FIB = ChebyParams(1, -1)

@@ -1,6 +1,5 @@
 import collections
 import csv
-import dataclasses
 import errno
 import hashlib
 import io
@@ -233,7 +232,7 @@ def wrong_oracle_n(monkeypatch):
 
     def off_by_one(alpha, f, cap):
         found = real(alpha, f, cap)
-        return dataclasses.replace(found, value=found.value + 1)
+        return found._replace(value=found.value + 1)
 
     monkeypatch.setattr(quadorder.oracle, "oracle_n_of_f", off_by_one)
 
@@ -270,7 +269,7 @@ def wrong_oracle_order(monkeypatch):
 
     def off_by_one(alpha, p, cap):
         found = real(alpha, p, cap)
-        return dataclasses.replace(found, value=found.value + 1)
+        return found._replace(value=found.value + 1)
 
     monkeypatch.setattr(quadorder.oracle, "oracle_order_mod_p", off_by_one)
 
@@ -569,7 +568,7 @@ def test_sweep_wrong_oracle_answer_fails_only_its_own_row(capsys, monkeypatch):
     def wrong_at_one_alpha(alpha, p, cap):
         result = real(alpha, p, cap)
         if (alpha.a, alpha.b, p) == (1, 1, 17):  # b > 0: its conjugate's part was made first
-            return dataclasses.replace(result, value=result.value + 1)
+            return result._replace(value=result.value + 1)
         return result
 
     monkeypatch.setattr(quadorder.oracle, "oracle_order_mod_p", wrong_at_one_alpha)
@@ -591,7 +590,7 @@ def test_sweep_chain_redraw_mismatch_fails_only_its_own_row(capsys, monkeypatch)
     def longer_at_one_alpha(start, ell, p, rng):
         result = real_extend(start, ell, p, rng)
         if rng is not None and (current[0].a, current[0].b, p) == (1, 1, 17):
-            return dataclasses.replace(result, chain=result.chain + (0,))  # one link too many
+            return result._replace(chain=result.chain + (0,))  # one link too many
         return result
 
     monkeypatch.setattr(cli, "_row", tracked_row)
@@ -838,6 +837,19 @@ def test_readme_commands_golden_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_conductor_json_nests_records_as_objects(capsys):
+    # beside the digest: a record inside a report field is a JSON object keyed by its
+    # fields, not the list json.dump would silently make of a NamedTuple
+    code, out, _ = run(capsys, "conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--json")
+    assert code == 0
+    results = {entry["name"]: entry for entry in json.loads(out)["results"]}
+    assert results["per_prime"]["value"] == [
+        {"p": 3, "k": 2, "q_p": 4, "contribution": 12},
+        {"p": 5, "k": 1, "q_p": 3, "contribution": 3},
+    ]
+    assert results["notes"]["value"] == []
 
 
 CACHES = (modarith.factorize, ordersolver.q_of_p, conductor._entry_index,

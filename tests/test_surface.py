@@ -1,5 +1,6 @@
 """The package's import surface: what the root exports, and what the benchmark tracer binds."""
 
+import dataclasses
 import importlib
 import runpy
 from pathlib import Path
@@ -28,8 +29,7 @@ ENTRY_POINTS = [
 MODULE_ONLY = {
     "cheby": [
         "ChebyPair", "ChebyParams", "IdentityTally", "compose_t", "compose_u", "eval_fast",
-        "run_identity_trials", "t_exact", "t_seq", "u_odd_closed_form", "u_prev_exact",
-        "u_seq",
+        "run_identity_trials", "t_exact", "u_odd_closed_form", "u_prev_exact",
     ],
     "checks": ["FAIL", "NA", "PASS", "Check", "check", "failed_names"],
     "conductor": ["MultiplicativeBound", "PrimeBound", "PrimePowerBound", "reduce_f"],
@@ -52,6 +52,38 @@ DELETED_FROM_ORDERSOLVER = [
     "NORM_MINUS_ONE",
 ]
 
+# the step-by-step recurrence walkers are the tests' own reference (tests/test_cheby.py)
+MOVED_TO_TESTS_FROM_CHEBY = ["u_seq", "t_seq", "_seq"]
+
+# records that only carry results: field order is the order of the order/conductor
+# JSON results, and the defaults are part of each constructor
+RECORDS = {
+    ("checks", "Check"): (("name", "status", "note"), {"note": ""}),
+    ("cheby", "ChebyPair"): (("n", "t", "u_prev"), {}),
+    ("cheby", "IdentityTally"): (("name", "passed", "total", "first_failure"),
+                                 {"first_failure": ""}),
+    ("ordersolver", "ChainResult"): (("ell", "chain", "stop_reason"), {}),
+    ("ordersolver", "OrderReport"): (
+        ("p", "x", "s", "ell", "mode", "bound_n", "half_bound_applies", "chain", "table_checks"),
+        {},
+    ),
+    ("ordersolver", "DivisorBound"): (("k", "n", "preimage", "checks"), {}),
+    ("conductor", "PrimeBound"): (("p", "k", "q_p", "contribution"), {}),
+    ("conductor", "MultiplicativeBound"): (("f", "g", "n_f", "n_g", "n_fg", "side_conditions"),
+                                           {}),
+    ("conductor", "PrimePowerBound"): (
+        ("p", "k", "f", "q_p", "n_f", "lhs", "rhs", "side_conditions", "checks"), {"checks": ()},
+    ),
+    ("conductor", "ConductorReport"): (("f", "f0", "n_exact", "bound", "per_prime", "notes"), {}),
+    ("oracle", "OracleResult"): (("value", "cap"), {}),
+}
+
+# value types that do work when made: QuadInt caches its norm and trace (and the
+# benchmark tracer counts that __post_init__), Factorization and ChebyParams
+# validate, and Mat2 is the naive cross-route
+DATACLASSES = [("quadint", "QuadInt"), ("quadint", "Mat2"), ("modarith", "Factorization"),
+               ("cheby", "ChebyParams")]
+
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
 
@@ -71,6 +103,34 @@ def test_other_names_import_from_their_module(module, name):
 @pytest.mark.parametrize("name", DELETED_FROM_ORDERSOLVER)
 def test_deleted_names_are_absent(name):
     assert not hasattr(quadorder.ordersolver, name)
+
+
+@pytest.mark.parametrize("name", MOVED_TO_TESTS_FROM_CHEBY)
+def test_moved_walkers_are_absent_from_cheby(name):
+    assert not hasattr(cheby, name)
+
+
+@pytest.mark.parametrize("module, name", list(RECORDS))
+def test_result_records_are_named_tuples(module, name):
+    cls = getattr(importlib.import_module(f"quadorder.{module}"), name)
+    fields, defaults = RECORDS[module, name]
+    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    record = cls(*range(len(fields)))
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], -1)
+    assert record._asdict() == dict(zip(fields, range(len(fields))))
+
+
+@pytest.mark.parametrize("module, name", DATACLASSES)
+def test_value_types_stay_dataclasses(module, name):
+    assert dataclasses.is_dataclass(getattr(importlib.import_module(f"quadorder.{module}"), name))
+
+
+def test_quadint_construction_stays_countable():
+    # the tracer's quadint.construct counter wraps this method on the class itself
+    assert "__post_init__" in quadorder.quadint.QuadInt.__dict__
 
 
 @pytest.fixture(scope="module")
