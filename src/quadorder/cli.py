@@ -94,10 +94,14 @@ def _claim(report) -> tuple[str, int, int | None, str, tuple]:
     return "f", report.f, report.n_exact, "oracle n(f) == n_exact", report.checks
 
 
+def _steps(claimed: int) -> int:
+    return 2 * claimed + 10  # the oracle's step cap for a claimed order or index
+
+
 def _oracle_cap(alpha: QuadInt, claim) -> int | None:
     """The oracle's step cap for the claim, if any; refused above oracle.DEFAULT_CAP."""
     name, modulus, claimed, _, _ = claim
-    cap = None if claimed is None else 2 * claimed + 10
+    cap = None if claimed is None else _steps(claimed)
     if cap is not None and cap > oracle.DEFAULT_CAP:
         raise ValueError(
             f"the oracle cross-check of alpha = {alpha} at {name} = {modulus} would take up to "
@@ -244,7 +248,7 @@ def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> dict:
     return row
 
 
-def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int, keep):
+def _grid_reports(d_set, coeff_bound: int, primes, conductors, keep):
     """(alpha, keep(alpha, report)) for every grid case that meets its preconditions, in row order.
 
     alpha = a + b*sqrt(d) and its conjugate share x and s, and so every report
@@ -252,9 +256,8 @@ def _grid_reports(d_set, coeff_bound: int, p_max: int, f_max: int, keep):
     both. The b < 0 member keeps what keep makes of each report, and its
     conjugate, later in the same (d, a), yields that again.
     """
-    primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
     jobs = [(ordersolver.analyze, p) for p in primes]
-    jobs += [(conductor.bound_full, f) for f in range(1, f_max + 1)]
+    jobs += [(conductor.bound_full, f) for f in conductors]
     coeffs = range(-coeff_bound, coeff_bound + 1)
     for d, a in product(sorted(set(d_set)), coeffs):
         kept = {}  # |b| -> what keep made for a - |b|*sqrt(d), until its conjugate takes it
@@ -286,16 +289,23 @@ def run_sweep(
     break a precondition are skipped rather than reported as failures.
     Conjugates share their reports and their rows but for b, the oracle
     scan and the chain re-draw. With the oracle, a first pass refuses an
-    over-budget grid before any scan, naming its row. The rng only feeds
-    the chain re-draw, so a fixed seed reproduces the dataset byte for byte.
+    over-budget grid before any scan, naming its row; it visits only the
+    moduli whose claims can exceed the cap, as an order claim is at most
+    p^2 - 1 (see analyze) and n(f) <= 6f^2 (see conductor), so p >= 709
+    and f >= 289. The rng only feeds the chain re-draw, so a fixed seed
+    reproduces the dataset byte for byte.
     """
-    rng = random.Random(seed)
-    grid = (d_set, coeff_bound, p_max, f_max)
+    rng, grid = random.Random(seed), (d_set, coeff_bound)
+    primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
+    conductors = range(1, f_max + 1)
     if with_oracle:
         # a pass of its own: holding every report for the rows would raise peak memory
-        for alpha, claim in _grid_reports(*grid, lambda _, report: _claim(report)):
+        over_p = [p for p in primes if _steps(p * p - 1) > oracle.DEFAULT_CAP]
+        over_f = [f for f in conductors if _steps(6 * f * f) > oracle.DEFAULT_CAP]
+        for alpha, claim in _grid_reports(*grid, over_p, over_f, lambda _, r: _claim(r)):
             _oracle_cap(alpha, claim)
-    return (_row(alpha, part, rng, with_oracle) for alpha, part in _grid_reports(*grid, _row_part))
+    rows = _grid_reports(*grid, primes, conductors, _row_part)
+    return (_row(alpha, part, rng, with_oracle) for alpha, part in rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -9,7 +9,9 @@ q(p) * p^(k-1), or 3 * 2^k for p = 2 (element orders in PGL(2, F_2) = S_3
 divide 6).  u mod m depends only on x and s mod m, so each index is cached
 under those residues.  Each prime of B divides x and s, so M^2 == 0 mod p
 and u vanishes mod p^k from index 2k on: n(f0) is the first multiple of
-n(A) that vanishes mod B, at most 2 * max k away.
+n(A) that vanishes mod B, at most 2 * max k away.  So n(f) <= 6f^2: n(A)
+is at most the product of its terms, (p + 1) * p^(k-1) <= p^(2k) or 3 * 2^k
+<= 3 * 4^k, so n(A) <= 3A^2; k <= p^(k-1) <= B makes 2 * max k <= 2B.
 """
 
 from __future__ import annotations

@@ -363,7 +363,10 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
 
     Norm -1 with p == 3 (mod 4) or ell = -1 has no chain bound: its report
     asserts the exclusion congruences and the weaker alpha^{2(p-ell)} == 1
-    instead.
+    instead.  Every claimed bound_n is at most p^2 - 1.  General mode
+    claims p - 1, or (p + 1) * ord(s) with ord(s) dividing p - 1; the unit
+    modes claim (p - ell) >> shift <= p + 1; the diagnostic claims
+    2(p - ell) <= 2(p + 1) <= p^2 - 1, as p >= 3; degenerate claims none.
     """
     ell = _gate(alpha, p)
     x, s = alpha.trace_x, alpha.norm

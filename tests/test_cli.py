@@ -469,23 +469,55 @@ def test_sweep_rows_equal_an_unshared_reference(seed, with_oracle):
     assert list(run_sweep(*grid)) == expected
 
 
-def test_default_sweep_builds_each_conjugate_pairs_reports_once(monkeypatch):
-    built = collections.Counter()
+@pytest.fixture
+def builds(monkeypatch):
+    """Every report the grid builds, as (builder name, alpha, modulus), in call order."""
+    built = []
 
     def counted(build):
         def wrapper(alpha, modulus):
-            built[build.__name__, alpha.d, alpha.a, abs(alpha.b), modulus] += 1
+            built.append((build.__name__, alpha, modulus))
             return build(alpha, modulus)
         return wrapper
 
     monkeypatch.setattr(ordersolver, "analyze", counted(ordersolver.analyze))
     monkeypatch.setattr(conductor, "bound_full", counted(conductor.bound_full))
+    return built
+
+
+def test_default_sweep_builds_each_conjugate_pairs_reports_once(builds):
     args = build_parser().parse_args(["sweep"])
     d_set = [int(tok) for tok in args.d_set.split(",")]
     rows = run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed)
     assert sum(1 for _ in rows) == 31464
+    built = collections.Counter((name, a.d, a.a, abs(a.b), modulus) for name, a, modulus in builds)
     assert set(built.values()) == {1}  # once per (d, a, |b|) and modulus
     assert collections.Counter(name for name, *_ in built) == {"analyze": 4680, "bound_full": 11700}
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_oracle_sweep_builds_the_reports_the_plain_sweep_does(builds, with_oracle):
+    # grid-oracle's grid: p < 100 and f <= 20 are below both cutoffs, so its cap pass builds none
+    rows = list(run_sweep([2, 3, 5], 2, 100, 20, 0, with_oracle))
+    assert len(rows) == 2174
+    assert collections.Counter(name for name, *_ in builds) == {"analyze": 600, "bound_full": 500}
+
+
+def test_sweep_oracle_cap_pass_builds_only_past_the_cutoffs(capsys, builds):
+    # an order claim is at most p^2 - 1 and n(f) at most 6f^2, so a claim's cap 2c + 10 can
+    # exceed the oracle's budget only from p = 709 and f = 289 on; the pass runs on the call
+    run_sweep([2, 3, 5], 1, 702, 288, 0, True)  # p = 701 and f = 288 are the largest moduli
+    assert builds == []
+    run_sweep([2, 3, 5], 1, 0, 289, 0, True)
+    assert {modulus for *_, modulus in builds} == {289}
+    builds.clear()
+    code, out, err = run(
+        capsys, "sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "720",
+        "--f-max", "0", "--oracle"
+    )
+    assert (code, out) == (2, "")
+    assert {modulus for *_, modulus in builds} == {709, 719}
+    assert "alpha = 0 + -1*sqrt(2) at p = 709 would take up to 1005370 steps" in err
 
 
 def test_default_sweep_builds_each_conjugate_pairs_row_part_once(monkeypatch):

@@ -153,6 +153,24 @@ def test_n_of_f_matches_oracle_random(d, a, b, f, shared):
     assert oracle_n_of_f(alpha, f, cap=claimed + 2).value == claimed
 
 
+def test_n_of_f_is_at_most_six_f_squared(monkeypatch):
+    # the ceiling sweep --oracle's cap pass relies on; 2 + 2*sqrt(2), 3 + 3*sqrt(2) and
+    # 3 + sqrt(3) have trace and norm sharing 2, 3 or both, so the walk past n(A) runs too
+    walks = []
+    monkeypatch.setattr(conductor, "_lucas", lambda *args: walks.append(args) or _lucas(*args))
+    conductor._entry_index.cache_clear()
+    alphas = [R2, PHI, QuadInt(2, 2, 2), QuadInt(3, 3, 2), QuadInt(3, 1, 3), QuadInt(2, 1, 2),
+              QuadInt(1, 3, -3), QuadInt(5, 1, 7)]
+    for alpha in alphas:
+        for f in range(1, 301):
+            try:
+                n = n_of_f(alpha, f)
+            except ValueError:
+                continue
+            assert n <= 6 * f * f, (str(alpha), f, n)
+    assert walks
+
+
 def test_n_of_f_reduction_by_common_factor():
     alpha = QuadInt(1, 12, 2)
     report = bound_full(alpha, 45)

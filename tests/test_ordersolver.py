@@ -939,3 +939,29 @@ class TestAnalyze:
 
 def test_statuses_are_distinct():
     assert len({PASS, FAIL, NA}) == 3
+
+
+def test_order_claims_are_at_most_p_squared_minus_one():
+    # the ceiling sweep --oracle's cap pass relies on, over every mode at 3 <= p < 1500;
+    # 0 - sqrt(2) reaches it at p = 709, where ell = -1 and -2 is a primitive root
+    alphas = [QuadInt(a, b, d) for d, a, b in [
+        (2, 0, -1), (2, 1, 1), (2, 3, 2), (3, 2, 1), (3, 1, 1), (5, 1, 3), (7, 3, 1), (-1, 2, 3),
+    ]]
+    modes, reached = set(), set()
+    for p in filter(is_prime, range(3, 1500)):
+        for alpha in [*alphas, QuadInt(2, 2, p)]:  # d = p makes ell = 0
+            try:
+                report = analyze(alpha, p)
+            except ValueError:
+                continue
+            modes.add(report.mode)
+            if report.mode == "degenerate":
+                assert report.bound_n is None
+                continue
+            assert report.bound_n <= p * p - 1, (str(alpha), p, report.mode)
+            if report.bound_n == p * p - 1:
+                reached.add((alpha.d, alpha.a, alpha.b, p))
+    assert modes == {
+        "general", "norm_plus_one", "norm_minus_one", "norm_minus_one_diagnostic", "degenerate",
+    }
+    assert (2, 0, -1, 709) in reached
