@@ -17,7 +17,7 @@ import random
 import re
 import sys
 from contextlib import nullcontext
-from itertools import product
+from itertools import count, product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
 from .cheby import _MN_BOUND, _S_BOUND, _X_BOUND, run_identity_trials
@@ -256,8 +256,7 @@ def _grid_reports(d_set, coeff_bound: int, primes, conductors, keep):
     both. The b < 0 member keeps what keep makes of each report, and its
     conjugate, later in the same (d, a), yields that again.
     """
-    jobs = [(ordersolver.analyze, p) for p in primes]
-    jobs += [(conductor.bound_full, f) for f in conductors]
+    jobs = ((ordersolver.analyze, primes), (conductor.bound_full, conductors))
     coeffs = range(-coeff_bound, coeff_bound + 1)
     for d, a in product(sorted(set(d_set)), coeffs):
         kept = {}  # |b| -> what keep made for a - |b|*sqrt(d), until its conjugate takes it
@@ -270,13 +269,14 @@ def _grid_reports(d_set, coeff_bound: int, primes, conductors, keep):
                 yield from ((alpha, part) for part in kept.pop(b))
                 continue
             parts = kept[-b] = []
-            for build, modulus in jobs:
-                try:
-                    report = build(alpha, modulus)
-                except ValueError:
-                    continue
-                parts.append(keep(alpha, report))
-                yield alpha, parts[-1]
+            for build, moduli in jobs:
+                for modulus in moduli:
+                    try:
+                        report = build(alpha, modulus)
+                    except ValueError:
+                        continue
+                    parts.append(keep(alpha, report))
+                    yield alpha, parts[-1]
 
 
 def run_sweep(
@@ -301,7 +301,8 @@ def run_sweep(
     if with_oracle:
         # a pass of its own: holding every report for the rows would raise peak memory
         over_p = [p for p in primes if _steps(p * p - 1) > oracle.DEFAULT_CAP]
-        over_f = [f for f in conductors if _steps(6 * f * f) > oracle.DEFAULT_CAP]
+        f_cut = next(f for f in count(1) if _steps(6 * f * f) > oracle.DEFAULT_CAP)
+        over_f = range(f_cut, f_max + 1)  # the cap grows with f, so those past it are one range
         for alpha, claim in _grid_reports(*grid, over_p, over_f, lambda _, r: _claim(r)):
             _oracle_cap(alpha, claim)
     rows = _grid_reports(*grid, primes, conductors, _row_part)

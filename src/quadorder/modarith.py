@@ -1,8 +1,8 @@
 """Modular arithmetic and factorization plumbing, sized for desk-scale inputs.
 
-is_prime is Miller-Rabin on the first k prime bases, with k the least
-whose psi_k (the least strong pseudoprime to those bases) lies above n,
-and all twelve bases from psi_11 up.
+is_prime is Miller-Rabin on the fewest bases a published deterministic set
+needs below 2^64 (_BASES: Jaeschke's, then those of miller-rabin.appspot.com
+that sympy's isprime uses), and on the prime witnesses 2..37 from 2^64 up.
 
 Factoring is one fixed policy whose answers are those of trial division
 up to TRIAL_BOUND followed by a primality test on what survives.
@@ -10,18 +10,18 @@ The power of 2 is stripped by a bit trick, and one gcd with the product
 of the odd primes below _WINDOW names the ones that divide what is left;
 only those are divided out.  What they leave has no prime factor below
 _WINDOW, so below (_WINDOW + 1)^2 it is 1 or a prime.  Above that and
-below _PSI12 (where the Miller-Rabin witnesses below are a proof),
-Brent's rho splits it completely under the fixed budget _RHO_STEPS; the
-primes up to TRIAL_BOUND are kept and the product of those above is what
-trial division would leave.  Past the budget, or at _PSI12 and above,
-the range up to TRIAL_BOUND is walked _WINDOW integers at a time: one
-gcd of what is left with the product of a window's odd primes skips a
-window that holds none of its prime factors, and only a window that does
-is walked divisor by divisor.  Both routes end in one cofactor rule.
-The products are built on the first call that needs them, the first
-window's with its 171 primes on the first factorization and the others
-by a sieve that holds one segment's flags at a time and keeps no list of
-primes up to TRIAL_BOUND; they take about 180 KB.
+below _PSI12 (where is_prime is a proof), Brent's rho splits it
+completely under the fixed budget _RHO_STEPS into proved primes: those
+up to TRIAL_BOUND are kept, one above is accepted with no second test,
+and two or more are refused, as trial division would.
+Past the budget, or at _PSI12 and above, the range up to TRIAL_BOUND is
+walked _WINDOW integers at a time: one gcd of what is left with the
+product of a window's odd primes skips a window that holds none of its
+prime factors, and only a window that does is walked divisor by divisor.
+Both routes end in one cofactor rule.  The products are built on the
+first call that needs them, by sieves: the first window's 171 primes on
+the first factorization, the others one segment's flags at a time, with
+no list of primes up to TRIAL_BOUND kept; they take about 180 KB.
 """
 
 from __future__ import annotations
@@ -37,16 +37,25 @@ _WINDOW = 1 << 10  # integers per window of the product table
 _SEGMENT = 1 << 16  # integers sieved at a time to build it; a multiple of _WINDOW
 _RHO_STEPS = 1 << 16  # rho iterations one factorization may spend before it walks the windows
 
-# Miller-Rabin on these witnesses is exact only below psi_12, a composite
-# is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
+# Miller-Rabin on these witnesses, which run from 2^64 up, is exact only below
+# psi_12, a composite is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
 _PSI12 = 318665857834031151167461
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime
-# bases, those k witnesses decide (Jaeschke, Math. Comp. 61, 1993; OEIS
-# A014233); psi_8 = psi_7 and psi_11 = psi_10 = psi_9, so those are left out
-_WITNESS_COUNTS = (
-    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
-    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+# (bound, bases): below bound, Miller-Rabin on these bases decides.  The first
+# three rows are Jaeschke's (Math. Comp. 61, 1993); the rest are the sets of
+# miller-rabin.appspot.com that sympy's isprime uses, the last Sinclair's (2011)
+_BASES = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7999252175582851, (
+        2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
+    (585226005592931977, (
+        2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
+        1263739024124850375)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
 
@@ -60,10 +69,9 @@ def is_prime(n: int) -> bool:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # the power of 2 in n - 1
     d = (n - 1) >> s
-    k = next((k for psi, k in _WITNESS_COUNTS if n < psi), len(_WITNESSES))
-    for a in _WITNESSES[:k]:
+    for a in next((bases for bound, bases in _BASES if n < bound), _WITNESSES):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == n - 1 or a % n == 0:  # a multiple of n proves nothing
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -144,8 +152,13 @@ class Factorization:
 
 @cache
 def _first_window() -> tuple[tuple[int, ...], int]:
-    """The odd primes below _WINDOW, ascending, and their product."""
-    primes = tuple(filter(is_prime, range(3, _WINDOW, 2)))  # is_prime is exact below 41^2
+    """The odd primes below _WINDOW, ascending, and their product, by a sieve."""
+    flags = bytearray([1]) * (_WINDOW // 2)  # flags[i] marks 2i + 1 as prime
+    flags[0] = 0  # 1 is not a prime
+    for r in range(3, isqrt(_WINDOW) + 1, 2):
+        if flags[r // 2]:
+            flags[r * r // 2 :: r] = bytes(len(range(r * r // 2, len(flags), r)))
+    primes = tuple(compress(range(1, _WINDOW, 2), flags))
     return primes, prod(primes)
 
 
@@ -231,11 +244,15 @@ def _rho_divisor(n: int, budget: int) -> tuple[int | None, int]:
 
 
 def _prime_factors(n: int) -> list[int] | None:
-    """The primes of n < _PSI12 with multiplicity, ascending; None past _RHO_STEPS."""
+    """The primes of n < _PSI12 with multiplicity, ascending; None past _RHO_STEPS.
+
+    n has no prime factor below _WINDOW, so a factor below (_WINDOW + 1)^2 is
+    a prime and is_prime proves each of the others once.
+    """
     primes, left, budget = [], [n], _RHO_STEPS
     while left:
         m = left.pop()
-        if is_prime(m):
+        if m < (_WINDOW + 1) ** 2 or is_prime(m):
             primes.append(m)
             continue
         d, budget = _rho_divisor(m, budget)
@@ -260,9 +277,9 @@ def factorize(n: int) -> Factorization:
     """Factor |n| as trial division up to TRIAL_BOUND would.
 
     The module docstring has the two routes.  Both end in one cofactor
-    rule: what survives is accepted only if it is at most TRIAL_BOUND^2 or
-    passes the primality test; otherwise the input exceeds desk scale and
-    we refuse rather than guess.
+    rule: what survives is accepted only if it is one prime rho has proved,
+    or, after the walk, at most TRIAL_BOUND^2 or passes the primality test;
+    otherwise the input exceeds desk scale and we refuse rather than guess.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -276,7 +293,8 @@ def factorize(n: int) -> Factorization:
         rem = _divide_out(rem, q, factors)
     if (_WINDOW + 1) ** 2 <= rem < _PSI12 and (primes := _prime_factors(rem)) is not None:
         factors += [(r, len(list(g))) for r, g in groupby(r for r in primes if r <= TRIAL_BOUND)]
-        rem = prod(r for r in primes if r > TRIAL_BOUND)
+        above = [r for r in primes if r > TRIAL_BOUND]
+        rem, accepted = prod(above), len(above) < 2  # each one proved already
     else:
         q = _WINDOW + 1
         while q <= TRIAL_BOUND and q * q <= rem:
@@ -287,9 +305,9 @@ def factorize(n: int) -> Factorization:
             if rem % q == 0:
                 rem = _divide_out(rem, q, factors)
             q += 2
+        accepted = rem <= TRIAL_BOUND * TRIAL_BOUND or is_prime(rem)
+    if not accepted:
+        raise ValueError(f"composite cofactor {rem} exceeds the trial bound {TRIAL_BOUND}")
     if rem > 1:
-        if rem <= TRIAL_BOUND * TRIAL_BOUND or is_prime(rem):
-            factors.append((rem, 1))
-        else:
-            raise ValueError(f"composite cofactor {rem} exceeds the trial bound {TRIAL_BOUND}")
+        factors.append((rem, 1))
     return Factorization(base=abs(n), factors=tuple(factors))

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -518,6 +519,17 @@ def test_sweep_oracle_cap_pass_builds_only_past_the_cutoffs(capsys, builds):
     assert (code, out) == (2, "")
     assert {modulus for *_, modulus in builds} == {709, 719}
     assert "alpha = 0 + -1*sqrt(2) at p = 709 would take up to 1005370 steps" in err
+
+
+def test_sweep_streams_its_moduli():
+    # no job per conductor is held: the first row of a 300,000-conductor grid costs little
+    tracemalloc.start()
+    try:
+        next(run_sweep([2], 1, 3, 300000, 0, False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_default_sweep_builds_each_conjugate_pairs_row_part_once(monkeypatch):

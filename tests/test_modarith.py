@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -19,12 +20,12 @@ from quadorder.modarith import (
 
 
 def sieve(limit):
-    flags = [True] * limit
-    flags[0] = flags[1] = False
-    for i in range(2, int(limit**0.5) + 1):
+    """flags[n] is 1 for a prime n < limit and 0 otherwise."""
+    flags = bytearray([1]) * limit
+    flags[:2] = bytes(2)
+    for i in range(2, math.isqrt(limit - 1) + 1):
         if flags[i]:
-            for j in range(i * i, limit, i):
-                flags[j] = False
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
     return flags
 
 
@@ -209,6 +210,30 @@ def test_factorize_composite_cofactor_rejected():
     with pytest.raises(ValueError, match="composite cofactor"):
         factorize(1000003**2)
     assert time.perf_counter() - t0 < 2.0
+
+
+def is_prime_calls(monkeypatch):
+    """Every n modarith.is_prime is called on from now, in order, on uncached factorizations."""
+    calls, real = [], modarith.is_prime
+    monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
+    factorize.cache_clear()
+    return calls
+
+
+def test_factorize_proves_a_prime_rho_returns_once(monkeypatch):
+    calls = is_prime_calls(monkeypatch)
+    r = 2**61 - 1
+    assert factorize(2 * r).factors == ((2, 1), (r, 1))
+    assert calls == [r]
+
+
+def test_factorize_refuses_two_proved_primes_with_no_test_of_their_product(monkeypatch):
+    calls = is_prime_calls(monkeypatch)
+    text = f"^composite cofactor 1000036000099 exceeds the trial bound {TRIAL_BOUND}$"
+    with pytest.raises(ValueError, match=text):
+        factorize(1000003 * 1000033)
+    # once, before rho splits it; both primes lie below 1025^2, so the first window proves them
+    assert calls == [1000036000099]
 
 
 def test_factorize_ignores_the_environment(monkeypatch):
@@ -529,14 +554,91 @@ STRONG_PSEUDOPRIMES = {
 }
 
 
-def test_witness_table_is_a014233():
-    # below psi_k the first k witnesses decide; the table may only skip a k
-    # whose psi_k equals the next one's
-    table = modarith._WITNESS_COUNTS
-    assert [psi for psi, _ in table] == sorted({psi for psi in PSI[:11]})
-    for psi, k in table:
-        assert psi == PSI[k - 1] and PSI.index(psi) == k - 1, (psi, k)
+# (bound, bases): below bound, Miller-Rabin on these bases decides.  The first
+# three rows are Jaeschke's (Math. Comp. 61, 1993), the first k prime bases below
+# psi_k; the rest are the sets of miller-rabin.appspot.com that sympy's isprime
+# uses, the last Sinclair's seven bases.  From 2^64 up all twelve BASES run.
+TABLE = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7999252175582851, (
+        2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
+    (585226005592931977, (
+        2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
+        1263739024124850375)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
+TABLE_BOUNDS = [bound for bound, _ in TABLE]
+
+
+def test_base_table_is_pinned():
+    assert modarith._BASES == TABLE
+    assert TABLE_BOUNDS == sorted(set(TABLE_BOUNDS)) and TABLE_BOUNDS[-1] == 2**64
+    for k, row in enumerate(TABLE[:3], 1):
+        assert row == (PSI[k - 1], BASES[:k])
     assert modarith._WITNESSES == BASES
+
+
+@pytest.mark.parametrize("row", range(len(TABLE)))
+def test_is_prime_matches_reference_across_each_row(row):
+    # reference_is_prime is exact below psi12 > 2^64, so it checks every row;
+    # the draws around each bound are test_is_prime_matches_reference_around_each_psi's
+    rng = random.Random(row)
+    low, bound = TABLE_BOUNDS[row - 1] if row else 41 * 41, TABLE_BOUNDS[row]
+    for n in [rng.randrange(low, bound) | 1 for _ in range(800)]:
+        assert is_prime(n) == reference_is_prime(n), n
+
+
+# odd divisors of a table base in its own row with no prime factor <= 37: each
+# skips that base, and 3709689913 is a prime that the others must pass
+BASE_DIVISORS = (
+    1896398411, 3695202151, 68296289, 3709689913, 205836409, 210657001, 215590489,
+    9459272301649, 401079056743, 2496591062878201, 346338208585571, 463740991156951,
+)
+
+
+@pytest.mark.parametrize("n", BASE_DIVISORS)
+def test_is_prime_skips_a_base_that_n_divides(n):
+    low, bound, bases = next(
+        (low, bound, bases) for low, (bound, bases) in zip([0] + TABLE_BOUNDS, TABLE) if n < bound
+    )
+    assert low <= n and any(a % n == 0 for a in bases)
+    assert is_prime(n) == reference_is_prime(n) == (n == 3709689913)
+
+
+def chernick_numbers(limit):
+    """(6k+1)(12k+1)(18k+1) below limit with all three factors prime: Carmichael numbers."""
+    def chernick(k):
+        return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+    top = next(k for k in itertools.count(1) if chernick(k) >= limit)
+    flags = sieve(18 * top + 1)
+    return [
+        chernick(k) for k in range(1, top)
+        if flags[6 * k + 1] and flags[12 * k + 1] and flags[18 * k + 1]
+    ]
+
+
+def test_is_prime_rejects_every_chernick_number_below_2_64():
+    chernick = chernick_numbers(2**64)
+    fooling = [n for n in chernick if strong_probable_prime(n, 2)]
+    assert (len(chernick), len(fooling)) == (1675, 251)
+    assert not any(is_prime(n) or reference_is_prime(n) for n in chernick)
+
+
+def test_is_prime_rejects_base_2_pseudoprimes_of_the_form_k_plus_1_times_2k_plus_1():
+    # n = (k+1)(2k+1) with both factors prime, for k + 1 below 10^6
+    flags = sieve(2 * 10**6)
+    half = len(flags) // 2
+    fooling = [
+        q * (2 * q - 1) for q in itertools.compress(range(half), flags[:half])
+        if flags[2 * q - 1] and strong_probable_prime(q * (2 * q - 1), 2)
+    ]
+    assert fooling[:4] == [49141, 104653, 873181, 1373653] and len(fooling) == 1284
+    assert not any(is_prime(n) or reference_is_prime(n) for n in fooling)
 
 
 @pytest.mark.parametrize("k", range(1, 12))
@@ -573,14 +675,14 @@ def draws_around(psi, rng, count=400):
     return [n for n in near + wide if n < PSI12]  # psi12 itself is the known miss
 
 
-@pytest.mark.parametrize("psi", sorted(set(PSI)))
+@pytest.mark.parametrize("psi", sorted(set(PSI) | set(TABLE_BOUNDS)))
 def test_is_prime_matches_reference_around_each_psi(psi):
     rng = random.Random(psi)
     for n in draws_around(psi, rng):
         assert is_prime(n) == reference_is_prime(n), n
 
 
-@pytest.mark.parametrize("psi", sorted(set(PSI)))
+@pytest.mark.parametrize("psi", sorted(set(PSI) | set(TABLE_BOUNDS)))
 def test_is_prime_matches_sympy_around_each_psi(psi):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(psi + 1)
@@ -592,6 +694,15 @@ def test_is_prime_matches_sympy_around_each_psi(psi):
 
 SMALL_PRIMES = [q for q in range(2, WINDOW) if is_prime(q)]
 EDGE_PRIMES_FLAT = sorted({q for pair in EDGE_PRIMES for q in pair})
+
+
+def test_first_window_is_sieved_without_is_prime(monkeypatch):
+    monkeypatch.setattr(modarith, "is_prime", lambda n: pytest.fail("is_prime ran"))
+    modarith._first_window.cache_clear()
+    primes, product = modarith._first_window()
+    flags = sieve(WINDOW)
+    assert primes == tuple(q for q in range(3, WINDOW) if flags[q]) and len(primes) == 171
+    assert product == math.prod(primes)
 
 
 def test_factorize_matches_reference_up_to_2_15():

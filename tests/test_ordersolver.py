@@ -812,6 +812,16 @@ def _sequence(report):
 
 
 class TestAnalyze:
+    def test_proves_p_and_the_large_prime_of_p_minus_1_once_each(self, monkeypatch):
+        # p = 6r + 1 with r prime, 60 bits, and ell = (3/p) = -1: general mode factors p - 1
+        r, p = 144115188075855967, 864691128455135803
+        calls, real = [], modarith.is_prime
+        monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
+        factorize.cache_clear()
+        report = analyze(QuadInt(1, 1, 3), p)
+        assert (report.mode, report.ell, p.bit_length()) == ("general", -1, 60)
+        assert calls == [p, r]
+
     @pytest.mark.parametrize(
         "case, mode, expected",
         GRID_SEQUENCES,
