@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 
@@ -61,6 +61,18 @@ def _lucas(x: int, s: int, n: int, m: int | None = None) -> tuple[int, int]:
             u, v = u % m, v % m
     t = 2 * v - x * u
     return (t if m is None else t % m), u
+
+
+def _pgl_class(x: int, s: int, m: int) -> tuple[int, int]:
+    """Cache key of (x, s) mod m: (1, s/x^2) for a unit x, else the residues.
+
+    u_{n-1}(cx; c^2 s) = c^(n-1) u_{n-1}(x; s) for a unit c, so vanishing
+    indices, orders of M in PGL(2, Z/m), agree on (x, s) and (cx, c^2 s)."""
+    x, s = x % m, s % m
+    if x == 1 % m or gcd(x, m) > 1:
+        return x, s
+    inverse = pow(x, -1, m)
+    return 1, s * inverse * inverse % m
 
 
 def _order_descent(x: int, s: int, m: int, n: int, primes: list[int]) -> int:

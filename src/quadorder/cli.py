@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from itertools import count, product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
-from .cheby import _MN_BOUND, _S_BOUND, _X_BOUND, run_identity_trials
+from .cheby import _MN_BOUND, _S_BOUND, _X_BOUND, _pgl_class, run_identity_trials
 from .checks import PASS, check, failed_names
 from .quadint import QuadInt
 
@@ -146,7 +146,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         raise ValueError(
             "ell = 0: p divides x^2 - 4s, so no exponent p - ell is available; "
             "the cofactor sequence first vanishes mod p at index "
-            f"{ordersolver.q_of_p(report.x, report.s, report.p)}"
+            f"{ordersolver.q_of_p(*_pgl_class(report.x, report.s, report.p), report.p)}"
         )
     checks, found = _checks(alpha, _claim(report), args.oracle)
     results = _fields(report, "p", "table_checks", "chain")  # the chain follows, with its m

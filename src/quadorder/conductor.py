@@ -6,12 +6,14 @@ coprime to s.  Mod each p^k || A the vanishing indices are the multiples
 of the least, n(p^k), so by CRT n(A) is their lcm.  n(p) = q(p) for odd
 p; else n(p^k) comes from an order descent mod p^k from the multiple
 q(p) * p^(k-1), or 3 * 2^k for p = 2 (element orders in PGL(2, F_2) = S_3
-divide 6).  u mod m depends only on x and s mod m, so each index is cached
-under those residues.  Each prime of B divides x and s, so M^2 == 0 mod p
-and u vanishes mod p^k from index 2k on: n(f0) is the first multiple of
-n(A) that vanishes mod B, at most 2 * max k away.  So n(f) <= 6f^2: n(A)
-is at most the product of its terms, (p + 1) * p^(k-1) <= p^(2k) or 3 * 2^k
-<= 3 * 4^k, so n(A) <= 3A^2; k <= p^(k-1) <= B makes 2 * max k <= 2B.
+divide 6).  Mod m each index depends only on the class of (x, s) under
+(x, s) -> (cx, c^2 s) for units c, so it is cached under the key of
+cheby._pgl_class: at most 2p keys per odd prime p rather than p^2.  Each
+prime of B divides x and s, so M^2 == 0 mod p and u vanishes mod p^k
+from index 2k on: n(f0) is the first multiple of n(A) that vanishes mod
+B, at most 2 * max k away.  So n(f) <= 6f^2: n(A) is at most the product
+of its terms, (p + 1) * p^(k-1) <= p^(2k) or 3 * 2^k <= 3 * 4^k, so
+n(A) <= 3A^2; k <= p^(k-1) <= B makes 2 * max k <= 2B.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .cheby import _lucas, _order_descent
+from .cheby import _lucas, _order_descent, _pgl_class
 from .checks import Check, check
 from .modarith import factorize, require_odd_prime
 from .ordersolver import q_of_p
@@ -48,17 +50,17 @@ class PrimeBound(NamedTuple):
     contribution: int
 
 
-@lru_cache(maxsize=1024)  # at most p^(2k) keys per p^k; the default sweep grid holds about 560
+@lru_cache(maxsize=1024)  # class keys: at most p^k + p^(2k-1) per p^k; the grid holds 234
 def _prime_power_index(x: int, s: int, p: int, k: int) -> int:
     """n(p^k) for p not dividing s, by order descent mod p^k from its multiple."""
     if p == 2:  # element orders in PGL(2, F_2) = S_3 divide 6
         return _order_descent(x, s, 2**k, 3 * 2**k, [2, 3])
-    return _order_descent(x, s, p**k, q_of_p(x % p, s % p, p) * p ** (k - 1), [p])
+    return _order_descent(x, s, p**k, q_of_p(*_pgl_class(x, s, p), p) * p ** (k - 1), [p])
 
 
-@lru_cache(maxsize=16384)  # at most f0^2 keys per f0; the default sweep grid holds about 5,800
+@lru_cache(maxsize=16384)  # class keys: f0, and f0 per non-unit x mod f0; the grid holds 3,084
 def _entry_index(x: int, s: int, f0: int) -> int:
-    """n(f) from f0 as the lcm of prime-power indices, keyed mod f0; the module has the route."""
+    """n(f) from f0 as the lcm of prime-power indices, keyed by class; the module has the route."""
     factors = factorize(f0).factors
     for p, _ in factors:
         if s % p == 0 and x % p != 0:
@@ -67,8 +69,8 @@ def _entry_index(x: int, s: int, f0: int) -> int:
                 "the cofactor sequence never vanishes there"
             )
     n_a = lcm(*(
-        _prime_power_index(x % p**k, s % p**k, p, k) if p == 2 or k > 1
-        else q_of_p(x % p, s % p, p)
+        _prime_power_index(*_pgl_class(x, s, p**k), p, k) if p == 2 or k > 1
+        else q_of_p(*_pgl_class(x, s, p), p)
         for p, k in factors if s % p
     ))
     if all(s % p for p, _ in factors):
@@ -87,7 +89,7 @@ def n_of_f(alpha: QuadInt, f: int) -> int:
     if f == 1 or alpha.b == 0:
         return 1
     _, _, f0 = reduce_f(alpha.b, f)
-    return _entry_index(alpha.trace_x % f0, alpha.norm % f0, f0)
+    return _entry_index(*_pgl_class(alpha.trace_x, alpha.norm, f0), f0)
 
 
 class MultiplicativeBound(NamedTuple):
@@ -229,8 +231,8 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
     if alpha.b == 0:
         raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
     c, _, f0 = reduce_f(alpha.b, f)
-    x, s = alpha.trace_x, alpha.norm
-    n_exact = _entry_index(x % f0, s % f0, f0)
+    x, s = _pgl_class(alpha.trace_x, alpha.norm, f0)  # x == 1 spares each prime's inverse
+    n_exact = _entry_index(x, s, f0)
     notes = []
     if c > 1:
         notes.append(f"common factor {c} with b removed, leaving f0 = {f0}")
@@ -239,7 +241,7 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         notes.append("even conductor: the product bound is stated for odd f only")
     else:
         for p, k in factorize(f0).factors:  # f0 is odd here
-            q = q_of_p(x % p, s % p, p)
+            q = q_of_p(*_pgl_class(x, s, p), p)
             per.append(PrimeBound(p, k, q, q * p ** (k - 1)))
         bound = prod(t.contribution for t in per)
     return ConductorReport(

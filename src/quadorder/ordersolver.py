@@ -14,7 +14,7 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cheby import _descend, _lucas, _order_descent
+from .cheby import _descend, _lucas, _order_descent, _pgl_class
 from .checks import NA, Check, check, failed_names
 from .modarith import _legendre, _nonresidue, _sqrt_mod, factorize, require_odd_prime
 from .quadint import QuadInt
@@ -58,6 +58,12 @@ def _power_is(alpha: QuadInt, pair: tuple[int, int], p: int, target: int) -> boo
     return (t - 2 * target) % p == 0 and u_prev * alpha.b % p == 0
 
 
+def _doubled(pair: tuple[int, int], s: int, k: int, p: int) -> tuple[int, int]:
+    # (t_2k, u_{2k-1}) from pair = (t_k, u_{k-1}): t_2k = t_k^2 - 2s^k, u_{2k-1} = u_{k-1}*t_k
+    t, u = pair
+    return (t * t - 2 * pow(s, k, p)) % p, u * t % p
+
+
 def _gate(alpha: QuadInt, p: int) -> int:
     # ell = ((x^2-4s)/p) once p is an odd prime and b, s are units mod p;
     # x^2 - 4s is b^2*d or 4*b^2*d, so then ell = 0 iff p | d
@@ -90,15 +96,15 @@ def table_check(alpha: QuadInt, p: int) -> list[Check]:
 
 
 def _table_cells(alpha: QuadInt, p: int, ell: int) -> tuple[list[Check], tuple[int, int]]:
-    # table_check past its gate; also hands back the pair at p - ell
+    # table_check past its gate; also hands back the pair at p - ell, doubled from its half
     x, s = alpha.trace_x, alpha.norm
     sigma = 1 if ell == 1 else s
-    full = t_full, u_full = _lucas(x, s, p - ell, p)
+    half = t_half, u_half = _lucas(x, s, (p - ell) // 2, p)
+    full = t_full, u_full = _doubled(half, s, (p - ell) // 2, p)
     out = [
         check("t(p-ell) == 2*sigma", (t_full - 2 * sigma) % p == 0),
         check("u(p-ell-1) == 0", u_full == 0),
     ]
-    t_half, u_half = _lucas(x, s, (p - ell) // 2, p)
     if _legendre(s, p) == 1:
         out.append(check("t((p-ell)/2)^2 == 4*sigma", (t_half * t_half - 4 * sigma) % p == 0))
         out.append(check("u((p-ell)/2-1) == 0", u_half == 0))
@@ -220,22 +226,27 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> tuple[ChainResult, int, boo
                 "a^2 + 4 == 0 mod p while x^2 + 4 != 0",
             )
         )
-    for k in range(shift + 1):  # the last rung is n itself, so the loop ends with n's pair
-        rung = t_n, u_n = _lucas(x, s, (p - ell) >> k, p)
-        checks.append(check(f"t((p-ell)/2^{k}) == 2", (t_n - 2) % p == 0))
+    half_applies = (p - ell) % (1 << (m + 1)) == 0
+    # rungs[k] is the pair at (p-ell) >> k, doubled up from one ladder at the lowest index
+    # used: n/4 for norm +1 when 2^{m+2} | p - ell (so the half bound applies), n/2 or n
+    depth = shift + (2 if s == 1 and (p - ell) % (1 << (m + 2)) == 0 else half_applies)
+    rungs = [_lucas(x, s, (p - ell) >> depth, p)]
+    for k in range(depth, 0, -1):
+        rungs.insert(0, _doubled(rungs[0], s, (p - ell) >> k, p))
+    for k in range(shift + 1):  # the last rung is n itself
+        checks.append(check(f"t((p-ell)/2^{k}) == 2", (rungs[k][0] - 2) % p == 0))
+    t_n, u_n = rungs[shift]
     if s == -1:
         checks.append(check("t(n) == 2", (t_n - 2) % p == 0))
     checks.append(check("u(n-1) == 0", u_n == 0))
-    checks.append(check("alpha^n == 1", _power_is(alpha, rung, p, 1)))
-    half_applies = (p - ell) % (1 << (m + 1)) == 0
+    checks.append(check("alpha^n == 1", _power_is(alpha, rungs[shift], p, 1)))
     if half_applies:
-        half = t_half, u_half = _lucas(x, s, n // 2, p)
+        t_half, u_half = rungs[shift + 1]
         checks.append(check("t(n/2) == -2", (t_half + 2) % p == 0))
         checks.append(check("u(n/2-1) == 0", u_half == 0))
-        checks.append(check("alpha^(n/2) == -1", _power_is(alpha, half, p, -1)))
-    if s == 1 and (p - ell) % (1 << (m + 2)) == 0:
-        # 2^{m+2} | p - ell implies the half bound above, so u_half is set
-        u_quarter = _lucas(x, 1, n // 4, p)[1]
+        checks.append(check("alpha^(n/2) == -1", _power_is(alpha, rungs[shift + 1], p, -1)))
+    if depth == shift + 2:
+        u_quarter = rungs[shift + 2][1]
         checks.append(Check("u(n/2-1) != 0 (recorded)", NA, "holds" if u_half else "zero"))
         checks.append(Check("u(n/4-1) != 0 (recorded)", NA, "holds" if u_quarter else "zero"))
     return chain, n, half_applies, checks
@@ -244,10 +255,10 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> tuple[ChainResult, int, boo
 def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> list[Check]:
     """The checks for norm -1 with no chain bound: the exclusion congruences, then
     alpha^{2(p-ell)} == 1 with its t and u rows, then t(p-ell) == 2*sigma."""
-    x = alpha.trace_x
-    t_n, u_n = _lucas(x, -1, (p - ell) // 2, p)
-    full = _lucas(x, -1, p - ell, p)
-    double = t_double, u_double = _lucas(x, -1, 2 * (p - ell), p)
+    x, h = alpha.trace_x, (p - ell) // 2
+    half = t_n, u_n = _lucas(x, -1, h, p)
+    full = _doubled(half, -1, h, p)
+    double = t_double, u_double = _doubled(full, -1, 2 * h, p)
     checks: list[Check] = []
     if p % 4 == 3:
         checks.append(check("t(n) == 0", t_n == 0))
@@ -331,7 +342,7 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
 
-@lru_cache(maxsize=4096)  # the default sweep grid holds about 2,300 keys
+@lru_cache(maxsize=4096)  # class keys from the package: at most 2p per p; the grid holds 517
 def q_of_p(x: int, s: int, p: int) -> int:
     """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p, by order descent.
 
@@ -374,7 +385,7 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
     # past ell == 0 (so p ∤ d), the gate meets every precondition of the modes below
     if ell == 0:
         mode, bound = "degenerate", None
-        u_q = _lucas(x, s, q_of_p(x, s, p), p)[1]
+        u_q = _lucas(x, s, q_of_p(*_pgl_class(x, s, p), p), p)[1]
         checks = [
             check("u(q-1) == 0", u_q == 0),
             check("alpha^q is scalar mod p", u_q * alpha.b % p == 0),

@@ -920,9 +920,8 @@ def test_sweep_factors_each_argument_once(capsys):
     assert modarith.factorize.cache_info().misses == len(factored)
 
 
-def test_sweep_conductor_work_is_pinned(capsys, monkeypatch):
-    # the conductor half of the default grid, cold: n(f) is the lcm of cached
-    # prime-power indices, and one descent mod the whole f0 took 27,784 terms
+def _cold_lucas_calls(capsys, monkeypatch, *argv):
+    # _lucas calls of one sweep from empty caches, through every module that binds it
     for cached in CACHES:
         cached.cache_clear()
     calls = collections.Counter()
@@ -932,8 +931,23 @@ def test_sweep_conductor_work_is_pinned(capsys, monkeypatch):
         return lucas(*args)
 
     lucas = cheby._lucas
-    monkeypatch.setattr(cheby, "_lucas", counted)
-    monkeypatch.setattr(conductor, "_lucas", counted)
-    code, _, _ = run(capsys, "sweep", "--p-max", "3")
+    for module in (cheby, conductor, ordersolver, quadint):
+        monkeypatch.setattr(module, "_lucas", counted)
+    code, _, _ = run(capsys, "sweep", *argv)
     assert code == 0
-    assert 0 < calls["_lucas"] <= 10_741, calls
+    return calls["_lucas"]
+
+
+def test_sweep_conductor_work_is_pinned(capsys, monkeypatch):
+    # the conductor half of the default grid, cold: n(f) is the lcm of prime-power
+    # indices cached by PGL(2) class; one descent mod the whole f0 took 27,784
+    # terms, and residue keys 10,741
+    assert 0 < _cold_lucas_calls(capsys, monkeypatch, "--p-max", "3") <= 4_300
+
+
+def test_default_sweep_work_is_pinned(capsys, monkeypatch):
+    # the whole default grid, cold: each report runs one ladder and doubles up to
+    # its other indices, and q(p) is cached by class (22,101 terms and 2,275 q(p)
+    # descents when each index had its own ladder and q(p) was keyed by residues)
+    assert 0 < _cold_lucas_calls(capsys, monkeypatch) <= 11_300
+    assert ordersolver.q_of_p.cache_info().misses <= 600

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quadorder import conductor
-from quadorder.cheby import _lucas, _order_descent
+from quadorder.cheby import _lucas, _order_descent, _pgl_class
 from quadorder.conductor import (
     PrimeBound,
     bound_full,
@@ -13,7 +14,7 @@ from quadorder.conductor import (
     n_of_f,
     reduce_f,
 )
-from quadorder.modarith import factorize
+from quadorder.modarith import factorize, is_prime
 from quadorder.oracle import oracle_n_of_f
 from quadorder.ordersolver import q_of_p
 from quadorder.quadint import QuadInt
@@ -103,6 +104,51 @@ def test_entry_index_matches_one_descent_mod_f0():
                 assert got == expected, (x, s, f0)
                 got = _value_or_refusal(conductor._entry_index, x % f0, s % f0, f0)
                 assert got == expected, (x % f0, s % f0, f0)
+
+
+def test_pgl_class_contract():
+    # (1, s/x^2) mod m for a unit x, else the residues: x == 0, p | x and m = 1 included
+    assert _pgl_class(2, 3, 5) == (1, 2)  # 1/2 == 3, so s/x^2 == 27 == 2
+    assert _pgl_class(6, 13, 5) == (1, 3)  # x == 1: no inverse taken
+    assert _pgl_class(0, 7, 5) == (0, 2)
+    assert _pgl_class(14, -3, 7) == (0, 4)
+    assert _pgl_class(6, 5, 45) == (6, 5)  # 3 | 6 and 3 | 45
+    assert _pgl_class(5, 8, 1) == (0, 0)
+    rng = random.Random(27)
+    for m in [1, 2, 3, 4, 5, 9, 12, 45, 97, 1024, 2000]:
+        for _ in range(200):
+            x, s = rng.randrange(-3 * m, 3 * m), rng.randrange(-3 * m, 3 * m)
+            if math.gcd(x, m) == 1:
+                inverse = pow(x, -1, m)
+                assert _pgl_class(x, s, m) == (1 % m, s * inverse * inverse % m), (x, s, m)
+            else:
+                assert _pgl_class(x, s, m) == (x % m, s % m), (x, s, m)
+
+
+def _draw_unit(rng, m):
+    while True:
+        c = rng.randrange(m)
+        if math.gcd(c, m) == 1:
+            return c
+
+
+def test_index_caches_agree_on_each_pgl2_class():
+    # the three index caches are keyed by class, so each must give (x, s) and
+    # (cx, c^2 s) the same index, or the same refusal, for every unit c mod m
+    primes = [p for p in range(2, 10**4) if is_prime(p)]
+    powers = [(p, k) for p in primes for k in range(1, 14) if p**k <= 10**4]
+    cases = [(q_of_p, (p,), p) for p in primes if 2 < p < 500]
+    cases += [(conductor._prime_power_index, pk, pk[0] ** pk[1]) for pk in powers]
+    cases += [(conductor._entry_index, (f0,), f0) for f0 in range(1, 2001)]
+    rng = random.Random(27)
+    for fn, rest, m in cases:
+        for _ in range(3):
+            x, s, c = rng.randrange(m), rng.randrange(m), _draw_unit(rng, m)
+            if fn is conductor._prime_power_index and s % rest[0] == 0:
+                s += 1  # n(p^k) is only asked for p not dividing s
+            expected = _value_or_refusal(fn, x, s, *rest)
+            assert _value_or_refusal(fn, c * x % m, c * c * s % m, *rest) == expected, (
+                fn.__name__, x, s, c, rest)
 
 
 def test_entry_index_strict_at_a_wall_sun_sun_prime():

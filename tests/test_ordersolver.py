@@ -975,3 +975,130 @@ def test_order_claims_are_at_most_p_squared_minus_one():
         "general", "norm_plus_one", "norm_minus_one", "norm_minus_one_diagnostic", "degenerate",
     }
     assert (2, 0, -1, 709) in reached
+
+
+# One _lucas ladder per index: the evaluation _table_cells, _bound_unit and
+# _norm_minus1_diagnostics made before they doubled pairs up from the lowest index.
+# Apart from the ladders, each is the solver's own code, so the reports compare whole.
+
+
+def reference_table_cells(alpha, p, ell):
+    x, s = alpha.trace_x, alpha.norm
+    sigma = 1 if ell == 1 else s
+    full = t_full, u_full = cheby._lucas(x, s, p - ell, p)
+    out = [
+        ordersolver.check("t(p-ell) == 2*sigma", (t_full - 2 * sigma) % p == 0),
+        ordersolver.check("u(p-ell-1) == 0", u_full == 0),
+    ]
+    t_half, u_half = cheby._lucas(x, s, (p - ell) // 2, p)
+    if legendre(s, p) == 1:
+        out.append(ordersolver.check(
+            "t((p-ell)/2)^2 == 4*sigma", (t_half * t_half - 4 * sigma) % p == 0))
+        out.append(ordersolver.check("u((p-ell)/2-1) == 0", u_half == 0))
+    else:
+        out.append(ordersolver.check("t((p-ell)/2) == 0", t_half == 0))
+        out.append(ordersolver.check(
+            "(x^2-4s)*u((p-ell)/2-1)^2 == 4*sigma",
+            ((x * x - 4 * s) * u_half * u_half - 4 * sigma) % p == 0,
+        ))
+        if alpha.r == 1:
+            held = ((alpha.a * alpha.a - s) * u_half * u_half - sigma) % p == 0
+            out.append(ordersolver.Check(
+                "(a^2-s)*u((p-ell)/2-1)^2 == sigma", NA,
+                "holds" if held else "does not hold in this shape",
+            ))
+    return out, full
+
+
+def reference_bound_unit(alpha, p, ell):
+    x, s = alpha.trace_x, alpha.norm
+    if s == -1 and x % p == 0:
+        raise ValueError("the chain needs x nonzero mod p")
+    chain = ordersolver._extend_chain(x if s == 1 else x * x + 2, ell, p, None)
+    m = chain.m
+    if m < 1 and s == -1:
+        raise AssertionError("the norm -1 chain stopped before its first link")
+    shift = m if s == 1 else m - 1
+    n = (p - ell) >> shift
+    checks = ordersolver._chain_checks(chain, p)
+    if s == -1 and alpha.r != 1 and (alpha.a * alpha.a + 4) % p == 0:
+        checks.append(ordersolver.Check(
+            "a^2 + 4 != 0 under the half-trace reading", NA,
+            "a^2 + 4 == 0 mod p while x^2 + 4 != 0",
+        ))
+    for k in range(shift + 1):
+        rung = t_n, u_n = cheby._lucas(x, s, (p - ell) >> k, p)
+        checks.append(ordersolver.check(f"t((p-ell)/2^{k}) == 2", (t_n - 2) % p == 0))
+    if s == -1:
+        checks.append(ordersolver.check("t(n) == 2", (t_n - 2) % p == 0))
+    checks.append(ordersolver.check("u(n-1) == 0", u_n == 0))
+    checks.append(ordersolver.check("alpha^n == 1", ordersolver._power_is(alpha, rung, p, 1)))
+    half_applies = (p - ell) % (1 << (m + 1)) == 0
+    if half_applies:
+        half = t_half, u_half = cheby._lucas(x, s, n // 2, p)
+        checks.append(ordersolver.check("t(n/2) == -2", (t_half + 2) % p == 0))
+        checks.append(ordersolver.check("u(n/2-1) == 0", u_half == 0))
+        checks.append(ordersolver.check(
+            "alpha^(n/2) == -1", ordersolver._power_is(alpha, half, p, -1)))
+    if s == 1 and (p - ell) % (1 << (m + 2)) == 0:
+        u_quarter = cheby._lucas(x, 1, n // 4, p)[1]
+        checks.append(ordersolver.Check(
+            "u(n/2-1) != 0 (recorded)", NA, "holds" if u_half else "zero"))
+        checks.append(ordersolver.Check(
+            "u(n/4-1) != 0 (recorded)", NA, "holds" if u_quarter else "zero"))
+    return chain, n, half_applies, checks
+
+
+def reference_norm_minus1_diagnostics(alpha, p, ell):
+    x = alpha.trace_x
+    t_n, u_n = cheby._lucas(x, -1, (p - ell) // 2, p)
+    full = cheby._lucas(x, -1, p - ell, p)
+    double = t_double, u_double = cheby._lucas(x, -1, 2 * (p - ell), p)
+    checks = []
+    if p % 4 == 3:
+        checks.append(ordersolver.check("t(n) == 0", t_n == 0))
+        checks.append(ordersolver.check("u(n-1) != 0", u_n != 0))
+    else:
+        checks.append(ordersolver.check("t(n)^2 == 4*ell", (t_n * t_n - 4 * ell) % p == 0))
+        checks.append(ordersolver.check("u(n-1) == 0", u_n == 0))
+        checks.append(ordersolver.check(
+            "alpha^(p-ell) == -1", ordersolver._power_is(alpha, full, p, -1)))
+    checks.append(ordersolver.check("t(2(p-ell)) == 2", t_double == 2 % p))
+    checks.append(ordersolver.check("u(2(p-ell)-1) == 0", u_double == 0))
+    checks.append(ordersolver.check(
+        "alpha^(2(p-ell)) == 1", ordersolver._power_is(alpha, double, p, 1)))
+    checks.append(ordersolver.check("t(p-ell) == 2*sigma", (full[0] - 2 * ell) % p == 0))
+    return checks
+
+
+def _report_or_refusal(alpha, p):
+    try:
+        return analyze(alpha, p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_doubled_pairs_match_one_ladder_per_index(monkeypatch):
+    # norm -1 (integral, half-integral, and 3 + sqrt(10) with a^2 + 4 == 0 mod 13),
+    # norm +1 (integral and half-integral), general norms, and 2 + 2*sqrt(p) with ell = 0
+    alphas = [QuadInt(a, b, d) for a, b, d in [
+        (1, 1, 2), (1, 1, 5), (3, 1, 10), (3, 2, 2), (2, 1, 3), (3, 1, 5),
+        (1, 1, 3), (1, 2, 3), (1, 3, 5), (2, 3, 7), (5, 1, 7),
+    ]]
+    cases = [(alpha, p) for p in filter(is_prime, range(3, 3000))
+             for alpha in [*alphas, QuadInt(2, 2, p)]]
+    fast = [_report_or_refusal(alpha, p) for alpha, p in cases]
+    monkeypatch.setattr(ordersolver, "_table_cells", reference_table_cells)
+    monkeypatch.setattr(ordersolver, "_bound_unit", reference_bound_unit)
+    monkeypatch.setattr(ordersolver, "_norm_minus1_diagnostics", reference_norm_minus1_diagnostics)
+    modes = set()
+    for (alpha, p), got in zip(cases, fast):
+        assert got == _report_or_refusal(alpha, p), (str(alpha), p)
+        modes.add(getattr(got, "mode", "refused"))
+    assert modes == {
+        "general", "norm_plus_one", "norm_minus_one", "norm_minus_one_diagnostic", "degenerate",
+        "refused",
+    }
+    names = {c.name for report in fast if not isinstance(report, str) for c in report.table_checks}
+    assert {"a^2 + 4 != 0 under the half-trace reading", "u(n/4-1) != 0 (recorded)",
+            "(a^2-s)*u((p-ell)/2-1)^2 == sigma", "alpha^(n/2) == -1"} <= names
