@@ -1,18 +1,19 @@
 """Conductor indices: the least power of alpha landing in the order Z + f*O.
 
 n(f) is the vanishing index of the cofactor sequence u mod f0, where f0
-strips from f its common factor with b.  f0 = A * B is factored once, A
-coprime to s.  Mod each p^k || A the vanishing indices are the multiples
-of the least, n(p^k), so by CRT n(A) is their lcm.  n(p) = q(p) for odd
-p; else n(p^k) comes from an order descent mod p^k from the multiple
-q(p) * p^(k-1), or 3 * 2^k for p = 2 (element orders in PGL(2, F_2) = S_3
-divide 6).  Mod m each index depends only on the class of (x, s) under
-(x, s) -> (cx, c^2 s) for units c, so it is cached under the key of
-cheby._pgl_class: at most 2p keys per odd prime p rather than p^2.  Each
-prime of B divides x and s, so M^2 == 0 mod p and u vanishes mod p^k
-from index 2k on: n(f0) is the first multiple of n(A) that vanishes mod
-B, at most 2 * max k away.  So n(f) <= 6f^2: n(A) is at most the product
-of its terms, (p + 1) * p^(k-1) <= p^(2k) or 3 * 2^k <= 3 * 4^k, so
+strips from f its common factor with b.  One cached routine, _entry_index,
+gives n(m) for every m.  At p^k prime to s it is q(p) for odd p and k = 1,
+else an order descent mod p^k from q(p) * p^(k-1), or from 3 * 2^k for
+p = 2 (element orders in PGL(2, F_2) = S_3 divide 6).  Any other m = A * B,
+A coprime to s, is factored once; by CRT n(A) is the lcm of the routine's
+own values at each p^k || A, as mod p^k the vanishing indices are the
+multiples of the least.  Each index mod m depends only on the class of
+(x, s) under (x, s) -> (cx, c^2 s) for units c, so it is cached under the
+key of cheby._pgl_class: at most 2p keys per odd prime p rather than p^2.
+Each prime of B divides x and s, so M^2 == 0 mod p and u vanishes mod p^k
+from index 2k on: n(f0) is the first multiple of n(A) that vanishes mod B,
+at most 2 * max k away.  So n(f) <= 6f^2: n(A) is at most the product of
+its terms, (p + 1) * p^(k-1) <= p^(2k) or 3 * 2^k <= 3 * 4^k, so
 n(A) <= 3A^2; k <= p^(k-1) <= B makes 2 * max k <= 2B.
 """
 
@@ -50,36 +51,30 @@ class PrimeBound(NamedTuple):
     contribution: int
 
 
-@lru_cache(maxsize=1024)  # class keys: at most p^k + p^(2k-1) per p^k; the grid holds 234
-def _prime_power_index(x: int, s: int, p: int, k: int) -> int:
-    """n(p^k) for p not dividing s, by order descent mod p^k from its multiple."""
-    if p == 2:  # element orders in PGL(2, F_2) = S_3 divide 6
-        return _order_descent(x, s, 2**k, 3 * 2**k, [2, 3])
-    return _order_descent(x, s, p**k, q_of_p(*_pgl_class(x, s, p), p) * p ** (k - 1), [p])
-
-
-@lru_cache(maxsize=16384)  # class keys: f0, and f0 per non-unit x mod f0; the grid holds 3,084
-def _entry_index(x: int, s: int, f0: int) -> int:
-    """n(f) from f0 as the lcm of prime-power indices, keyed by class; the module has the route."""
-    factors = factorize(f0).factors
+@lru_cache(maxsize=16384)  # class keys at f0 and its prime powers; the grid holds 3,084, 853 at p^k
+def _entry_index(x: int, s: int, m: int) -> int:
+    """n(m), the least nu >= 1 with u_{nu-1}(x; s) == 0 mod m; the module has the route."""
+    factors = factorize(m).factors
     for p, _ in factors:
         if s % p == 0 and x % p != 0:
             raise ValueError(
                 f"no power of alpha has its irrational part divisible by {p}: "
                 "the cofactor sequence never vanishes there"
             )
-    n_a = lcm(*(
-        _prime_power_index(*_pgl_class(x, s, p**k), p, k) if p == 2 or k > 1
-        else q_of_p(*_pgl_class(x, s, p), p)
-        for p, k in factors if s % p
-    ))
+    if len(factors) == 1 and s % factors[0][0]:  # a prime power prime to s
+        p, k = factors[0]
+        if p == 2:  # element orders in PGL(2, F_2) = S_3 divide 6
+            return _order_descent(x, s, m, 3 * m, [2, 3])
+        q = q_of_p(*_pgl_class(x, s, p), p)
+        return q if k == 1 else _order_descent(x, s, m, q * m // p, [p])
+    n_a = lcm(*(_entry_index(*_pgl_class(x, s, p**k), p**k) for p, k in factors if s % p))
     if all(s % p for p, _ in factors):
         return n_a
     shared_k = max(k for p, k in factors if s % p == 0)
     for j in range(1, 2 * shared_k + 1):
-        if _lucas(x, s, j * n_a, f0)[1] == 0:
+        if _lucas(x, s, j * n_a, m)[1] == 0:
             return j * n_a
-    raise AssertionError(f"u does not vanish mod {f0} by index {2 * shared_k * n_a}")
+    raise AssertionError(f"u does not vanish mod {m} by index {2 * shared_k * n_a}")
 
 
 def n_of_f(alpha: QuadInt, f: int) -> int:

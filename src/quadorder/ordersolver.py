@@ -292,7 +292,8 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     gives no bound.  Existence costs one Lucas term: with x = eta + s/eta,
     the preimages are y = z + s/z with z^k = eta, where z ranges over a
     cyclic group of order N = p - ell, or 2(p + 1) when s = ell = -1.  So
-    one exists iff eta^(N/k) = 1, i.e. (t_{N/k}, u_{N/k-1}) == (2, 0).
+    one exists iff eta^(N/k) = 1, i.e. (t_{N/k}, u_{N/k-1}) == (2, 0): the
+    pair at n = (p - ell)/k or its double, which the checks reuse.
     Only then are y = 0, 1, ... scanned for the least preimage, at most
     _SCAN_CAP of them: past that, with p larger still, it refuses.
     """
@@ -311,8 +312,10 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
             raise ValueError("with norm -1 the divisor must be odd")
         if x % p == 0:
             raise ValueError("with norm -1 the trace must be nonzero mod p")
-    order = 2 * (p + 1) if s == ell == -1 else p - ell
-    if _lucas(x, s, order // k, p) != (2, 0):
+    n = (p - ell) // k
+    pair = t_n, u_n = _lucas(x, s, n, p)
+    double = _doubled(pair, s, n, p)
+    if (double if s == ell == -1 else pair) != (2, 0):
         return None
     preimage = None
     for y in range(min(p, _SCAN_CAP)):
@@ -326,8 +329,6 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
                 "of y; the scan stops at that limit"
             )
         raise AssertionError(f"eta is a {k}-th power, yet no y < p = {p} has t_{k}(y) == {x}")
-    n = (p - ell) // k
-    t_n, u_n = _lucas(x, s, n, p)
     if s == 1:
         checks = (
             check("t(n) == 2", (t_n - 2) % p == 0),
@@ -337,12 +338,12 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
         checks = (
             check("t(n) == 2*ell", (t_n - 2 * ell) % p == 0),
             check("u(n-1) == 0", u_n == 0),
-            check("t(2n) == 2", (_lucas(x, s, 2 * n, p)[0] - 2) % p == 0),
+            check("t(2n) == 2", (double[0] - 2) % p == 0),
         )
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
 
-@lru_cache(maxsize=4096)  # class keys from the package: at most 2p per p; the grid holds 517
+@lru_cache(maxsize=4096)  # class keys: at most 2p per p; the grid holds 517
 def q_of_p(x: int, s: int, p: int) -> int:
     """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p, by order descent.
 
@@ -404,8 +405,10 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
             checks.append(check("alpha^(p-1) == 1", _power_is(alpha, full, p, 1)))
         else:
             primes = [r for r, _ in factorize(p - 1).factors]
-            bound = (p + 1) * _descend(p - 1, primes, lambda k: pow(s, k, p) == 1)
+            order_s = _descend(p - 1, primes, lambda k: pow(s, k, p) == 1)
+            bound = (p + 1) * order_s
             checks.append(check("alpha^(p+1) == s", _power_is(alpha, full, p, s)))
-            pair = full if bound == p + 1 else _lucas(x, s, bound, p)  # equal iff s == 1 mod p
-            checks.append(check("alpha^bound == 1", _power_is(alpha, pair, p, 1)))
+            # t_kn = t_k(t_n; s^n), u_{kn-1} = u_{k-1}(t_n; s^n) * u_{n-1}: n = p + 1, k = ord(s)
+            t_kn, u_k = _lucas(full[0], pow(s, p + 1, p), order_s, p)
+            checks.append(check("alpha^bound == 1", _power_is(alpha, (t_kn, u_k * full[1]), p, 1)))
     return OrderReport(p, x, s, ell, mode, bound, half_applies, chain, tuple(checks))

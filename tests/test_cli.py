@@ -897,7 +897,7 @@ def test_conductor_json_nests_records_as_objects(capsys):
 
 
 CACHES = (modarith.factorize, ordersolver.q_of_p, conductor._entry_index,
-          conductor._prime_power_index, quadint._check_radicand)
+          quadint._check_radicand)
 
 
 def test_sweep_factors_each_argument_once(capsys):
@@ -921,13 +921,15 @@ def test_sweep_factors_each_argument_once(capsys):
 
 
 def _cold_lucas_calls(capsys, monkeypatch, *argv):
-    # _lucas calls of one sweep from empty caches, through every module that binds it
+    # _lucas calls of one sweep from empty caches, through every module that binds it,
+    # and their ladder length: the bit lengths of the indices they evaluate
     for cached in CACHES:
         cached.cache_clear()
     calls = collections.Counter()
 
     def counted(*args):
         calls["_lucas"] += 1
+        calls["bits"] += args[2].bit_length()
         return lucas(*args)
 
     lucas = cheby._lucas
@@ -935,19 +937,23 @@ def _cold_lucas_calls(capsys, monkeypatch, *argv):
         monkeypatch.setattr(module, "_lucas", counted)
     code, _, _ = run(capsys, "sweep", *argv)
     assert code == 0
-    return calls["_lucas"]
+    return calls["_lucas"], calls["bits"]
 
 
 def test_sweep_conductor_work_is_pinned(capsys, monkeypatch):
     # the conductor half of the default grid, cold: n(f) is the lcm of prime-power
     # indices cached by PGL(2) class; one descent mod the whole f0 took 27,784
     # terms, and residue keys 10,741
-    assert 0 < _cold_lucas_calls(capsys, monkeypatch, "--p-max", "3") <= 4_300
+    assert 0 < _cold_lucas_calls(capsys, monkeypatch, "--p-max", "3")[0] <= 4_300
 
 
 def test_default_sweep_work_is_pinned(capsys, monkeypatch):
     # the whole default grid, cold: each report runs one ladder and doubles up to
     # its other indices, and q(p) is cached by class (22,101 terms and 2,275 q(p)
-    # descents when each index had its own ladder and q(p) was keyed by residues)
-    assert 0 < _cold_lucas_calls(capsys, monkeypatch) <= 11_300
+    # descents when each index had its own ladder and q(p) was keyed by residues);
+    # the general-mode pair at (p + 1) * ord(s) is composed from the one at p + 1
+    # over ord(s)'s bits (56,324 ladder bits when it had a full ladder of its own)
+    calls, ladder = _cold_lucas_calls(capsys, monkeypatch)
+    assert 0 < calls <= 11_300
+    assert 0 < ladder <= 47_000
     assert ordersolver.q_of_p.cache_info().misses <= 600

@@ -444,6 +444,24 @@ class TestDivisorBound:
                     assert (None if db is None else db.preimage) == images[k].get(x), (x, s, k)
                     assert db is None or all(c.status == PASS for c in db.checks), (x, s, k)
 
+    @pytest.mark.parametrize("x, s, p, k, n", [
+        (3, 1, 11, 2, 5), (4, 1, 11, 5, 2), (3, -1, 11, 3, 4), (2, -1, 13, 7, 2),
+        (2, -1, 13, 1, 14),
+    ])
+    def test_one_ladder_per_call(self, monkeypatch, x, s, p, k, n):
+        # the existence test and the checks share the pair at n = (p - ell)/k and its
+        # double (the test's pair when s = ell = -1); the preimage scan runs at index k
+        indices = []
+
+        def counted(*args):
+            indices.append(args[2])
+            return lucas(*args)
+
+        lucas = ordersolver._lucas
+        monkeypatch.setattr(ordersolver, "_lucas", counted)
+        divisor_bound(x, s, p, k)
+        assert [i for i in indices if i != k] == [n]
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             divisor_bound(3, 2, 11, 2)  # norm must be a unit
