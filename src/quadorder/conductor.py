@@ -2,8 +2,11 @@
 
 n(f) is the vanishing index of the cofactor sequence u mod f0, where f0
 strips from f its common factor with b.  One cached routine, _entry_index,
-gives n(m) for every m.  At p^k prime to s it is q(p) for odd p and k = 1,
-else an order descent mod p^k from q(p) * p^(k-1), or from 3 * 2^k for
+gives n(m) for every m; ordersolver.q_of_p is its validating front at p.
+At an odd prime p prime to s, q(p) = n(p) descends from p - ell, or is p
+when ell = 0 (the vanishing indices are its multiples, and u_0 = 1), where
+2^{nu-1} u_{nu-1} == nu * x^{nu-1} is checked at nu in {1, 3, p-2, p}.  At
+p^k, k > 1, prime to s it descends from q(p) * p^(k-1), or from 3 * 2^k for
 p = 2 (element orders in PGL(2, F_2) = S_3 divide 6).  Any other m = A * B,
 A coprime to s, is factored once; by CRT n(A) is the lcm of the routine's
 own values at each p^k || A, as mod p^k the vanishing indices are the
@@ -25,8 +28,7 @@ from typing import NamedTuple
 
 from .cheby import _lucas, _order_descent, _pgl_class
 from .checks import Check, check
-from .modarith import factorize, require_odd_prime
-from .ordersolver import q_of_p
+from .modarith import _legendre, factorize, require_odd_prime
 from .quadint import QuadInt
 
 
@@ -65,8 +67,15 @@ def _entry_index(x: int, s: int, m: int) -> int:
         p, k = factors[0]
         if p == 2:  # element orders in PGL(2, F_2) = S_3 divide 6
             return _order_descent(x, s, m, 3 * m, [2, 3])
-        q = q_of_p(*_pgl_class(x, s, p), p)
-        return q if k == 1 else _order_descent(x, s, m, q * m // p, [p])
+        if k > 1:
+            return _order_descent(x, s, m, _entry_index(*_pgl_class(x, s, p), p) * m // p, [p])
+        ell = _legendre(x * x - 4 * s, p)
+        if ell:
+            return _order_descent(x, s, p, p - ell, [r for r, _ in factorize(p - ell).factors])
+        for nu in {1, 3, p - 2, p}:
+            if pow(2, nu - 1, p) * _lucas(x, s, nu, p)[1] % p != nu * pow(x, nu - 1, p) % p:
+                raise AssertionError("odd-index closed form failed in the degenerate case")
+        return p
     n_a = lcm(*(_entry_index(*_pgl_class(x, s, p**k), p**k) for p, k in factors if s % p))
     if all(s % p for p, _ in factors):
         return n_a
@@ -162,7 +171,7 @@ def bound_prime_power(
     side = _shared_with_b(alpha.b, f=f)
     if alpha.b % p == 0:
         side.append("p divides b")
-    q = q_of_p(x, s, p)
+    q = _entry_index(*_pgl_class(x, s, p), p)
     n_f = n_of_f(alpha, f)
     lhs = n_of_f(alpha, p**k * f)
     rhs = q * p ** (k - 1) * n_f
@@ -176,20 +185,18 @@ def bound_prime_power(
 
 
 def _lift_diagnostics(x: int, s: int, p: int, k: int, f: int, nu: int) -> tuple[Check, ...]:
-    base = p**k * f
+    # one ladder at nu mod p^{k+1} f; its reductions mod p^k f and mod p are the lower rows
     lifted = p ** (k + 1) * f
-    u_at_nu = _lucas(x, s, nu, base)[1]
-    z = _lucas(x, s, nu, p)[0]
-    cap_s = pow(s, nu, p)
+    z_big, u_nu_big = _lucas(x, s, nu, lifted)
+    s_big = pow(s, nu, lifted)
+    z, cap_s = z_big % p, s_big % p
     # u_{p-1} is the u_prev component one index up
     frob_lhs = _lucas(z, cap_s, p, p)[1]
     frob_rhs = pow(z * z - 4 * cap_s, (p - 1) // 2, p)
-    z_big, u_nu_big = _lucas(x, s, nu, lifted)
-    s_big = pow(s, nu, lifted)
     outer = _lucas(z_big, s_big, p, lifted)[1]
     u_pnu = _lucas(x, s, p * nu, lifted)[1]
     return (
-        check("u(nu-1) == 0 mod p^k f", u_at_nu == 0),
+        check("u(nu-1) == 0 mod p^k f", u_nu_big % (p**k * f) == 0),
         check("u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p", frob_lhs == frob_rhs),
         check(
             "u(p*nu-1) == u(p-1)(z; s^nu) * u(nu-1) mod p^{k+1} f",
@@ -236,7 +243,7 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
         notes.append("even conductor: the product bound is stated for odd f only")
     else:
         for p, k in factorize(f0).factors:  # f0 is odd here
-            q = q_of_p(*_pgl_class(x, s, p), p)
+            q = _entry_index(*_pgl_class(x, s, p), p)
             per.append(PrimeBound(p, k, q, q * p ** (k - 1)))
         bound = prod(t.contribution for t in per)
     return ConductorReport(

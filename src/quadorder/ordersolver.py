@@ -5,7 +5,8 @@ symbol ell = ((x^2-4s)/p), and refine the exponent p - ell through a
 chain of modular square roots while the 2-part of p - ell allows.  Every
 claim the solver makes is emitted as a named Check so callers can render
 or assert them.  analyze and table_check share one precondition gate and
-refuse an unmet precondition with a ValueError naming it.
+refuse an unmet precondition with a ValueError naming it.  q_of_p only
+validates; conductor._entry_index computes and caches every vanishing index.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cheby import _descend, _lucas, _order_descent, _pgl_class
+from .cheby import _descend, _lucas, _pgl_class
 from .checks import NA, Check, check, failed_names
+from .conductor import _entry_index
 from .modarith import _legendre, _nonresidue, _sqrt_mod, factorize, require_odd_prime
 from .quadint import QuadInt
 
@@ -343,31 +345,19 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
 
-@lru_cache(maxsize=4096)  # class keys: at most 2p per p; the grid holds 517
+@lru_cache(maxsize=4096)  # kept only for the cache_info() perfbench's tracer and tests read
 def q_of_p(x: int, s: int, p: int) -> int:
-    """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p, by order descent.
+    """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p: conductor._entry_index at p.
 
     When p | s it is 2 if p | x, and otherwise no index exists (ValueError).
-    Else q(p) divides p - ell, factored once (a factorize refusal propagates
-    as its ValueError).  When ell = 0 it is p: the odd-index closed form
-    2^{nu-1} u_{nu-1} == nu * x^{nu-1} is checked at nu in {1, 3, p-2, p},
-    and at nu = p it asserts u_{p-1} == 0.  As gcd(p, s) = 1 the vanishing
-    indices are the multiples of q (Lehmer 1930), and u_0 = 1, so q = p.
+    A factorize refusal on p - ell propagates as its ValueError.
     """
     require_odd_prime(p)
-    if s % p == 0:
-        if x % p:
-            raise ValueError(
-                "p divides the norm but not the trace; the cofactor sequence never vanishes mod p"
-            )
-        return 2
-    ell = _legendre(x * x - 4 * s, p)
-    if ell:
-        return _order_descent(x, s, p, p - ell, [r for r, _ in factorize(p - ell).factors])
-    for nu in {1, 3, p - 2, p}:
-        if pow(2, nu - 1, p) * _lucas(x, s, nu, p)[1] % p != nu * pow(x, nu - 1, p) % p:
-            raise AssertionError("odd-index closed form failed in the degenerate case")
-    return p
+    if s % p == 0 and x % p:
+        raise ValueError(
+            "p divides the norm but not the trace; the cofactor sequence never vanishes mod p"
+        )
+    return _entry_index(*_pgl_class(x, s, p), p)
 
 
 def analyze(alpha: QuadInt, p: int) -> OrderReport:
@@ -386,7 +376,7 @@ def analyze(alpha: QuadInt, p: int) -> OrderReport:
     # past ell == 0 (so p ∤ d), the gate meets every precondition of the modes below
     if ell == 0:
         mode, bound = "degenerate", None
-        u_q = _lucas(x, s, q_of_p(*_pgl_class(x, s, p), p), p)[1]
+        u_q = _lucas(x, s, _entry_index(*_pgl_class(x, s, p), p), p)[1]
         checks = [
             check("u(q-1) == 0", u_q == 0),
             check("alpha^q is scalar mod p", u_q * alpha.b % p == 0),

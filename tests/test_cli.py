@@ -920,9 +920,10 @@ def test_sweep_factors_each_argument_once(capsys):
     assert modarith.factorize.cache_info().misses == len(factored)
 
 
-def _cold_lucas_calls(capsys, monkeypatch, *argv):
-    # _lucas calls of one sweep from empty caches, through every module that binds it,
-    # and their ladder length: the bit lengths of the indices they evaluate
+def _cold_work(capsys, monkeypatch, *argv):
+    # the work of one command from empty caches: _lucas calls, through every module that
+    # binds it, with their ladder length (the bit lengths of the indices they evaluate),
+    # and is_prime calls; returns the exit code, stderr and the counts
     for cached in CACHES:
         cached.cache_clear()
     calls = collections.Counter()
@@ -932,10 +933,20 @@ def _cold_lucas_calls(capsys, monkeypatch, *argv):
         calls["bits"] += args[2].bit_length()
         return lucas(*args)
 
-    lucas = cheby._lucas
+    def proved(n):
+        calls["is_prime"] += 1
+        return is_prime(n)
+
+    lucas, is_prime = cheby._lucas, modarith.is_prime
     for module in (cheby, conductor, ordersolver, quadint):
         monkeypatch.setattr(module, "_lucas", counted)
-    code, _, _ = run(capsys, "sweep", *argv)
+    monkeypatch.setattr(modarith, "is_prime", proved)
+    code, _, err = run(capsys, *argv)
+    return code, err, calls
+
+
+def _cold_lucas_calls(capsys, monkeypatch, *argv):
+    code, _, calls = _cold_work(capsys, monkeypatch, "sweep", *argv)
     assert code == 0
     return calls["_lucas"], calls["bits"]
 
@@ -956,4 +967,29 @@ def test_default_sweep_work_is_pinned(capsys, monkeypatch):
     calls, ladder = _cold_lucas_calls(capsys, monkeypatch)
     assert 0 < calls <= 11_300
     assert 0 < ladder <= 47_000
-    assert ordersolver.q_of_p.cache_info().misses <= 600
+    # every vanishing index, q(p) included, is computed and cached by _entry_index alone
+    assert ordersolver.q_of_p.cache_info().misses == 0
+    assert conductor._entry_index.cache_info().misses <= 3_504
+
+
+def test_default_sweep_primality_work_is_pinned(capsys, monkeypatch):
+    # _entry_index takes its primes from factorize, which proved them: 5,294 is_prime
+    # calls when it looked q(p) up through q_of_p's require_odd_prime
+    code, _, calls = _cold_work(capsys, monkeypatch, "sweep")
+    assert code == 0
+    assert 0 < calls["is_prime"] <= 4_800
+
+
+def test_order_degenerate_computes_the_index_once(capsys, monkeypatch):
+    # analyze looks q(7) up under its PGL(2) class key and the message asks q_of_p for it
+    # with raw residues: one cache entry serves both (two computations and 9 _lucas calls
+    # when q_of_p kept its own cache)
+    code, err, calls = _cold_work(capsys, monkeypatch, "order", "--d", "7", "--alpha", "3,2",
+                                  "--p", "7")
+    assert code == 2
+    assert err == (
+        "error: ell = 0: p divides x^2 - 4s, so no exponent p - ell is available; "
+        "the cofactor sequence first vanishes mod p at index 7\n"
+    )
+    assert conductor._entry_index.cache_info().misses == 1
+    assert 0 < calls["_lucas"] <= 5

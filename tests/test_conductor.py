@@ -14,7 +14,7 @@ from quadorder.conductor import (
     n_of_f,
     reduce_f,
 )
-from quadorder.modarith import factorize, is_prime
+from quadorder.modarith import factorize, is_prime, legendre
 from quadorder.oracle import oracle_n_of_f
 from quadorder.ordersolver import q_of_p
 from quadorder.quadint import QuadInt
@@ -53,9 +53,17 @@ def test_entry_index_caches_only_the_index():
     assert conductor._entry_index(2, -1, 45) == n_of_f(R2, 45) == 12
 
 
+def reference_q(x, s, p):
+    """q(p) for an odd prime p not dividing s, by descent from p - ell, or p when ell = 0."""
+    ell = legendre(x * x - 4 * s, p)
+    if ell == 0:
+        return p
+    return _order_descent(x, s, p, p - ell, [r for r, _ in factorize(p - ell).factors])
+
+
 def reference_entry_index(x, s, f0):
     """n(f) by one order descent mod the whole of f0: a second route to
-    _entry_index's lcm of prime-power indices."""
+    _entry_index's lcm of prime-power indices, which uses no _entry_index value."""
     factors = factorize(f0).factors
     for p, _ in factors:
         if s % p == 0 and x % p != 0:
@@ -65,7 +73,7 @@ def reference_entry_index(x, s, f0):
             )
     coprime = [(p, k) for p, k in factors if s % p]
     part_a = math.prod(p**k for p, k in coprime)
-    mult = math.lcm(*(q_of_p(x, s, p) * p ** (k - 1) for p, k in coprime if p != 2))
+    mult = math.lcm(*(reference_q(x, s, p) * p ** (k - 1) for p, k in coprime if p != 2))
     # mult exceeds n(A) only at primes of A, and at 3 through the 6 for p = 2
     primes = [p for p, _ in coprime]
     if part_a % 2 == 0:
@@ -133,8 +141,8 @@ def _draw_unit(rng, m):
 
 
 def test_index_caches_agree_on_each_pgl2_class():
-    # both index caches are keyed by class, so each must give (x, s) and
-    # (cx, c^2 s) the same index, or the same refusal, for every unit c mod m
+    # the index cache is keyed by class, so _entry_index and its front q_of_p must give
+    # (x, s) and (cx, c^2 s) the same index, or the same refusal, for every unit c mod m
     primes = [p for p in range(2, 10**4) if is_prime(p)]
     powers = [p**k for p in primes for k in range(1, 14) if p**k <= 10**4]
     cases = [(q_of_p, (p,), p) for p in primes if 2 < p < 500]
@@ -302,6 +310,40 @@ def test_prime_power_diagnostics():
         assert pp.holds
         assert len(pp.checks) == 4
         assert all(c.status == "pass" for c in pp.checks), (p, k, f)
+
+
+def _lift_statuses_by_separate_ladders(x, s, p, k, f, nu):
+    # the diagnostic rows with a ladder of their own at each modulus
+    lifted = p ** (k + 1) * f
+    z, cap_s = _lucas(x, s, nu, p)[0], pow(s, nu, p)
+    z_big, u_nu_big = _lucas(x, s, nu, lifted)
+    outer = _lucas(z_big, pow(s, nu, lifted), p, lifted)[1]
+    u_pnu = _lucas(x, s, p * nu, lifted)[1]
+    return [
+        _lucas(x, s, nu, p**k * f)[1] == 0,
+        _lucas(z, cap_s, p, p)[1] == pow(z * z - 4 * cap_s, (p - 1) // 2, p),
+        u_pnu == outer * u_nu_big % lifted,
+        u_pnu == 0,
+    ]
+
+
+def test_lift_diagnostics_read_the_lower_rows_off_one_ladder(monkeypatch):
+    # the rows mod p^k f and mod p are reductions of the ladder at nu mod p^{k+1} f;
+    # the ladder at p * nu stays independent, as the composition row tests it
+    calls = []
+    monkeypatch.setattr(conductor, "_lucas", lambda *args: calls.append(args) or _lucas(*args))
+    rng = random.Random(30)
+    for alpha, p, k, f in [(R2, 3, 1, 1), (R2, 3, 2, 5), (PHI, 5, 2, 1), (PHI, 3, 2, 7),
+                           (QuadInt(2, 1, 3), 7, 1, 5), (QuadInt(3, 1, 5), 11, 2, 4)]:
+        x, s = alpha.trace_x, alpha.norm
+        rhs = bound_prime_power(alpha, p, k, f=f).rhs
+        # the bound's own index, where every row passes, and indices where rows fail
+        for nu in [rhs, *(rng.randrange(1, 2 * rhs) for _ in range(20))]:
+            calls.clear()
+            statuses = [c.status == "pass" for c in conductor._lift_diagnostics(x, s, p, k, f, nu)]
+            assert len(calls) == 4, calls
+            assert statuses == _lift_statuses_by_separate_ladders(x, s, p, k, f, nu), (p, k, f, nu)
+            assert nu != rhs or all(statuses)
 
 
 def test_prime_power_side_conditions():
