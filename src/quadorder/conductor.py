@@ -189,15 +189,13 @@ def _lift_diagnostics(x: int, s: int, p: int, k: int, f: int, nu: int) -> tuple[
     lifted = p ** (k + 1) * f
     z_big, u_nu_big = _lucas(x, s, nu, lifted)
     s_big = pow(s, nu, lifted)
-    z, cap_s = z_big % p, s_big % p
-    # u_{p-1} is the u_prev component one index up
-    frob_lhs = _lucas(z, cap_s, p, p)[1]
-    frob_rhs = pow(z * z - 4 * cap_s, (p - 1) // 2, p)
+    # u_{p-1} is the u_prev component one index up; as p | lifted, outer % p is the Frobenius lhs
     outer = _lucas(z_big, s_big, p, lifted)[1]
+    frob_rhs = pow(z_big * z_big - 4 * s_big, (p - 1) // 2, p)
     u_pnu = _lucas(x, s, p * nu, lifted)[1]
     return (
         check("u(nu-1) == 0 mod p^k f", u_nu_big % (p**k * f) == 0),
-        check("u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p", frob_lhs == frob_rhs),
+        check("u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p", outer % p == frob_rhs),
         check(
             "u(p*nu-1) == u(p-1)(z; s^nu) * u(nu-1) mod p^{k+1} f",
             u_pnu == outer * u_nu_big % lifted,

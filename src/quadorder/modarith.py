@@ -18,10 +18,10 @@ Past the budget, or at _PSI12 and above, the range up to TRIAL_BOUND is
 walked _WINDOW integers at a time: one gcd of what is left with the
 product of a window's odd primes skips a window that holds none of its
 prime factors, and only a window that does is walked divisor by divisor.
-Both routes end in one cofactor rule.  The products are built on the
-first call that needs them, by sieves: the first window's 171 primes on
-the first factorization, the others one segment's flags at a time, with
-no list of primes up to TRIAL_BOUND kept; they take about 180 KB.
+Both routes end in one cofactor rule.  Both tables come from one sieve,
+run on the first call that needs each: the first window's 171 primes on
+the first factorization, the window products (about 180 KB) in one pass
+up to TRIAL_BOUND, whose 500 KB of flags are freed once they are taken.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from math import gcd, isqrt, prod
 
 TRIAL_BOUND = 10**6
 _WINDOW = 1 << 10  # integers per window of the product table
-_SEGMENT = 1 << 16  # integers sieved at a time to build it; a multiple of _WINDOW
 _RHO_STEPS = 1 << 16  # rho iterations one factorization may spend before it walks the windows
 
 # Miller-Rabin on these witnesses, which run from 2^64 up, is exact only below
@@ -150,15 +149,20 @@ class Factorization:
         return all(k == 1 for _, k in self.factors)
 
 
-@cache
-def _first_window() -> tuple[tuple[int, ...], int]:
-    """The odd primes below _WINDOW, ascending, and their product, by a sieve."""
-    flags = bytearray([1]) * (_WINDOW // 2)  # flags[i] marks 2i + 1 as prime
+def _odd_prime_flags(limit: int) -> bytearray:
+    """flags[i] marks 2i + 1 as prime, for the odd numbers below limit; a sieve."""
+    flags = bytearray([1]) * (limit // 2)
     flags[0] = 0  # 1 is not a prime
-    for r in range(3, isqrt(_WINDOW) + 1, 2):
+    for r in range(3, isqrt(limit) + 1, 2):
         if flags[r // 2]:
             flags[r * r // 2 :: r] = bytes(len(range(r * r // 2, len(flags), r)))
-    primes = tuple(compress(range(1, _WINDOW, 2), flags))
+    return flags
+
+
+@cache
+def _first_window() -> tuple[tuple[int, ...], int]:
+    """The odd primes below _WINDOW, ascending, and their product."""
+    primes = tuple(compress(range(1, _WINDOW, 2), _odd_prime_flags(_WINDOW)))
     return primes, prod(primes)
 
 
@@ -180,27 +184,12 @@ def _first_window_primes(n: int) -> Iterator[int]:
 def _window_products() -> tuple[int, ...]:
     """Product of the odd primes <= TRIAL_BOUND in each window [w, w+1) * _WINDOW.
 
-    Window w's product sits at index w.  The range is sieved _SEGMENT
-    integers at a time by the odd primes up to isqrt(TRIAL_BOUND), so one
-    segment's flags are all that is held besides the products.
+    Window w's product sits at index w.  They come from one sieve up to
+    TRIAL_BOUND whose flags live only for this call; no list of primes is made.
     """
-    sieving = [r for r in _first_window()[0] if r <= isqrt(TRIAL_BOUND)]  # isqrt(10^6) < _WINDOW
-    products = []
-    for lo in range(0, TRIAL_BOUND + 1, _SEGMENT):
-        odds = range(lo + 1, min(lo + _SEGMENT, TRIAL_BOUND + 1), 2)
-        flags = bytearray([1]) * len(odds)  # flags[i] marks odds[i] as prime
-        if lo == 0:
-            flags[0] = 0  # 1 is not a prime
-        for r in sieving:
-            first = max(r * r, (lo + r) // r * r)  # least multiple of r above lo, from r^2
-            if first % 2 == 0:
-                first += r
-            i = (first - odds.start) // 2
-            flags[i::r] = bytes(len(range(i, len(odds), r)))
-        half = _WINDOW // 2
-        for j in range(0, len(odds), half):
-            products.append(prod(compress(odds[j : j + half], flags[j : j + half])))
-    return tuple(products)
+    flags, half = _odd_prime_flags(TRIAL_BOUND + 1), _WINDOW // 2
+    windows = (slice(j, j + half) for j in range(0, len(flags), half))
+    return tuple(prod(compress(range(1, TRIAL_BOUND + 1, 2)[w], flags[w])) for w in windows)
 
 
 def _rho_divisor(n: int, budget: int) -> tuple[int | None, int]:

@@ -1,4 +1,9 @@
+import signal
+
 import pytest
+
+# seconds one test may run before it fails; a hang would otherwise stall the whole suite
+TIME_LIMIT_S = 60
 
 
 class AcceptanceLog:
@@ -49,3 +54,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for _, _, line in sorted(_LOG.lines, key=lambda t: (t[0], t[1])):
             terminalreporter.write_line(line)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    def expire(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran past the {TIME_LIMIT_S} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    # and again each second after, so a test that catches the first one, or hypothesis
+    # replaying the failing example, still stops
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S, 1)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

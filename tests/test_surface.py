@@ -52,6 +52,9 @@ DELETED_FROM_ORDERSOLVER = [
     "NORM_MINUS_ONE",
 ]
 
+# both factoring tables come from one unsegmented sieve, _odd_prime_flags
+DELETED_FROM_MODARITH = ["_SEGMENT"]
+
 # the step-by-step recurrence walkers are the tests' own reference (tests/test_cheby.py)
 MOVED_TO_TESTS_FROM_CHEBY = ["u_seq", "t_seq", "_seq"]
 
@@ -103,6 +106,11 @@ def test_other_names_import_from_their_module(module, name):
 @pytest.mark.parametrize("name", DELETED_FROM_ORDERSOLVER)
 def test_deleted_names_are_absent(name):
     assert not hasattr(quadorder.ordersolver, name)
+
+
+@pytest.mark.parametrize("name", DELETED_FROM_MODARITH)
+def test_deleted_names_are_absent_from_modarith(name):
+    assert not hasattr(quadorder.modarith, name)
 
 
 @pytest.mark.parametrize("name", MOVED_TO_TESTS_FROM_CHEBY)
