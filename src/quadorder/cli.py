@@ -17,7 +17,7 @@ import random
 import re
 import sys
 from contextlib import nullcontext
-from itertools import count, product
+from itertools import compress, count, product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
 from .cheby import _MN_BOUND, _S_BOUND, _X_BOUND, run_identity_trials
@@ -248,18 +248,18 @@ def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> dict:
     return row
 
 
-def _grid_reports(d_set, coeff_bound: int, primes, conductors, keep):
-    """(alpha, keep(alpha, report)) for every grid case that meets its preconditions, in row order.
+def _grid_reports(d_set, coeff_bound: int, primes, conductors):
+    """(alpha, its _row_part) for every grid case that meets its preconditions, in row order.
 
     alpha = a + b*sqrt(d) and its conjugate share x and s, and so every report
     and every refusal: conjugation fixes 1 mod p, and f | b_n is one test for
-    both. The b < 0 member keeps what keep makes of each report, and its
-    conjugate, later in the same (d, a), yields that again.
+    both. The b < 0 member keeps the part of each report, and its conjugate,
+    later in the same (d, a), yields that again.
     """
     jobs = ((ordersolver.analyze, primes), (conductor.bound_full, conductors))
     coeffs = range(-coeff_bound, coeff_bound + 1)
     for d, a in product(sorted(set(d_set)), coeffs):
-        kept = {}  # |b| -> what keep made for a - |b|*sqrt(d), until its conjugate takes it
+        kept = {}  # |b| -> the parts of a - |b|*sqrt(d), until its conjugate takes them
         for b in filter(None, coeffs):
             try:
                 alpha = QuadInt(a, b, d)
@@ -275,7 +275,7 @@ def _grid_reports(d_set, coeff_bound: int, primes, conductors, keep):
                         report = build(alpha, modulus)
                     except ValueError:
                         continue
-                    parts.append(keep(alpha, report))
+                    parts.append(_row_part(alpha, report))
                     yield alpha, parts[-1]
 
 
@@ -296,21 +296,23 @@ def run_sweep(
     reproduces the dataset byte for byte.
     """
     rng, grid = random.Random(seed), (d_set, coeff_bound)
-    primes = [p for p in range(3, p_max) if modarith.is_prime(p)]
-    conductors = range(1, f_max + 1)
+    primes = list(compress(range(1, p_max, 2), modarith._odd_prime_flags(p_max)))
     if with_oracle:
         # a pass of its own: holding every report for the rows would raise peak memory
         over_p = [p for p in primes if _steps(p * p - 1) > oracle.DEFAULT_CAP]
         f_cut = next(f for f in count(1) if _steps(6 * f * f) > oracle.DEFAULT_CAP)
         over_f = range(f_cut, f_max + 1)  # the cap grows with f, so those past it are one range
-        for alpha, claim in _grid_reports(*grid, over_p, over_f, lambda _, r: _claim(r)):
+        for alpha, (_, claim, _) in _grid_reports(*grid, over_p, over_f):
             _oracle_cap(alpha, claim)
-    rows = _grid_reports(*grid, primes, conductors, _row_part)
+    rows = _grid_reports(*grid, primes, range(1, f_max + 1))
     return (_row(alpha, part, rng, with_oracle) for alpha, part in rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    d_set = [int(tok) for tok in args.d_set.split(",") if tok.strip()]
+    try:
+        d_set = [int(tok) for tok in args.d_set.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--d-set must be a comma list of integers: {args.d_set!r}") from exc
     for d in d_set:
         quadint._check_radicand(d)
     if min(args.coeff_bound, args.p_max, args.f_max) < 0:
@@ -414,7 +416,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, where it is caught, not at exit
         return code
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

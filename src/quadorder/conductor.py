@@ -39,7 +39,7 @@ def reduce_f(b: int, f: int) -> tuple[int, int, int]:
     reduced pair is coprime, so vanishing mod f0 is what n(f) measures.
     """
     if b == 0:
-        raise ValueError("b = 0 is rational; the caller should short-circuit n(f) = 1")
+        raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
     if f < 1:
         raise ValueError("the conductor must be at least 1")
     c = gcd(b, f)
@@ -228,8 +228,6 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
     The product bound is only claimed for odd f; an even conductor still
     gets its exact index, with bound None and a note saying why.
     """
-    if alpha.b == 0:
-        raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
     c, _, f0 = reduce_f(alpha.b, f)
     x, s = _pgl_class(alpha.trace_x, alpha.norm, f0)  # x == 1 spares each prime's inverse
     n_exact = _entry_index(x, s, f0)

@@ -10,18 +10,16 @@ The power of 2 is stripped by a bit trick, and one gcd with the product
 of the odd primes below _WINDOW names the ones that divide what is left;
 only those are divided out.  What they leave has no prime factor below
 _WINDOW, so below (_WINDOW + 1)^2 it is 1 or a prime.  Above that and
-below _PSI12 (where is_prime is a proof), Brent's rho splits it
-completely under the fixed budget _RHO_STEPS into proved primes: those
-up to TRIAL_BOUND are kept, one above is accepted with no second test,
-and two or more are refused, as trial division would.
-Past the budget, or at _PSI12 and above, the range up to TRIAL_BOUND is
-walked _WINDOW integers at a time: one gcd of what is left with the
-product of a window's odd primes skips a window that holds none of its
-prime factors, and only a window that does is walked divisor by divisor.
-Both routes end in one cofactor rule.  Both tables come from one sieve,
-run on the first call that needs each: the first window's 171 primes on
-the first factorization, the window products (about 180 KB) in one pass
-up to TRIAL_BOUND, whose 500 KB of flags are freed once they are taken.
+below _PSI12 (where is_prime is a proof), Brent's rho splits it, smaller
+pieces first, into proved primes and what the budget _RHO_STEPS left
+unsplit; a split finds any prime in (_WINDOW, TRIAL_BOUND] within 7,742 steps.
+At _PSI12 and up the range to TRIAL_BOUND is walked _WINDOW integers at
+a time: one gcd of what is left with the product of a window's odd
+primes skips a window that holds none of its prime factors, and only a
+window that does is walked divisor by divisor.  Both tables come from
+one sieve, run on the first call that needs each: the first window's
+171 primes on the first factorization, the window products (about
+180 KB) in one pass up to TRIAL_BOUND, whose 500 KB of flags are freed.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from math import gcd, isqrt, prod
 
 TRIAL_BOUND = 10**6
 _WINDOW = 1 << 10  # integers per window of the product table
-_RHO_STEPS = 1 << 16  # rho iterations one factorization may spend before it walks the windows
+_RHO_STEPS = 1 << 16  # rho iterations one factorization may spend before it refuses
 
 # Miller-Rabin on these witnesses, which run from 2^64 up, is exact only below
 # psi_12, a composite is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
@@ -150,10 +148,11 @@ class Factorization:
 
 
 def _odd_prime_flags(limit: int) -> bytearray:
-    """flags[i] marks 2i + 1 as prime, for the odd numbers below limit; a sieve."""
+    """flags[i] marks 2i + 1 as prime, for the odd numbers below limit (none below 2); a sieve."""
     flags = bytearray([1]) * (limit // 2)
-    flags[0] = 0  # 1 is not a prime
-    for r in range(3, isqrt(limit) + 1, 2):
+    if flags:
+        flags[0] = 0  # 1 is not a prime
+    for r in range(3, isqrt(max(limit, 0)) + 1, 2):
         if flags[r // 2]:
             flags[r * r // 2 :: r] = bytes(len(range(r * r // 2, len(flags), r)))
     return flags
@@ -232,13 +231,14 @@ def _rho_divisor(n: int, budget: int) -> tuple[int | None, int]:
             return g, budget
 
 
-def _prime_factors(n: int) -> list[int] | None:
-    """The primes of n < _PSI12 with multiplicity, ascending; None past _RHO_STEPS.
+def _prime_factors(n: int) -> tuple[list[int], int]:
+    """The primes of n < _PSI12 with multiplicity, ascending, and the product
+    of the pieces _RHO_STEPS left unsplit (1 when none).
 
-    n has no prime factor below _WINDOW, so a factor below (_WINDOW + 1)^2 is
-    a prime and is_prime proves each of the others once.
+    n has no prime factor below _WINDOW, so a piece below (_WINDOW + 1)^2 is a
+    prime and is_prime proves the others; a split's smaller piece goes first.
     """
-    primes, left, budget = [], [n], _RHO_STEPS
+    primes, left, budget, unsplit = [], [n], _RHO_STEPS, 1
     while left:
         m = left.pop()
         if m < (_WINDOW + 1) ** 2 or is_prime(m):
@@ -246,9 +246,10 @@ def _prime_factors(n: int) -> list[int] | None:
             continue
         d, budget = _rho_divisor(m, budget)
         if d is None:
-            return None
-        left += (d, m // d)
-    return sorted(primes)
+            unsplit *= m
+        else:
+            left += sorted((d, m // d), reverse=True)
+    return sorted(primes), unsplit
 
 
 def _divide_out(rem: int, q: int, factors: list[tuple[int, int]]) -> int:
@@ -266,9 +267,9 @@ def factorize(n: int) -> Factorization:
     """Factor |n| as trial division up to TRIAL_BOUND would.
 
     The module docstring has the two routes.  Both end in one cofactor
-    rule: what survives is accepted only if it is one prime rho has proved,
-    or, after the walk, at most TRIAL_BOUND^2 or passes the primality test;
-    otherwise the input exceeds desk scale and we refuse rather than guess.
+    rule: what survives is accepted only if it is 1 or one prime, proved so
+    by rho's split below _PSI12, or after the walk by being at most
+    TRIAL_BOUND^2 or passing the primality test; otherwise we refuse.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -280,10 +281,11 @@ def factorize(n: int) -> Factorization:
         factors.append((2, k))
     for q in _first_window_primes(rem):
         rem = _divide_out(rem, q, factors)
-    if (_WINDOW + 1) ** 2 <= rem < _PSI12 and (primes := _prime_factors(rem)) is not None:
+    if (_WINDOW + 1) ** 2 <= rem < _PSI12:
+        primes, unsplit = _prime_factors(rem)
         factors += [(r, len(list(g))) for r, g in groupby(r for r in primes if r <= TRIAL_BOUND)]
         above = [r for r in primes if r > TRIAL_BOUND]
-        rem, accepted = prod(above), len(above) < 2  # each one proved already
+        rem, accepted = prod(above) * unsplit, len(above) < 2 and unsplit == 1  # all proved
     else:
         q = _WINDOW + 1
         while q <= TRIAL_BOUND and q * q <= rem:

@@ -6,7 +6,8 @@ chain of modular square roots while the 2-part of p - ell allows.  Every
 claim the solver makes is emitted as a named Check so callers can render
 or assert them.  analyze and table_check share one precondition gate and
 refuse an unmet precondition with a ValueError naming it.  q_of_p only
-validates; conductor._entry_index computes and caches every vanishing index.
+proves p prime; conductor._entry_index computes, refuses and caches every
+vanishing index.
 """
 
 from __future__ import annotations
@@ -349,14 +350,10 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
 def q_of_p(x: int, s: int, p: int) -> int:
     """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p: conductor._entry_index at p.
 
-    When p | s it is 2 if p | x, and otherwise no index exists (ValueError).
-    A factorize refusal on p - ell propagates as its ValueError.
+    When p | s it is 2 if p | x; otherwise no index exists, and _entry_index
+    refuses, as it refuses when factorize refuses p - ell (ValueError).
     """
     require_odd_prime(p)
-    if s % p == 0 and x % p:
-        raise ValueError(
-            "p divides the norm but not the trace; the cofactor sequence never vanishes mod p"
-        )
     return _entry_index(*_pgl_class(x, s, p), p)
 
 

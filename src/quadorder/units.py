@@ -13,8 +13,8 @@ built from the half period's digits only, after the walk, which itself
 stays on small integers.  The unit is h + y*sqrt(d), or (2h - y, y) in the
 half-integer storage convention, and it is normed once at the end.
 The period may be at most _STEP_CAP digits long; past that the call
-refuses, after about _STEP_CAP/2 steps, with a RuntimeError naming d and
-the limit.
+refuses, after about _STEP_CAP/2 steps, with a ValueError naming d and
+the limit, as every other budget does.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def fundamental_unit(d: int) -> QuadInt:
     else:
         length = 2 * k + 2  # no centre up to step k leaves no shorter period
     if length > _STEP_CAP:
-        raise RuntimeError(
+        raise ValueError(
             f"the continued fraction for d = {d} did not close its period "
             f"within the limit of {_STEP_CAP} steps"
         )

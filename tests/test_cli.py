@@ -691,6 +691,27 @@ def test_sweep_rejects_bad_d(capsys):
     assert code == 2
 
 
+def test_sweep_refuses_a_d_set_that_is_not_integers():
+    # a subprocess, so the test sees the whole of stderr and any traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadorder.cli", "sweep", "--d-set", "2,x"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --d-set must be a comma list of integers: '2,x'\n"
+
+
+@pytest.mark.parametrize("p_max", ["0", "1"])
+def test_sweep_below_the_first_prime_writes_only_conductor_rows(capsys, p_max):
+    code, out, _ = run(
+        capsys, "sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", p_max, "--f-max", "3"
+    )
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and rows
+    assert {row["kind"] for row in rows} == {"conductor"}
+
+
 def test_sweep_reads_a_negative_d_set_as_a_value(capsys):
     # "-1,-2" looks like an option to argparse unless the parser is told otherwise
     grid = ["--coeff-bound", "1", "--p-max", "10", "--f-max", "2"]

@@ -37,6 +37,17 @@ def test_reduce_f_validation():
         reduce_f(12, 0)
 
 
+def test_rational_alpha_is_refused_by_reduce_f_alone():
+    # bound_full adds no check of its own: b = 0 is refused by reduce_f, with one text
+    text = "b = 0 is rational; n(f) = 1 for every conductor"
+    with pytest.raises(ValueError) as info:
+        reduce_f(0, 45)
+    assert str(info.value) == text
+    with pytest.raises(ValueError) as info:
+        bound_full(QuadInt(3, 0, 2), 45)
+    assert str(info.value) == text
+
+
 def test_n_of_f_frozen():
     assert n_of_f(R2, 1) == 1
     assert n_of_f(R2, 3) == 4

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -463,14 +464,83 @@ def test_factorize_known_factorizations(primes):
     assert outcome(factorize, n) == contract(n, primes)
 
 
-def test_factorize_past_the_rho_budget_walks_and_refuses():
+def test_factorize_past_the_rho_budget_refuses():
     # two 38-bit primes: rho would need about 2^19 steps, past its budget
     p1, p2 = 274877906951, 274878906989
     assert is_prime(p1) and is_prime(p2) and p1 * p2 < PSI12
-    assert modarith._prime_factors(p1 * p2) is None
+    assert modarith._prime_factors(p1 * p2) == ([], p1 * p2)
     t0 = time.perf_counter()
     assert outcome(factorize, p1 * p2) == contract(p1 * p2, [p1, p2])
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_rho_budget_edge(monkeypatch):
+    # 874771 is the prime in (1024, 10^6] rho takes longest to split off (c = 1);
+    # with the budget this split takes factorize answers, one step short it refuses
+    n = 874771 * 1000003
+    d, left = modarith._rho_divisor(n, modarith._RHO_STEPS)
+    assert d in (874771, 1000003)
+    steps = modarith._RHO_STEPS - left
+    assert steps < modarith._RHO_STEPS // 8
+    modarith._window_products.cache_clear()
+    monkeypatch.setattr(modarith, "_RHO_STEPS", steps)
+    factorize.cache_clear()
+    assert factorize(n).factors == ((874771, 1), (1000003, 1))
+    monkeypatch.setattr(modarith, "_RHO_STEPS", steps - 1)
+    factorize.cache_clear()
+    refusal = f"refused: composite cofactor {n} exceeds the trial bound {TRIAL_BOUND}"
+    assert outcome(factorize, n) == refusal
+    assert modarith._window_products.cache_info().currsize == 0
+
+
+# inputs below psi12 on which rho spends its budget, and trial division's refusal of each
+SPENT_BUDGET = {
+    # rho splits off 1031 first, so the cofactor it cannot split is all that is refused
+    1031 * 16000000039 * 17000000021:
+        "composite cofactor 272000000999000000819 exceeds the trial bound 1000000",
+    PSI12 - 1: "composite cofactor 3155732400812350477 exceeds the trial bound 1000000",
+    274877906951 * 274878906989:
+        "composite cofactor 75558138618114925580539 exceeds the trial bound 1000000",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SPENT_BUDGET))
+def test_spent_rho_budget_refuses_at_once(n):
+    assert n < PSI12
+
+    def refuse():
+        modarith._window_products.cache_clear()
+        factorize.cache_clear()
+        with pytest.raises(ValueError) as info:
+            factorize(n)
+        assert str(info.value) == SPENT_BUDGET[n]
+
+    assert best_of_3(refuse) < 0.1
+    assert modarith._window_products.cache_info().currsize == 0
+
+
+def test_factorize_below_psi12_never_builds_the_table():
+    # the draws of test_factorize_matches_sympy_below_psi12, each factored cold
+    modarith._window_products.cache_clear()
+    rng = random.Random(12)
+    for _ in range(300):
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            part = rng.randrange(2, 10 ** rng.randint(1, 23))
+            if n * part < PSI12:
+                n *= part
+        factorize.cache_clear()
+        outcome(factorize, n)
+    assert modarith._window_products.cache_info().currsize == 0
+
+
+def test_odd_prime_flags_list_the_odd_primes_below_every_limit():
+    # the sweep lists its primes this way; limits below 2 give no flags, and none raises
+    flags = sieve(6000)
+    odd = [n for n in range(3, 6000, 2) if flags[n]]
+    for limit in range(-3, 6000):
+        listed = itertools.compress(range(1, limit, 2), modarith._odd_prime_flags(limit))
+        assert list(listed) == odd[: bisect.bisect_left(odd, limit)], limit
 
 
 def test_factorize_below_psi12_is_fast_and_builds_no_table():

@@ -524,6 +524,15 @@ class TestEntryIndex:
         with pytest.raises(ValueError):
             q_of_p(3, 7, 7)
 
+    def test_nonexistence_is_refused_by_entry_index(self):
+        # p | s with p not dividing x: the text is _entry_index's, q_of_p adds no check
+        with pytest.raises(ValueError) as info:
+            q_of_p(1, 5, 5)
+        assert str(info.value) == (
+            "no power of alpha has its irrational part divisible by 5: "
+            "the cofactor sequence never vanishes there"
+        )
+
     def test_divides_p_minus_ell(self):
         for p in (5, 7, 11, 13, 17):
             for x in range(p):

@@ -176,7 +176,7 @@ def test_large_unit_pinned_and_fast():
 
 def test_refuses_past_the_step_cap(monkeypatch, capsys):
     monkeypatch.setattr(units, "_STEP_CAP", 100)
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(ValueError) as info:
         fundamental_unit(10**9 + 7)
     message = str(info.value)
     assert "1000000007" in message and "100 steps" in message
@@ -187,7 +187,7 @@ def test_refuses_past_the_step_cap(monkeypatch, capsys):
 def test_refuses_at_the_default_cap_quickly():
     # the period of 10**12 + 39 is 532,572 steps, past the cap of 10**5
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="1000000000039 .* limit of 100000 steps"):
+    with pytest.raises(ValueError, match="1000000000039 .* limit of 100000 steps"):
         fundamental_unit(10**12 + 39)
     assert time.perf_counter() - start < 3.0
 
@@ -221,7 +221,7 @@ def test_half_period_walk_at_the_cap(kind, monkeypatch):
     monkeypatch.setattr(units, "_STEP_CAP", length)
     assert fundamental_unit(d) == expected
     monkeypatch.setattr(units, "_STEP_CAP", length - 1)
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(ValueError) as info:
         fundamental_unit(d)
     assert str(info.value) == refusal_text(d, length - 1)
 
@@ -234,7 +234,7 @@ def test_cap_decides_every_period_below_400(monkeypatch):
         for cap in (length - 2, length - 1, length, length + 1):
             monkeypatch.setattr(units, "_STEP_CAP", max(cap, 0))
             if cap < length:
-                with pytest.raises(RuntimeError) as info:
+                with pytest.raises(ValueError) as info:
                     fundamental_unit(d)
                 assert str(info.value) == refusal_text(d, max(cap, 0)), (d, cap)
             else:
