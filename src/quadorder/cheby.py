@@ -18,22 +18,21 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import NamedTuple
 
+from .value import Value
 
-@dataclass(frozen=True)
-class ChebyParams:
-    x: int
-    s: int
-    modulus: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.s == 0:
+class ChebyParams(Value):
+    __slots__ = _fields = ("x", "s", "modulus")
+
+    def __init__(self, x: int, s: int, modulus: int | None = None) -> None:
+        if s == 0:
             raise ValueError("s must be nonzero")
-        if self.modulus is not None and self.modulus < 2:
+        if modulus is not None and modulus < 2:
             raise ValueError("modulus must be at least 2")
+        self._set(x, s, modulus)
 
 
 class ChebyPair(NamedTuple):

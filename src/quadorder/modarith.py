@@ -25,10 +25,11 @@ one sieve, run on the first call that needs each: the first window's
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import compress, count, groupby
 from math import gcd, isqrt, prod
+
+from .value import Value
 
 TRIAL_BOUND = 10**6
 _WINDOW = 1 << 10  # integers per window of the product table
@@ -134,14 +135,13 @@ def _sqrt_mod(a: int, p: int, z: int) -> int | None:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    base: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
+class Factorization(Value):
+    __slots__ = _fields = ("base", "factors")  # factors: (prime, exponent), primes ascending
 
-    def __post_init__(self) -> None:
-        if prod(p**k for p, k in self.factors) != self.base:
+    def __init__(self, base: int, factors: tuple[tuple[int, int], ...]) -> None:
+        if prod(p**k for p, k in factors) != base:
             raise ValueError("factor product does not reproduce the base")
+        self._set(base, factors)
 
     def is_squarefree(self) -> bool:
         return all(k == 1 for _, k in self.factors)

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cheby import _lucas
 from .modarith import factorize
+from .value import Value
 
 
 @lru_cache(maxsize=256)
@@ -20,12 +20,11 @@ def _check_radicand(d: int) -> None:
         raise ValueError(f"the radicand {d} is not square-free")
 
 
-@dataclass(frozen=True)
-class Mat2:
-    e00: int
-    e01: int
-    e10: int
-    e11: int
+class Mat2(Value):
+    __slots__ = _fields = ("e00", "e01", "e10", "e11")
+
+    def __init__(self, e00: int, e01: int, e10: int, e11: int) -> None:
+        self._set(e00, e01, e10, e11)
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -64,16 +63,16 @@ class Mat2:
         return Mat2(self.e00 % m, self.e01 % m, self.e10 % m, self.e11 % m)
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Value):
     """a + b*sqrt(d), or (a + b*sqrt(d))/2 with a == b (mod 2) when d == 1 (mod 4)."""
 
-    a: int
-    b: int
-    d: int
-    # read many times per alpha, so __post_init__ computes them once
-    norm: int = field(init=False, repr=False, compare=False)
-    trace_x: int = field(init=False, repr=False, compare=False)
+    # norm and trace_x are read many times per alpha, so __post_init__ computes them once
+    __slots__ = ("a", "b", "d", "norm", "trace_x")
+    _fields = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int) -> None:
+        self._set(a, b, d)
+        self.__post_init__()  # the benchmark tracer counts constructions by this method
 
     def __post_init__(self) -> None:
         _check_radicand(self.d)

@@ -412,6 +412,26 @@ class TestDivisorBound:
         assert divisor_bound(3, 1, 11, 2).preimage == 4
         assert divisor_bound(4, 1, 11, 5) is None
 
+    def test_scan_cap_edge(self, monkeypatch):
+        # t_2(y; 1) = y^2 - 2, so y0 and p - y0 are the only preimages of x and y0 is the least;
+        # a cap of y0 + 1 scans it and answers, a cap of y0 stops one short and refuses
+        p, y0 = 1000003, 10000
+        x = (y0 * y0 - 2) % p
+        assert divisor_bound(x, 1, p, 2).preimage == y0
+        monkeypatch.setattr(ordersolver, "_SCAN_CAP", y0 + 1)
+        start = time.perf_counter()
+        assert divisor_bound(x, 1, p, 2).preimage == y0
+        assert time.perf_counter() - start < 0.1
+        monkeypatch.setattr(ordersolver, "_SCAN_CAP", y0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            divisor_bound(x, 1, p, 2)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == (
+            f"no trace preimage mod p = {p} among the first {y0} values of y; "
+            "the scan stops at that limit"
+        )
+
     def test_early_preimage_at_a_61_bit_prime(self):
         p = 2**61 - 1
         start = time.perf_counter()

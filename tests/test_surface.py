@@ -1,8 +1,13 @@
 """The package's import surface: what the root exports, and what the benchmark tracer binds."""
 
+import copy
 import dataclasses
 import importlib
+import os
+import pickle
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +49,7 @@ MODULE_ONLY = {
     ],
     "quadint": ["Mat2"],
     "units": ["is_unit"],
+    "value": ["Value"],
 }
 
 # analyze is the one route to a unit's order bound, and its mode strings have one spelling
@@ -83,9 +89,30 @@ RECORDS = {
 
 # value types that do work when made: QuadInt caches its norm and trace (and the
 # benchmark tracer counts that __post_init__), Factorization and ChebyParams
-# validate, and Mat2 is the naive cross-route
-DATACLASSES = [("quadint", "QuadInt"), ("quadint", "Mat2"), ("modarith", "Factorization"),
-               ("cheby", "ChebyParams")]
+# validate, and Mat2 is the naive cross-route.  Each maps to its fields, the
+# arguments of one value and of an unequal one, that value's repr, and the
+# arguments it refuses with their messages.
+VALUE_TYPES = {
+    ("quadint", "QuadInt"): (
+        ("a", "b", "d"), (3, 2, 2), (3, 2, 3), "QuadInt(a=3, b=2, d=2)",
+        {(1, 1, 1): "the radicand must be a square-free integer other than 0 and 1",
+         (1, 1, 12): "the radicand 12 is not square-free",
+         (1, 2, 5): "for d == 1 (mod 4) the two coordinates must have equal parity"},
+    ),
+    ("quadint", "Mat2"): (
+        ("e00", "e01", "e10", "e11"), (1, 2, 3, 4), (1, 2, 4, 3),
+        "Mat2(e00=1, e01=2, e10=3, e11=4)", {},
+    ),
+    ("modarith", "Factorization"): (
+        ("base", "factors"), (12, ((2, 2), (3, 1))), (18, ((2, 1), (3, 2))),
+        "Factorization(base=12, factors=((2, 2), (3, 1)))",
+        {(10, ((2, 1), (3, 1))): "factor product does not reproduce the base"},
+    ),
+    ("cheby", "ChebyParams"): (
+        ("x", "s", "modulus"), (3, 2, 7), (3, 2, None), "ChebyParams(x=3, s=2, modulus=7)",
+        {(3, 0): "s must be nonzero", (3, 1, 1): "modulus must be at least 2"},
+    ),
+}
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -131,14 +158,62 @@ def test_result_records_are_named_tuples(module, name):
     assert record._asdict() == dict(zip(fields, range(len(fields))))
 
 
-@pytest.mark.parametrize("module, name", DATACLASSES)
-def test_value_types_stay_dataclasses(module, name):
-    assert dataclasses.is_dataclass(getattr(importlib.import_module(f"quadorder.{module}"), name))
+@pytest.mark.parametrize("module, name", list(VALUE_TYPES))
+def test_value_types_keep_their_contract(module, name):
+    cls = getattr(importlib.import_module(f"quadorder.{module}"), name)
+    fields, args, other_args, text, refusals = VALUE_TYPES[module, name]
+    value = cls(*args)
+    assert cls(**dict(zip(fields, args))) == value and hash(cls(*args)) == hash(value)
+    assert value != cls(*other_args) and value != args
+    assert repr(value) == text
+    for attr in cls.__slots__:  # QuadInt's norm and trace_x too
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for made in copies + [copy.copy(value), copy.deepcopy(value)]:
+        assert type(made) is cls and made == value and repr(made) == text
+        assert [getattr(made, attr) for attr in cls.__slots__] == [
+            getattr(value, attr) for attr in cls.__slots__
+        ]
+    for bad, message in refusals.items():
+        with pytest.raises(ValueError) as info:
+            cls(*bad)
+        assert str(info.value) == message
 
 
-def test_quadint_construction_stays_countable():
-    # the tracer's quadint.construct counter wraps this method on the class itself
-    assert "__post_init__" in quadorder.quadint.QuadInt.__dict__
+def test_quadint_construction_stays_countable(monkeypatch):
+    # the tracer's quadint.construct counter wraps this method on the class itself,
+    # so every QuadInt made, by arithmetic or by copying, runs it exactly once
+    QuadInt = quadorder.quadint.QuadInt
+    assert "__post_init__" in QuadInt.__dict__
+    calls = []
+    post_init = QuadInt.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(QuadInt, "__post_init__", counted)
+    alpha = QuadInt(1, 1, 2)
+    made = [alpha, alpha * alpha, -alpha, copy.copy(alpha), copy.deepcopy(alpha),
+            pickle.loads(pickle.dumps(alpha))]
+    assert len(calls) == len(made) and all(c is m for c, m in zip(calls, made))
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # compared with what the interpreter loaded before the import, since some
+    # interpreters load inspect at start-up; dataclasses costs inspect's import
+    code = ("import sys; before = set(sys.modules); import quadorder.cli; "
+            "quadorder.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "quadorder.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.fixture(scope="module")
