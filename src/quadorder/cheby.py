@@ -9,9 +9,10 @@ and the corner entry of the n-th power.
 Single terms come from one Lucas-doubling kernel, _lucas, over the
 integers (s = 0 included) or mod m; vanishing indices come from an order
 descent on it, and run_identity_trials fuzzes the identities with it.
-u_prev_exact, t_exact, eval_fast and compose_* wrap it only for the tests
-and perfbench's tracer.  ChebyParams validates its pair when made; the
-results, ChebyPair and IdentityTally, are immutable named tuples.
+The kernel alone refuses n < 0; u_prev_exact, t_exact, eval_fast (plus a
+modulus check) and compose_* (both laws hold at index 0) are projections of
+it, kept for the tests, perfbench's tracer and deep's certificate.  ChebyParams
+checks its pair when made; ChebyPair and IdentityTally are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ def _lucas(x: int, s: int, n: int, m: int | None = None) -> tuple[int, int]:
     U_{2k+1} = U_{k+1}^2 - s*U_k^2; at the end t_n = 2U_{n+1} - x*U_n.
     Joye-Quisquater 1996, "Efficient computation of full Lucas sequences".
     """
+    if n < 0:  # bin(-5) is '-0b101': the ladder would answer for |n|
+        raise ValueError("n must be nonnegative")
     if m is not None:
         x, s = x % m, s % m
     u, v = 0, 1
@@ -102,15 +105,11 @@ def _descend(n: int, primes: list[int], holds: Callable[[int], bool]) -> int:
 
 def u_prev_exact(x: int, s: int, n: int) -> int:
     """u_{n-1}(x; s) over the integers; u_{-1} = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return _lucas(x, s, n)[1]
 
 
 def t_exact(x: int, s: int, n: int) -> int:
     """t_n(x; s) over the integers."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return _lucas(x, s, n)[0]
 
 
@@ -119,8 +118,6 @@ def eval_fast(params: ChebyParams, n: int) -> ChebyPair:
     m = params.modulus
     if m is None:
         raise ValueError("eval_fast needs a modulus")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     t, u_prev = _lucas(params.x, params.s, n, m)
     return ChebyPair(n=n, t=t, u_prev=u_prev)
 
@@ -145,7 +142,6 @@ def u_odd_closed_form(x: int, s: int, n: int) -> int:
 
 def compose_u(x: int, s: int, m: int, n: int) -> tuple[int, int]:
     """Exact (lhs, rhs) of u_{mn-1}(x;s) = u_{m-1}(t_n(x;s); s^n) * u_{n-1}(x;s)."""
-    _require_exact_indices(m, n)
     lhs = u_prev_exact(x, s, m * n)
     rhs = u_prev_exact(t_exact(x, s, n), s**n, m) * u_prev_exact(x, s, n)
     return lhs, rhs
@@ -153,15 +149,9 @@ def compose_u(x: int, s: int, m: int, n: int) -> tuple[int, int]:
 
 def compose_t(x: int, s: int, m: int, n: int) -> tuple[int, int]:
     """Exact (lhs, rhs) of t_{mn}(x;s) = t_n(t_m(x;s); s^m)."""
-    _require_exact_indices(m, n)
     lhs = t_exact(x, s, m * n)
     rhs = t_exact(t_exact(x, s, m), s**m, n)
     return lhs, rhs
-
-
-def _require_exact_indices(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError("composition indices must be at least 1")
 
 
 class IdentityTally(NamedTuple):

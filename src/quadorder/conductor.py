@@ -155,10 +155,10 @@ def bound_prime_power(
 ) -> PrimePowerBound:
     """n(p^k f) against q(p) * p^(k-1) * n(f) for an odd prime p not dividing f.
 
-    Diagnostic mode replays the lifting step behind the inequality: the
-    index nu = rhs vanishes mod p^k f, the transported parameters satisfy
-    u_{p-1}(z; S) == (z^2 - 4S)^((p-1)/2) mod p, and composing pushes the
-    vanishing up to p^{k+1} f.
+    Diagnostic mode replays the lifting step behind the inequality mod
+    f0 = f/gcd(b, f), where n(f) is measured: nu = rhs vanishes mod p^k f0,
+    the transported parameters satisfy u_{p-1}(z; S) == (z^2 - 4S)^((p-1)/2)
+    mod p, and composing pushes the vanishing up to p^{k+1} f0.
     """
     require_odd_prime(p)
     if k < 1:
@@ -177,7 +177,7 @@ def bound_prime_power(
     rhs = q * p ** (k - 1) * n_f
     checks: tuple[Check, ...] = ()
     if diagnostics:
-        checks = _lift_diagnostics(x, s, p, k, f, rhs)
+        checks = _lift_diagnostics(x, s, p, k, f // gcd(alpha.b, f), rhs)
     return PrimePowerBound(
         p=p, k=k, f=f, q_p=q, n_f=n_f, lhs=lhs, rhs=rhs,
         side_conditions=tuple(side), checks=checks,
@@ -185,7 +185,7 @@ def bound_prime_power(
 
 
 def _lift_diagnostics(x: int, s: int, p: int, k: int, f: int, nu: int) -> tuple[Check, ...]:
-    # one ladder at nu mod p^{k+1} f; its reductions mod p^k f and mod p are the lower rows
+    # f is the reduced f0; one ladder at nu mod p^{k+1} f0, reduced mod p^k f0 and mod p below
     lifted = p ** (k + 1) * f
     z_big, u_nu_big = _lucas(x, s, nu, lifted)
     s_big = pow(s, nu, lifted)
@@ -194,13 +194,13 @@ def _lift_diagnostics(x: int, s: int, p: int, k: int, f: int, nu: int) -> tuple[
     frob_rhs = pow(z_big * z_big - 4 * s_big, (p - 1) // 2, p)
     u_pnu = _lucas(x, s, p * nu, lifted)[1]
     return (
-        check("u(nu-1) == 0 mod p^k f", u_nu_big % (p**k * f) == 0),
+        check("u(nu-1) == 0 mod p^k f0", u_nu_big % (p**k * f) == 0),
         check("u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p", outer % p == frob_rhs),
         check(
-            "u(p*nu-1) == u(p-1)(z; s^nu) * u(nu-1) mod p^{k+1} f",
+            "u(p*nu-1) == u(p-1)(z; s^nu) * u(nu-1) mod p^{k+1} f0",
             u_pnu == outer * u_nu_big % lifted,
         ),
-        check("u(p*nu-1) == 0 mod p^{k+1} f", u_pnu == 0),
+        check("u(p*nu-1) == 0 mod p^{k+1} f0", u_pnu == 0),
     )
 
 

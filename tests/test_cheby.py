@@ -102,8 +102,11 @@ def test_eval_fast_matches_recurrence(x, s, m):
 
 
 def test_eval_fast_requires_modulus():
-    with pytest.raises(ValueError):
-        eval_fast(ChebyParams(2, -1), 5)
+    # the modulus is checked first, so a negative index without one is refused for the modulus
+    for n in (5, -1):
+        with pytest.raises(ValueError) as info:
+            eval_fast(ChebyParams(2, -1), n)
+        assert str(info.value) == "eval_fast needs a modulus"
     with pytest.raises(ValueError):
         eval_fast(ChebyParams(2, -1, 97), -1)
 
@@ -171,14 +174,52 @@ def test_odd_closed_form_rejects_even_and_modular():
 
 
 def test_compose_identities_exact():
+    # index 0 included: u_{-1} = 0, t_0 = 2 and t_k(2; 1) = 2 make both laws hold there
     for x in range(-3, 4):
         for s in (-2, -1, 0, 1, 2):
-            for m in range(1, 6):
-                for n in range(1, 6):
+            for m in range(0, 6):
+                for n in range(0, 6):
                     lhs, rhs = compose_u(x, s, m, n)
                     assert lhs == rhs, (x, s, m, n)
                     lhs, rhs = compose_t(x, s, m, n)
                     assert lhs == rhs, (x, s, m, n)
+
+
+def test_kernel_refuses_a_negative_index():
+    # bin(-5) is '-0b101', so an unchecked ladder would answer for |n|: (11, 5) at Fibonacci's n = 5
+    assert cheby._lucas(1, -1, 5) == (11, 5)
+    for n in [*range(-12, 0), -(2**70)]:
+        for args in [(1, -1, n), (1, -1, n, 97), (3, 0, n), (2, 1, n, 2)]:
+            with pytest.raises(ValueError) as info:
+                cheby._lucas(*args)
+            assert str(info.value) == "n must be nonnegative", args
+    # the check comes before any arithmetic on x, s or m
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        cheby._lucas(None, None, -1, None)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        cheby._lucas(None, None, -1, 7)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: u_prev_exact(2, -1, n),
+        lambda n: t_exact(2, -1, n),
+        lambda n: eval_fast(ChebyParams(2, -1, 97), n),
+        lambda n: compose_u(2, -1, n, 3),
+        lambda n: compose_u(2, -1, 3, n),
+        lambda n: compose_t(2, -1, n, 3),
+        lambda n: compose_t(2, -1, 3, n),
+    ],
+    ids=["u_prev_exact", "t_exact", "eval_fast", "compose_u-m", "compose_u-n", "compose_t-m",
+         "compose_t-n"],
+)
+def test_fronts_refuse_a_negative_index_with_the_kernel_text(call):
+    # the fronts hold no index rule of their own; the kernel's refusal reaches them unchanged
+    for n in (-1, -2, -7):
+        with pytest.raises(ValueError) as info:
+            call(n)
+        assert str(info.value) == "n must be nonnegative"
 
 
 def test_compose_u_frozen():

@@ -113,6 +113,24 @@ def test_sweep_oracle_over_budget_exits_2_before_any_scan(capsys, monkeypatch):
     assert f"above its limit of {quadorder.oracle.DEFAULT_CAP}" in err
 
 
+@pytest.mark.parametrize("cap, answers", [(42, True), (41, False)])
+def test_oracle_default_cap_edge(capsys, monkeypatch, cap, answers):
+    # the order at p = 17 claims n = 16, so its scan needs a cap of 2 * 16 + 10 = 42 steps
+    monkeypatch.setattr(quadorder.oracle, "DEFAULT_CAP", cap)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle")
+    assert time.perf_counter() - t0 < 0.1
+    if answers:
+        assert (code, err) == (0, "")
+        assert "oracle order: 16\n" in out
+    else:
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the oracle cross-check of alpha = 1 + 1*sqrt(2) at p = 17 would take up to "
+            "42 steps, above its limit of 41\n"
+        )
+
+
 def test_order_degenerate_exits_2(capsys):
     code, out, err = run(capsys, "order", "--d", "5", "--alpha", "1,1", "--p", "5")
     assert code == 2
@@ -158,6 +176,8 @@ def test_order_rejects_bad_inputs(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "order", "--d", "2", "--alpha", "nope", "--p", "7")
     assert code == 2
+    code, out, err = run(capsys, "order", "--d", "2", "--alpha", "1,x", "--p", "17")
+    assert (code, out, err) == (2, "", "error: alpha coefficients must be integers: '1,x'\n")
     code, _, err = run(capsys, "order", "--d", "2", "--alpha", "2,14", "--p", "7")
     assert code == 2  # p divides b
     code, _, err = run(capsys, "order", "--d", "5", "--alpha", "1,2", "--p", "7")
@@ -700,6 +720,26 @@ def test_sweep_refuses_a_d_set_that_is_not_integers():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: --d-set must be a comma list of integers: '2,x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sweep", "--p-max", "-1"], "sweep bounds must be nonnegative"),
+        (["order", "--d", "2", "--alpha", "1,x", "--p", "17"],
+         "alpha coefficients must be integers: '1,x'"),
+        (["identities", "--trials", "0"], "trials must be at least 1"),
+    ],
+)
+def test_bad_arguments_exit_2_with_one_error_line(argv, text):
+    # a subprocess, so the test sees the whole of stderr and any traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadorder.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {text}\n"
 
 
 @pytest.mark.parametrize("p_max", ["0", "1"])

@@ -323,6 +323,38 @@ def test_prime_power_diagnostics():
         assert all(c.status == "pass" for c in pp.checks), (p, k, f)
 
 
+def test_prime_power_diagnostics_measure_mod_f0():
+    # gcd(b, f) = 4 makes f0 = 1: n(5 * 4) = n(5) = 2 = rhs, yet u_1 = x = -10 is not 0 mod 20
+    pp = bound_prime_power(QuadInt(-5, -4, 2), 5, 1, f=4, diagnostics=True)
+    assert (pp.lhs, pp.rhs, pp.holds) == (2, 2, True)
+    assert [c.name for c in pp.checks] == [
+        "u(nu-1) == 0 mod p^k f0",
+        "u(p-1)(z; s^nu) == (z^2-4s^nu)^((p-1)/2) mod p",
+        "u(p*nu-1) == u(p-1)(z; s^nu) * u(nu-1) mod p^{k+1} f0",
+        "u(p*nu-1) == 0 mod p^{k+1} f0",
+    ]
+    assert all(c.status == "pass" for c in pp.checks)
+
+
+def test_prime_power_diagnostics_pass_when_b_shares_factors_with_f():
+    # b is drawn as a multiple of a factor of f, or of p, so f0 < f or p | b in every report
+    rng = random.Random(34)
+    reports = 0
+    while reports < 300:
+        p, k = rng.choice([3, 5, 7, 11, 13]), rng.randint(1, 3)
+        f = rng.choice([f for f in (2, 3, 4, 5, 6, 9, 10, 12, 15) if f % p])
+        share = rng.choice([r for r in (2, 3, 5) if f % r == 0] + [p])
+        d, a = rng.choice([2, 3, 5, 6, 7, 13, -1, -3]), rng.randint(-5, 5)
+        b = share * rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        try:
+            pp = bound_prime_power(QuadInt(a, b, d), p, k, f=f, diagnostics=True)
+        except ValueError:  # a parity violation, or no q(p) as p | s with p not dividing x
+            continue
+        reports += 1
+        assert pp.holds
+        assert [c.status for c in pp.checks] == ["pass"] * 4, (a, b, d, p, k, f)
+
+
 def _lift_statuses_by_separate_ladders(x, s, p, k, f, nu):
     # the diagnostic rows with a ladder of their own at each modulus
     lifted = p ** (k + 1) * f
@@ -373,6 +405,9 @@ def test_prime_power_validation():
         bound_prime_power(R2, 3, 0)
     with pytest.raises(ValueError):
         bound_prime_power(R2, 3, 1, f=6)
+    with pytest.raises(ValueError) as info:
+        bound_prime_power(R2, 3, 1, f=0)
+    assert str(info.value) == "the conductor factor must be at least 1"
     with pytest.raises(ValueError):
         bound_prime_power(QuadInt(1, 1, 6), 5, 1)  # q(5) does not exist here
 

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadorder.cheby as cheby
@@ -135,6 +136,12 @@ def test_n_of_f_frozen():
 def test_n_of_f_cap():
     res = oracle_n_of_f(QuadInt(1, 1, 6), 5, cap=50)
     assert res.value is None
+
+
+def test_n_of_f_refuses_a_conductor_below_1():
+    with pytest.raises(ValueError) as info:
+        oracle_n_of_f(QuadInt(1, 1, 2), 0)
+    assert str(info.value) == "the conductor must be at least 1"
 
 
 def test_q_of_p_frozen():

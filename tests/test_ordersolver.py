@@ -392,6 +392,11 @@ class TestDivisorBound:
     def test_s_minus1_miss_frozen(self):
         assert divisor_bound(2, -1, 13, 7) is None
 
+    def test_refuses_k_below_1(self):
+        with pytest.raises(ValueError) as info:
+            divisor_bound(3, 1, 7, 0)
+        assert str(info.value) == "k must be at least 1"
+
     def test_s_minus1_trivial_divisor(self):
         db = divisor_bound(2, -1, 13, 1)
         assert db.n == 14

@@ -118,6 +118,9 @@ def test_pow_matches_embedded_power():
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         QuadInt(1, 1, 2) ** -1
+    with pytest.raises(ValueError) as info:
+        Mat2(1, 2, 3, 4) ** -1
+    assert str(info.value) == "negative matrix powers are not integral in general"
 
 
 def test_neg():
@@ -139,6 +142,9 @@ def test_in_order():
     assert alpha.in_order(6)
     assert not alpha.in_order(5)
     assert QuadInt(3, 0, 2).in_order(1000)
+    with pytest.raises(ValueError) as info:
+        QuadInt(1, 1, 2).in_order(0)
+    assert str(info.value) == "the conductor must be at least 1"
 
 
 def test_approx():
