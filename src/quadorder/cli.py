@@ -2,10 +2,11 @@
 
 Exit codes are strict: 0 means every asserted congruence held, 1 means a
 mathematical assertion failed (a reportable counterexample), 2 means the
-inputs broke a precondition or the output could not be written (a closed
-pipe, a full device), and main writes its one "error: " line.  JSON
-output always has the shape {command, inputs, results, pass}; CSV sweeps
-write a mandatory header, then each row of a fixed column set as it is made.
+inputs broke a precondition, the output could not be written (a closed
+pipe, a full device) or memory ran out, and main writes its one "error: "
+line.  JSON output always has the shape {command, inputs, results, pass};
+CSV sweeps write a mandatory header, then each row of a fixed column set
+as it is made.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orders of quadratic integers mod p, conductor indices, and their bounds.",
         epilog=(
             "exit codes: 0 all asserted congruences held, 1 a mathematical "
-            "assertion failed, 2 bad usage, an unmet precondition or an unwritable output."
+            "assertion failed, 2 bad usage, an unmet precondition, an unwritable output or "
+            "too little memory."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -429,6 +431,9 @@ def main(argv=None) -> int:
             print(f"error: {why}", file=sys.stderr, flush=True)
         except OSError:  # stderr went to the same dead output (2>&1)
             os.dup2(devnull, sys.stderr.fileno())
+        return 2
+    except MemoryError:  # a grid too large to list its primes is a refusal, not a counterexample
+        print("error: out of memory for these inputs", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)

@@ -29,6 +29,151 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _cli(argv, *flags, **popen_args) -> subprocess.Popen:
+    """python [flags] -m quadorder.cli argv in a fresh process importing this package.
+
+    Its stdout is block-buffered even under PYTHONUNBUFFERED, so a short
+    output waits for a flush, as it does for a user.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, *flags, "-m", "quadorder.cli", *argv], env=env, **popen_args
+    )
+
+
+_IMAGINARY = "error: d = -7 < 0: units of imaginary fields are roots of unity, none above 1\n"
+
+# The command-line contract, one row per case: the command, its exit code and the whole
+# of its stderr. Exit 0 writes its report to stdout and nothing else to stderr (a sweep
+# only its seed); exit 2 writes nothing to stdout and one "error: " line to stderr.
+CONTRACT = [
+    ("order --d 2 --alpha 1,1 --p 17 --oracle", 0, ""),
+    # general mode with ell = -1: the pair at bound 10200 = 102 * ord(7) is composed
+    # from the one at p + 1
+    ("order --d 2 --alpha 3,1 --p 101 --oracle", 0, ""),
+    ("conductor --d 5 --alpha 1,1 --f 1024 --oracle", 0, ""),  # n(2^k) descends from 3 * 2^k
+    ("conductor --d 2 --alpha 1,1 --f 169 --oracle", 0, ""),  # n(13^2) = q(13), below the bound
+    # x = 6 shares 3 with f0: residue keys beside class keys
+    ("conductor --d 2 --alpha 3,1 --f 45 --oracle", 0, ""),
+    # n(11^3) = 605 via the class key of the prime power
+    ("conductor --d 5 --alpha 3,1 --f 1331 --oracle", 0, ""),
+    ("order --d 2 --alpha 1,1 --p 17 --json", 0, ""),
+    ("conductor --d 2 --alpha 1,1 --f 45 --json", 0, ""),
+    ("fundunit --d 94", 0, ""),
+    # 2^64 - 59, the Miller-Rabin base table's last row, and 2^64 + 13, the twelve-witness path
+    ("order --d 2 --alpha 1,1 --p 18446744073709551557", 0, ""),
+    ("order --d 2 --alpha 1,1 --p 18446744073709551629", 0, ""),
+    # a 90-bit prime with ell = -1: general mode factors p - 1 = 2^2 * 5 * 23 * Q with
+    # Q ~ 1.68e24 above psi12, so the window-product table is sieved and walked
+    ("order --d 2 --alpha 3,1 --p 772756753307651396436490061", 0, ""),
+    ("identities --trials 50 --seed 5", 0, ""),
+    ("sweep --d-set -1,-2 --coeff-bound 1 --p-max 10 --f-max 2", 0, "seed 0\n"),
+    # every modulus is below the oracle cap pass's cutoffs (p >= 709, f >= 289): no cap pass
+    ("sweep --d-set 2 --coeff-bound 1 --p-max 30 --f-max 6 --oracle", 0, "seed 0\n"),
+    ("fundunit --d -7", 2, _IMAGINARY),
+    ("order --d -7 --fundunit --p 11", 2, _IMAGINARY),
+    ("fundunit --d 4", 2, "error: the radicand 4 is not square-free\n"),
+    ("sweep --d-set 4", 2, "error: the radicand 4 is not square-free\n"),
+    # psi_9, the least strong pseudoprime to every prime base up to 23
+    ("order --d 2 --alpha 1,1 --p 3825123056546413051", 2,
+     "error: p = 3825123056546413051 is not an odd prime\n"),
+    ("order --d 2 --alpha 1,1 --p 9", 2, "error: p = 9 is not an odd prime\n"),
+    ("order --d 2 --alpha nope --p 7", 2, 'error: alpha must be given as "a,b"\n'),
+    ("order --d 2 --alpha 1,x --p 17", 2, "error: alpha coefficients must be integers: '1,x'\n"),
+    # a zero norm is refused first, then b = 0 as rational (not as "p must not divide
+    # b"), then p | b
+    ("order --d 2 --alpha 0,0 --p 7", 2, "error: the norm is zero; no power is invertible\n"),
+    ("order --d 2 --alpha 3,0 --p 7", 2,
+     "error: b = 0 is rational; alpha is an integer, with no quadratic order to bound\n"),
+    ("order --d 2 --alpha 3,7 --p 7", 2, "error: p must not divide b\n"),
+    ("order --d 2 --alpha 2,14 --p 7", 2, "error: p must not divide b\n"),
+    # a parity violation inside the half-integer lattice
+    ("order --d 5 --alpha 1,2 --p 7", 2,
+     "error: for d == 1 (mod 4) the two coordinates must have equal parity\n"),
+    # degenerate (p | x^2 - 4s): the refusal gives q(p)
+    ("order --d 5 --alpha 1,1 --p 5", 2,
+     "error: ell = 0: p divides x^2 - 4s, so no exponent p - ell is available; "
+     "the cofactor sequence first vanishes mod p at index 5\n"),
+    ("order --d 7 --alpha 3,2 --p 7", 2,
+     "error: ell = 0: p divides x^2 - 4s, so no exponent p - ell is available; "
+     "the cofactor sequence first vanishes mod p at index 7\n"),
+    # d = 1000003 * 1000033
+    ("order --d 1000036000099 --alpha 1,1 --p 101", 2,
+     "error: cannot tell whether the radicand 1000036000099 is square-free: "
+     "composite cofactor 1000036000099 exceeds the trial bound 1000000\n"),
+    ("conductor --d 6 --alpha 1,1 --f 5", 2,
+     "error: no power of alpha has its irrational part divisible by 5: "
+     "the cofactor sequence never vanishes there\n"),
+    ("conductor --d 2 --alpha 1,1 --f 0", 2, "error: the conductor must be at least 1\n"),
+    # a rational alpha is refused as such first, whatever f is
+    ("conductor --d 2 --alpha 1,0 --f 0", 2,
+     "error: b = 0 is rational; n(f) = 1 for every conductor\n"),
+    # f = 1031 * 16000000039 * 17000000021 is past rho's budget, and refused with trial
+    # division's cofactor text
+    ("conductor --d 2 --alpha 1,1 --f 280432001029969000844389", 2,
+     "error: composite cofactor 272000000999000000819 exceeds the trial bound 1000000\n"),
+]
+
+
+@pytest.mark.parametrize("command, code, err", CONTRACT, ids=[row[0] for row in CONTRACT])
+def test_command_line_contract(capsys, command, code, err):
+    got_code, out, got_err = run(capsys, *command.split())
+    assert (got_code, got_err) == (code, err)
+    assert bool(out) == (code == 0)
+
+
+def test_sweep_out_of_memory_exits_2(capsys, monkeypatch):
+    # a grid too large to list its primes is refused, not reported as a counterexample
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(modarith, "_odd_prime_flags", no_memory)
+    code, out, err = run(capsys, "sweep", "--p-max", "1000000000000000")
+    assert (code, out, err) == (2, "", "seed 0\nerror: out of memory for these inputs\n")
+
+
+# norms +1 and -1 (both classes of d mod 4), general norms, and d < 0
+_DRAW_ALPHAS = ["2 1,1", "3 2,1", "5 1,1", "5 3,1", "13 5,1", "6 3,2", "-1 1,1", "-3 1,1",
+                "-7 1,3", "-5 2,1"]
+
+
+def _large_inputs(seed: int):
+    """Seeded commands at primes of 30 to 256 bits, 64-bit prime conductors and d < 10^12."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+
+    def alpha():
+        d, ab = rng.choice(_DRAW_ALPHAS).split()
+        return ["--d", d, "--alpha", ab]
+
+    for bits in (30, 45, 62, 80, 96, 128, 192, 256):
+        p = sympy.nextprime(rng.getrandbits(bits - 1) | 1 << bits - 1)
+        yield ["order", *alpha(), "--p", str(p)]
+    for _ in range(4):
+        f = sympy.nextprime(rng.getrandbits(63) | 1 << 63)
+        yield ["conductor", *alpha(), "--f", str(f)]
+    for _ in range(4):
+        d = rng.randrange(2, 10**12)
+        while max(sympy.factorint(d).values()) > 1:
+            d = rng.randrange(2, 10**12)
+        yield ["fundunit", "--d", str(d)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_large_inputs_exit_0_or_2_quickly(capsys, seed):
+    # an answer or a refusal, each within 2 s: never a counterexample, an exception or a hang
+    for argv in _large_inputs(seed):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 2.0, argv
+        if code == 0:
+            assert out and err == "", argv
+        else:
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_order_text(capsys):
     code, out, err = run(capsys, "order", "--d", "2", "--alpha", "1,1", "--p", "17")
     assert code == 0
@@ -131,26 +276,6 @@ def test_oracle_default_cap_edge(capsys, monkeypatch, cap, answers):
         )
 
 
-def test_order_degenerate_exits_2(capsys):
-    code, out, err = run(capsys, "order", "--d", "5", "--alpha", "1,1", "--p", "5")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ell = 0:")
-    assert "index 5" in err
-
-
-def test_order_rational_alpha_exits_2_as_rational(capsys):
-    # b = 0 is refused as rational, not as "p must not divide b", as conductor refuses it
-    code, out, err = run(capsys, "order", "--d", "2", "--alpha", "3,0", "--p", "7")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: b = 0 is rational")
-    # a zero norm is refused before that, and p | b after it
-    code, _, err = run(capsys, "order", "--d", "2", "--alpha", "0,0", "--p", "7")
-    assert (code, err) == (2, "error: the norm is zero; no power is invertible\n")
-    code, _, err = run(capsys, "order", "--d", "2", "--alpha", "3,7", "--p", "7")
-    assert (code, err) == (2, "error: p must not divide b\n")
-
-
 def test_order_degenerate_61_bit_prime_exits_2_quickly(capsys):
     # p = 2^61 - 1 divides d, so ell = 0 and q(p) = p: the closed-form check
     # behind it must not walk p/2 terms
@@ -160,28 +285,6 @@ def test_order_degenerate_61_bit_prime_exits_2_quickly(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert f"index {p}" in err
-
-
-def test_order_unfactorable_radicand_exits_2_naming_it(capsys):
-    d = str(1000003 * 1000033)
-    code, out, err = run(capsys, "order", "--d", d, "--alpha", "1,1", "--p", "101")
-    assert code == 2
-    assert out == ""
-    assert f"error: cannot tell whether the radicand {d} is square-free" in err
-    assert "trial bound" in err
-
-
-def test_order_rejects_bad_inputs(capsys):
-    code, _, err = run(capsys, "order", "--d", "2", "--alpha", "1,1", "--p", "9")
-    assert code == 2 and "error:" in err
-    code, _, err = run(capsys, "order", "--d", "2", "--alpha", "nope", "--p", "7")
-    assert code == 2
-    code, out, err = run(capsys, "order", "--d", "2", "--alpha", "1,x", "--p", "17")
-    assert (code, out, err) == (2, "", "error: alpha coefficients must be integers: '1,x'\n")
-    code, _, err = run(capsys, "order", "--d", "2", "--alpha", "2,14", "--p", "7")
-    assert code == 2  # p divides b
-    code, _, err = run(capsys, "order", "--d", "5", "--alpha", "1,2", "--p", "7")
-    assert code == 2  # parity violation inside the half-integer lattice
 
 
 def test_order_fundunit_source(capsys):
@@ -217,22 +320,6 @@ def test_conductor_with_oracle(capsys):
     by_name = {r["name"]: r for r in payload["results"]}
     assert by_name["oracle_n"]["value"] == 12
     assert code == 0
-
-
-def test_conductor_nonexistent_exits_2(capsys):
-    code, _, err = run(capsys, "conductor", "--d", "6", "--alpha", "1,1", "--f", "5")
-    assert code == 2
-    assert "error:" in err
-
-
-def test_conductor_below_one_exits_2(capsys):
-    code, out, err = run(capsys, "conductor", "--d", "2", "--alpha", "1,1", "--f", "0")
-    assert (code, out) == (2, "")
-    assert err == "error: the conductor must be at least 1\n"
-    # a rational alpha is refused as such first, whatever f is
-    code, _, err = run(capsys, "conductor", "--d", "2", "--alpha", "1,0", "--f", "0")
-    assert code == 2
-    assert err.startswith("error: b = 0 is rational")
 
 
 def test_conductor_refuses_unfactorable_p_minus_ell_quickly(capsys):
@@ -327,11 +414,6 @@ def test_fundunit_text(capsys):
     assert code == 0
     assert "1 + 1*sqrt(2)" in out
     assert "norm: -1" in out
-
-
-def test_fundunit_rejects_square(capsys):
-    code, _, err = run(capsys, "fundunit", "--d", "4")
-    assert code == 2
 
 
 @pytest.mark.skipif(
@@ -706,22 +788,6 @@ def test_sweep_with_oracle_small(capsys):
         assert int(row["bound"]) % int(row["oracle"]) == 0
 
 
-def test_sweep_rejects_bad_d(capsys):
-    code, _, err = run(capsys, "sweep", "--d-set", "4")
-    assert code == 2
-
-
-def test_sweep_refuses_a_d_set_that_is_not_integers():
-    # a subprocess, so the test sees the whole of stderr and any traceback
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadorder.cli", "sweep", "--d-set", "2,x"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])},
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: --d-set must be a comma list of integers: '2,x'\n"
-
-
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -729,17 +795,14 @@ def test_sweep_refuses_a_d_set_that_is_not_integers():
         (["order", "--d", "2", "--alpha", "1,x", "--p", "17"],
          "alpha coefficients must be integers: '1,x'"),
         (["identities", "--trials", "0"], "trials must be at least 1"),
+        (["sweep", "--d-set", "2,x"], "--d-set must be a comma list of integers: '2,x'"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(argv, text):
     # a subprocess, so the test sees the whole of stderr and any traceback
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadorder.cli", *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])},
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: {text}\n"
+    proc = _cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.communicate(timeout=60) == ("", f"error: {text}\n")
+    assert proc.returncode == 2
 
 
 @pytest.mark.parametrize("p_max", ["0", "1"])
@@ -760,15 +823,6 @@ def test_sweep_reads_a_negative_d_set_as_a_value(capsys):
     assert spaced == glued
     assert spaced[0] == 0
     assert {row["d"] for row in csv.DictReader(io.StringIO(spaced[1]))} == {"-1", "-2"}
-
-
-def test_imaginary_fundunit_exits_2_naming_why(capsys):
-    for argv in (["fundunit", "--d", "-7"], ["order", "--d", "-7", "--fundunit", "--p", "11"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: d = -7 < 0: units of imaginary fields are roots of unity, none above 1\n"
-        )
 
 
 def test_sweep_help_documents_csv(capsys):
@@ -804,12 +858,7 @@ def test_parser_builds():
 )
 def test_closed_pipe_exits_2_without_a_traceback(argv, first_line):
     # the reader goes after one line, or before any; exit 1 stays reserved for counterexamples
-    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
-    env.pop("PYTHONUNBUFFERED", None)  # buffered, a short output waits for a flush
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "quadorder.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    proc = _cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if first_line is not None:
         assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
@@ -821,12 +870,7 @@ def test_closed_pipe_exits_2_without_a_traceback(argv, first_line):
 
 def test_closed_pipe_shared_with_stderr_exits_2():
     # 2>&1: the "error: " line itself meets the closed pipe, and the exit code must survive it
-    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "quadorder.cli", "sweep", "--coeff-bound", "3"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
-    )
+    proc = _cli(["sweep", "--coeff-bound", "3"], stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     assert proc.stdout.readline() == b"seed 0\n"
     proc.stdout.close()
     assert proc.wait(timeout=60) == 2
@@ -843,14 +887,10 @@ def test_closed_pipe_shared_with_stderr_exits_2():
 )
 def test_failed_output_write_exits_2_without_a_traceback(argv, stdout_full):
     # a full device is no counterexample: one "error: " line and exit 2, as for a closed pipe
-    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadorder.cli", *argv],
-            stdout=full if stdout_full else subprocess.DEVNULL, stderr=subprocess.PIPE,
-            env=env, timeout=60,
-        )
-    err = proc.stderr.decode()
+        proc = _cli(argv, stdout=full if stdout_full else subprocess.DEVNULL,
+                    stderr=subprocess.PIPE, text=True)
+        err = proc.communicate(timeout=60)[1]
     assert proc.returncode == 2
     assert "Traceback" not in err
     assert err.splitlines()[-1] == f"error: cannot write the output: {os.strerror(errno.ENOSPC)}"
@@ -867,18 +907,14 @@ def test_failed_output_write_exits_2_without_a_traceback(argv, stdout_full):
 )
 def test_output_unchanged_under_optimize(argv):
     # python -O strips assert statements; the invariants must not lean on them
-    env = {**os.environ, "PYTHONPATH": str(Path(quadorder.__file__).parents[1])}
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "quadorder.cli", *argv],
-            capture_output=True,
-            env=env,
-            timeout=60,
-        )
-        for flags in ([], ["-O"])
-    ]
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+    def stdout(*flags):
+        proc = _cli(argv, *flags, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out = proc.communicate(timeout=60)[0]
+        assert proc.returncode == 0, flags
+        return out
+
+    plain = stdout()
+    assert plain and plain == stdout("-O")
 
 
 GOLDEN_SWEEP = ["sweep", "--d-set", "2,5", "--coeff-bound", "2", "--p-max", "30", "--f-max", "12",
