@@ -136,7 +136,7 @@ def u_odd_closed_form(x: int, s: int, n: int) -> int:
         total, power = total * x2 + comb(n, 2 * k + 1) * power, power * disc
     quot, rem = divmod(total, 1 << (n - 1))
     if rem:
-        raise ArithmeticError("binomial sum was not divisible by 2^(n-1)")
+        raise AssertionError("binomial sum was not divisible by 2^(n-1)")
     return quot
 
 

@@ -149,7 +149,8 @@ class Factorization(Value):
 
 def _odd_prime_flags(limit: int) -> bytearray:
     """flags[i] marks 2i + 1 as prime, for the odd numbers below limit (none below 2); a sieve."""
-    flags = bytearray([1]) * (limit // 2)
+    flags = bytearray(b"\x01")
+    flags *= limit // 2  # in place: a failing bytearray([1]) * n also prints a SystemError
     if flags:
         flags[0] = 0  # 1 is not a prime
     for r in range(3, isqrt(max(limit, 0)) + 1, 2):

@@ -15,6 +15,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import quadorder
 from quadorder import cheby, cli, conductor, modarith, ordersolver, quadint
 from quadorder.cheby import run_identity_trials
@@ -113,6 +118,20 @@ CONTRACT = [
     # division's cofactor text
     ("conductor --d 2 --alpha 1,1 --f 280432001029969000844389", 2,
      "error: composite cofactor 272000000999000000819 exceeds the trial bound 1000000\n"),
+    ("identities --trials 0", 2, "error: trials must be at least 1\n"),
+    ("sweep --d-set 2,x", 2, "error: --d-set must be a comma list of integers: '2,x'\n"),
+    ("sweep --p-max -1", 2, "error: sweep bounds must be nonnegative\n"),
+    ("fundunit --d 1000000007", 2,
+     "error: the fundamental unit for d = 1000000007 has a coordinate past the 4300-digit "
+     "output limit\n"),
+    # the claimed bound 2(p + 1) = 2000008 sets the oracle's cap at 4000026 steps, so the
+    # scan is refused before it starts
+    ("order --d 2 --alpha 1,1 --p 1000003 --oracle", 2,
+     "error: the oracle cross-check of alpha = 1 + 1*sqrt(2) at p = 1000003 would take up "
+     "to 4000026 steps, above its limit of 1000000\n"),
+    # the output is opened before the grid, so nothing is written to stderr before the error
+    ("sweep --d-set 2 --coeff-bound 1 --output /nonexistent/rows.csv", 2,
+     "error: cannot write the output file /nonexistent/rows.csv: No such file or directory\n"),
 ]
 
 
@@ -128,9 +147,27 @@ def test_sweep_out_of_memory_exits_2(capsys, monkeypatch):
     def no_memory(limit):
         raise MemoryError
 
+    modarith._first_window()  # cached first: the radicand check factors d through its sieve
     monkeypatch.setattr(modarith, "_odd_prime_flags", no_memory)
     code, out, err = run(capsys, "sweep", "--p-max", "1000000000000000")
     assert (code, out, err) == (2, "", "seed 0\nerror: out of memory for these inputs\n")
+
+
+def _cap_address_space():
+    """Cap the calling process's address space at 1.5 GB, as `ulimit -v 1500000` does."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit here")
+def test_sweep_whose_sieve_cannot_be_allocated_writes_one_error_line():
+    # primes below 10^10 need a 5 GB sieve; its allocation fails in the capped child alone, and
+    # stderr holds no SystemError line above the error
+    argv = ["sweep", "--d-set", "2", "--coeff-bound", "1", "--p-max", "10000000000", "--f-max", "1"]
+    proc = _cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                preexec_fn=_cap_address_space)
+    assert proc.communicate(timeout=60) == ("", "seed 0\nerror: out of memory for these inputs\n")
+    assert proc.returncode == 2
 
 
 # norms +1 and -1 (both classes of d mod 4), general norms, and d < 0

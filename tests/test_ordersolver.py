@@ -54,10 +54,6 @@ class TestChains:
         assert ch.stop_reason == STOP_NONRESIDUE_AT_START
         assert ch.m == 0
 
-    def test_s1_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            build_chain_s1(2, 7)  # x^2 - 4 == 0
-
     def test_s_minus1_frozen(self):
         ch = build_chain_s_minus1(2, 17)
         assert ch.chain == (6, 5)
@@ -67,16 +63,6 @@ class TestChains:
         assert ch.chain == (3, 11, 10)
         assert ch.stop_reason == STOP_POWER_OF_TWO
         assert ch.m == 2
-
-    def test_s_minus1_preconditions(self):
-        with pytest.raises(ValueError):
-            build_chain_s_minus1(2, 7)  # p == 3 mod 4
-        with pytest.raises(ValueError):
-            build_chain_s_minus1(13, 13)  # x == 0 mod p
-        with pytest.raises(ValueError):
-            build_chain_s_minus1(1, 13)  # x^2 + 4 is a nonresidue
-        with pytest.raises(ValueError):
-            build_chain_s_minus1(3, 13)  # x^2 + 4 == 0 mod p
 
     def test_s_minus1_has_m_at_least_one(self):
         for p in (5, 13, 17, 29, 37, 41):
@@ -222,16 +208,6 @@ class TestTable:
         assert "u((p-ell)/2-1) == 0" in names
         assert all(c.status == PASS for c in cells)
 
-    def test_refuses_when_p_divides_norm(self):
-        with pytest.raises(ValueError, match="p divides the norm"):
-            table_check(QuadInt(1, 1, 6), 5)
-
-    def test_refuses_when_p_divides_b_or_d(self):
-        with pytest.raises(ValueError, match="p must not divide b"):
-            table_check(QuadInt(1, 5, 6), 5)
-        with pytest.raises(ValueError, match="p divides d, so ell = 0"):
-            table_check(QuadInt(1, 1, 5), 5)
-
     def test_refuses_what_analyze_refuses(self):
         # one gate: the same refusal, text for text, and p | d besides
         for alpha in (QuadInt(0, 0, 2), QuadInt(3, 0, 2), QuadInt(1, 7, 2), QuadInt(3, 1, 2)):
@@ -291,17 +267,6 @@ class TestNormOne:
         assert rep.bound_n % found == 0
         assert {c.name: c for c in checks}["oracle order divides n"].status == PASS
 
-    @pytest.mark.parametrize(
-        "alpha, p, message",
-        [
-            (QuadInt(3, 2, 2), 9, "p = 9 is not an odd prime"),
-        ],
-    )
-    def test_refusal_texts(self, alpha, p, message):
-        with pytest.raises(ValueError) as info:
-            analyze(alpha, p)
-        assert str(info.value) == message
-
 
 class TestNormMinusOne:
     def test_chain_mode_half_frozen(self):
@@ -343,18 +308,6 @@ class TestNormMinusOne:
         # the true order divides the doubled exponent without reaching it
         assert rep.bound_n % oracle_order_mod_p(QuadInt(1, 1, 2), 7, cap=40).value == 0
 
-    @pytest.mark.parametrize(
-        "alpha, p, message",
-        [
-            (QuadInt(1, 1, 2), 9, "p = 9 is not an odd prime"),
-            (QuadInt(41, 29, 2), 41, "the chain needs x nonzero mod p"),
-        ],
-    )
-    def test_refusal_texts(self, alpha, p, message):
-        with pytest.raises(ValueError) as info:
-            analyze(alpha, p)
-        assert str(info.value) == message
-
 
 def trace_images(p, s, ks):
     """{k: {t_k(y; s) mod p: least y}} by the plain recurrence t_{j+1} = y*t_j - s*t_{j-1}."""
@@ -391,11 +344,6 @@ class TestDivisorBound:
 
     def test_s_minus1_miss_frozen(self):
         assert divisor_bound(2, -1, 13, 7) is None
-
-    def test_refuses_k_below_1(self):
-        with pytest.raises(ValueError) as info:
-            divisor_bound(3, 1, 7, 0)
-        assert str(info.value) == "k must be at least 1"
 
     def test_s_minus1_trivial_divisor(self):
         db = divisor_bound(2, -1, 13, 1)
@@ -487,18 +435,6 @@ class TestDivisorBound:
         divisor_bound(x, s, p, k)
         assert [i for i in indices if i != k] == [n]
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            divisor_bound(3, 2, 11, 2)  # norm must be a unit
-        with pytest.raises(ValueError):
-            divisor_bound(3, 1, 11, 3)  # 3 does not divide p - ell
-        with pytest.raises(ValueError):
-            divisor_bound(2, -1, 13, 2)  # even divisor with norm -1
-        with pytest.raises(ValueError):
-            divisor_bound(11, -1, 11, 1)  # x == 0 mod p
-        with pytest.raises(ValueError):
-            divisor_bound(2, 1, 7, 1)  # degenerate discriminant
-
 
 def _trial_primes(n):
     out, d = [], 2
@@ -542,21 +478,6 @@ class TestEntryIndex:
         assert q_of_p(5, 1, 3) == 3  # p coprime to the norm pins q to p
         assert q_of_p(3, -1, 13) == 13
         assert q_of_p(5, 10, 5) == 2  # p divides norm and trace pins q to 2
-
-    def test_nonexistence(self):
-        with pytest.raises(ValueError):
-            q_of_p(1, 5, 5)
-        with pytest.raises(ValueError):
-            q_of_p(3, 7, 7)
-
-    def test_nonexistence_is_refused_by_entry_index(self):
-        # p | s with p not dividing x: the text is _entry_index's, q_of_p adds no check
-        with pytest.raises(ValueError) as info:
-            q_of_p(1, 5, 5)
-        assert str(info.value) == (
-            "no power of alpha has its irrational part divisible by 5: "
-            "the cofactor sequence never vanishes there"
-        )
 
     def test_divides_p_minus_ell(self):
         for p in (5, 7, 11, 13, 17):
@@ -934,16 +855,6 @@ class TestAnalyze:
         assert rep.passed
         names = [c.name for c in rep.table_checks]
         assert names == ["u(q-1) == 0", "alpha^q is scalar mod p"]
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            analyze(QuadInt(1, 1, 2), 9)
-        with pytest.raises(ValueError):
-            analyze(QuadInt(2, 14, 2), 7)  # p | b
-        with pytest.raises(ValueError):
-            analyze(QuadInt(1, 1, 6), 5)  # p | norm
-        with pytest.raises(ValueError):
-            analyze(QuadInt(0, 0, 2), 7)  # norm zero
 
     def test_oracle_attached(self):
         # the oracle's order rides along with the report's checks, not inside it

@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from quadorder.quadint import Mat2, QuadInt
 
 DS = [2, 3, 5, 6, 7, 13, -1, -2, -7]
@@ -16,29 +14,13 @@ def valid_pairs(d, bound):
 
 
 def test_radicand_validation():
-    for bad in (0, 1, 4, 9, 12, 18, -4, 50):
-        with pytest.raises(ValueError):
-            QuadInt(0, 1 if bad % 4 != 1 else 1, bad)
+    # 0, 1 and radicands with a square factor are refused: rows of test_refusals
     QuadInt(1, 1, -7)
     QuadInt(0, 1, -1)
 
 
-def test_radicand_beyond_the_trial_bound_is_named():
-    # 1000003 * 1000033: square-freeness cannot be decided by trial division
-    d = 1000003 * 1000033
-    with pytest.raises(ValueError) as info:
-        QuadInt(1, 1, d)
-    assert str(info.value) == (
-        f"cannot tell whether the radicand {d} is square-free: "
-        f"composite cofactor {d} exceeds the trial bound 1000000"
-    )
-
-
 def test_parity_rule_for_one_mod_four():
-    with pytest.raises(ValueError):
-        QuadInt(1, 0, 5)
-    with pytest.raises(ValueError):
-        QuadInt(2, 1, 13)
+    # unequal parities, as in QuadInt(1, 0, 5), are refused: rows of test_refusals
     QuadInt(1, 1, 5)
     QuadInt(2, 0, 5)
     QuadInt(1, 1, -7)
@@ -115,14 +97,6 @@ def test_pow_matches_embedded_power():
             assert (alpha**n).embed() == alpha.embed() ** n
 
 
-def test_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        QuadInt(1, 1, 2) ** -1
-    with pytest.raises(ValueError) as info:
-        Mat2(1, 2, 3, 4) ** -1
-    assert str(info.value) == "negative matrix powers are not integral in general"
-
-
 def test_neg():
     assert -QuadInt(1, 1, 2) == QuadInt(-1, -1, 2)
 
@@ -142,26 +116,16 @@ def test_in_order():
     assert alpha.in_order(6)
     assert not alpha.in_order(5)
     assert QuadInt(3, 0, 2).in_order(1000)
-    with pytest.raises(ValueError) as info:
-        QuadInt(1, 1, 2).in_order(0)
-    assert str(info.value) == "the conductor must be at least 1"
 
 
 def test_approx():
     assert math.isclose(QuadInt(1, 1, 2).approx(), 1 + math.sqrt(2))
     assert math.isclose(QuadInt(1, 1, 5).approx(), (1 + math.sqrt(5)) / 2)
-    with pytest.raises(ValueError):
-        QuadInt(1, 1, -1).approx()
 
 
 def test_str_frozen():
     assert str(QuadInt(1, 1, 2)) == "1 + 1*sqrt(2)"
     assert str(QuadInt(1, 1, 5)) == "(1 + 1*sqrt(5))/2"
-
-
-def test_mul_requires_same_field():
-    with pytest.raises(ValueError):
-        QuadInt(1, 1, 2) * QuadInt(1, 1, 3)
 
 
 def test_mat2_basics():

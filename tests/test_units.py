@@ -45,21 +45,6 @@ def test_fundamental_unit_exceeds_one():
         assert fundamental_unit(d).approx() > 1
 
 
-def test_validation():
-    for bad in (1, 0, -2, 4, 9, 12, 25, 50):
-        with pytest.raises(ValueError):
-            fundamental_unit(bad)
-
-
-def test_refuses_imaginary_fields_by_name():
-    # -7 and -1 are valid square-free radicands; what fails is the field, not d
-    for d in (-1, -7, -15):
-        with pytest.raises(ValueError, match=f"^d = {d} < 0: .* roots of unity"):
-            fundamental_unit(d)
-    with pytest.raises(ValueError, match="other than 0 and 1"):
-        fundamental_unit(1)
-
-
 def brute_minimal_unit(d, b_cap=10**6):
     """Smallest unit above 1 by scanning the irrational part upward.
 
