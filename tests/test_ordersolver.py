@@ -308,6 +308,18 @@ class TestNormMinusOne:
         # the true order divides the doubled exponent without reaching it
         assert rep.bound_n % oracle_order_mod_p(QuadInt(1, 1, 2), 7, cap=40).value == 0
 
+    @pytest.mark.parametrize(
+        "alpha, p, message",
+        [
+            (QuadInt(1, 1, 2), 9, "p = 9 is not an odd prime"),
+            (QuadInt(41, 29, 2), 41, "the chain needs x nonzero mod p"),
+        ],
+    )
+    def test_refusal_texts(self, alpha, p, message):
+        with pytest.raises(ValueError) as info:
+            analyze(alpha, p)
+        assert str(info.value) == message
+
 
 def trace_images(p, s, ks):
     """{k: {t_k(y; s) mod p: least y}} by the plain recurrence t_{j+1} = y*t_j - s*t_{j-1}."""
@@ -478,6 +490,30 @@ class TestEntryIndex:
         assert q_of_p(5, 1, 3) == 3  # p coprime to the norm pins q to p
         assert q_of_p(3, -1, 13) == 13
         assert q_of_p(5, 10, 5) == 2  # p divides norm and trace pins q to 2
+
+    def test_nonexistence(self):
+        # when p | s, q exists exactly when p | x too, and then it is 2
+        for p in (3, 5, 7, 11):
+            for s in (p, -p, 2 * p):
+                for x in range(-p, 2 * p + 1):
+                    if x % p == 0:
+                        assert q_of_p(x, s, p) == 2
+                        continue
+                    with pytest.raises(ValueError) as info:
+                        q_of_p(x, s, p)
+                    assert str(info.value) == (
+                        f"no power of alpha has its irrational part divisible by {p}: "
+                        "the cofactor sequence never vanishes there"
+                    )
+
+    def test_nonexistence_is_refused_by_entry_index(self):
+        # p | s with p not dividing x: the text is _entry_index's, q_of_p adds no check
+        for x, s, p in ((1, 5, 5), (3, 7, 7), (4, -11, 11)):
+            with pytest.raises(ValueError) as by_q:
+                q_of_p(x, s, p)
+            with pytest.raises(ValueError) as by_entry:
+                conductor._entry_index(*cheby._pgl_class(x, s, p), p)
+            assert str(by_q.value) == str(by_entry.value)
 
     def test_divides_p_minus_ell(self):
         for p in (5, 7, 11, 13, 17):
@@ -855,6 +891,24 @@ class TestAnalyze:
         assert rep.passed
         names = [c.name for c in rep.table_checks]
         assert names == ["u(q-1) == 0", "alpha^q is scalar mod p"]
+
+    def test_preconditions(self):
+        # the gate meets its preconditions in one order: an input that breaks
+        # several is refused for the first
+        for alpha, p, message in (
+            (QuadInt(0, 0, 2), 9, "p = 9 is not an odd prime"),
+            (QuadInt(0, 0, 2), 7, "the norm is zero; no power is invertible"),
+            (
+                QuadInt(7, 0, 2),
+                7,
+                "b = 0 is rational; alpha is an integer, with no quadratic order to bound",
+            ),
+            (QuadInt(7, 7, 2), 7, "p must not divide b"),
+            (QuadInt(1, 1, 6), 5, "p divides the norm; no multiplicative order exists mod p"),
+        ):
+            with pytest.raises(ValueError) as info:
+                analyze(alpha, p)
+            assert str(info.value) == message
 
     def test_oracle_attached(self):
         # the oracle's order rides along with the report's checks, not inside it
