@@ -143,19 +143,17 @@ class PrimePowerBound(NamedTuple):
     lhs: int
     rhs: int
     side_conditions: tuple[str, ...]
-    checks: tuple[Check, ...] = ()
+    checks: tuple[Check, ...]
 
     @property
     def holds(self) -> bool:
         return self.lhs <= self.rhs
 
 
-def bound_prime_power(
-    alpha: QuadInt, p: int, k: int, f: int = 1, diagnostics: bool = False
-) -> PrimePowerBound:
+def bound_prime_power(alpha: QuadInt, p: int, k: int, f: int = 1) -> PrimePowerBound:
     """n(p^k f) against q(p) * p^(k-1) * n(f) for an odd prime p not dividing f.
 
-    Diagnostic mode replays the lifting step behind the inequality mod
+    The checks replay the lifting step behind the inequality mod
     f0 = f/gcd(b, f), where n(f) is measured: nu = rhs vanishes mod p^k f0,
     the transported parameters satisfy u_{p-1}(z; S) == (z^2 - 4S)^((p-1)/2)
     mod p, and composing pushes the vanishing up to p^{k+1} f0.
@@ -175,12 +173,9 @@ def bound_prime_power(
     n_f = n_of_f(alpha, f)
     lhs = n_of_f(alpha, p**k * f)
     rhs = q * p ** (k - 1) * n_f
-    checks: tuple[Check, ...] = ()
-    if diagnostics:
-        checks = _lift_diagnostics(x, s, p, k, f // gcd(alpha.b, f), rhs)
     return PrimePowerBound(
-        p=p, k=k, f=f, q_p=q, n_f=n_f, lhs=lhs, rhs=rhs,
-        side_conditions=tuple(side), checks=checks,
+        p=p, k=k, f=f, q_p=q, n_f=n_f, lhs=lhs, rhs=rhs, side_conditions=tuple(side),
+        checks=_lift_diagnostics(x, s, p, k, f // gcd(alpha.b, f), rhs),
     )
 
 

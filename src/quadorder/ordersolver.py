@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cheby import _descend, _lucas, _pgl_class
-from .checks import NA, Check, check, failed_names
+from .checks import NA, Check, check
 from .conductor import _entry_index
 from .modarith import _legendre, _nonresidue, _sqrt_mod, factorize, require_odd_prime
 from .quadint import QuadInt
@@ -49,10 +49,6 @@ class OrderReport(NamedTuple):
     half_bound_applies: bool
     chain: ChainResult | None
     table_checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not failed_names(self.table_checks)
 
 
 def _power_is(alpha: QuadInt, pair: tuple[int, int], p: int, target: int) -> bool:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .cheby import _lucas
@@ -92,9 +91,6 @@ class QuadInt(Value):
     def r(self) -> int:
         return self.d % 4
 
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b, self.d)
-
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         if not isinstance(other, QuadInt):
             return NotImplemented
@@ -131,12 +127,6 @@ class QuadInt(Value):
         if f < 1:
             raise ValueError("the conductor must be at least 1")
         return self.b % f == 0
-
-    def approx(self) -> float:
-        if self.d < 0:
-            raise ValueError("no real value for a negative radicand")
-        val = self.a + self.b * math.sqrt(self.d)
-        return val / 2 if self.r == 1 else val
 
     def __str__(self) -> str:
         core = f"{self.a} + {self.b}*sqrt({self.d})"

@@ -72,7 +72,3 @@ def fundamental_unit(d: int) -> QuadInt:
     if eps.norm not in (1, -1):
         raise AssertionError(f"the period of d = {d} closed at a norm other than +-1")
     return eps
-
-
-def is_unit(alpha: QuadInt) -> bool:
-    return abs(alpha.norm) == 1

@@ -287,7 +287,7 @@ def test_prime_power_diagnostics():
         (PHI, 3, 2, 7),
         (QuadInt(2, 1, 3), 7, 1, 5),
     ]:
-        pp = bound_prime_power(alpha, p, k, f=f, diagnostics=True)
+        pp = bound_prime_power(alpha, p, k, f=f)
         assert pp.holds
         assert len(pp.checks) == 4
         assert all(c.status == "pass" for c in pp.checks), (p, k, f)
@@ -295,7 +295,7 @@ def test_prime_power_diagnostics():
 
 def test_prime_power_diagnostics_measure_mod_f0():
     # gcd(b, f) = 4 makes f0 = 1: n(5 * 4) = n(5) = 2 = rhs, yet u_1 = x = -10 is not 0 mod 20
-    pp = bound_prime_power(QuadInt(-5, -4, 2), 5, 1, f=4, diagnostics=True)
+    pp = bound_prime_power(QuadInt(-5, -4, 2), 5, 1, f=4)
     assert (pp.lhs, pp.rhs, pp.holds) == (2, 2, True)
     assert [c.name for c in pp.checks] == [
         "u(nu-1) == 0 mod p^k f0",
@@ -317,7 +317,7 @@ def test_prime_power_diagnostics_pass_when_b_shares_factors_with_f():
         d, a = rng.choice([2, 3, 5, 6, 7, 13, -1, -3]), rng.randint(-5, 5)
         b = share * rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
         try:
-            pp = bound_prime_power(QuadInt(a, b, d), p, k, f=f, diagnostics=True)
+            pp = bound_prime_power(QuadInt(a, b, d), p, k, f=f)
         except ValueError:  # a parity violation, or no q(p) as p | s with p not dividing x
             continue
         reports += 1

@@ -234,7 +234,7 @@ class TestNormOne:
         assert rep.bound_n == 8
         assert rep.chain.m == 1
         assert rep.half_bound_applies
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         by_name = checks_by_name(rep)
         assert by_name["alpha^(n/2) == -1"].status == PASS
         # 2^{m+2} divides p - ell here, so both sharpness forms get recorded
@@ -248,7 +248,7 @@ class TestNormOne:
         assert rep.bound_n == 10
         assert rep.chain.m == 0
         assert rep.half_bound_applies
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         assert oracle_order_mod_p(QuadInt(2, 1, 3), 11, cap=30).value == 10
 
     def test_odd_exponent_frozen(self):
@@ -256,7 +256,7 @@ class TestNormOne:
         assert rep.bound_n == 5
         assert rep.chain.m == 1
         assert not rep.half_bound_applies
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         assert oracle_order_mod_p(QuadInt(3, 1, 5), 11, cap=20).value == 5
 
     def test_oracle_divides(self):
@@ -275,7 +275,7 @@ class TestNormMinusOne:
         assert rep.bound_n == 16
         assert rep.chain.m == 1
         assert rep.half_bound_applies
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         assert oracle_order_mod_p(QuadInt(1, 1, 2), 17, cap=40).value == 16
 
     def test_chain_mode_no_half_frozen(self):
@@ -283,7 +283,7 @@ class TestNormMinusOne:
         assert rep.bound_n == 14
         assert rep.chain.m == 2
         assert not rep.half_bound_applies
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         assert oracle_order_mod_p(QuadInt(1, 1, 5), 29, cap=40).value == 14
 
     def test_diagnostics_one_mod_four(self):
@@ -291,7 +291,7 @@ class TestNormMinusOne:
         assert rep.mode == "norm_minus_one_diagnostic"
         assert rep.bound_n == 28
         assert rep.chain is None
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         by_name = checks_by_name(rep)
         assert by_name["u(n-1) == 0"].status == PASS
         assert by_name["alpha^(p-ell) == -1"].status == PASS
@@ -300,7 +300,7 @@ class TestNormMinusOne:
         rep = analyze(QuadInt(1, 1, 2), 7)
         assert rep.mode == "norm_minus_one_diagnostic"
         assert rep.bound_n == 12
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         by_name = checks_by_name(rep)
         assert by_name["t(n) == 0"].status == PASS
         assert by_name["u(n-1) != 0"].status == PASS
@@ -874,21 +874,21 @@ class TestAnalyze:
         rep = analyze(QuadInt(1, 1, 6), 7)
         assert rep.ell == -1
         assert rep.bound_n == 24  # (p+1) times the order of the norm mod p
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         assert oracle_order_mod_p(QuadInt(1, 1, 6), 7, cap=60).value == 24
 
     def test_general_norm_residue_plus_frozen(self):
         rep = analyze(QuadInt(1, 1, 6), 23)
         assert rep.ell == 1
         assert rep.bound_n == 22
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         assert oracle_order_mod_p(QuadInt(1, 1, 6), 23, cap=60).value == 11
 
     def test_degenerate_report(self):
         rep = analyze(QuadInt(5, 1, 21), 3)
         assert rep.mode == "degenerate"
         assert rep.bound_n is None
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         names = [c.name for c in rep.table_checks]
         assert names == ["u(q-1) == 0", "alpha^q is scalar mod p"]
 
@@ -915,7 +915,7 @@ class TestAnalyze:
         alpha = QuadInt(1, 1, 2)
         rep = analyze(alpha, 17)
         checks, found = _checks(alpha, _claim(rep), with_oracle=True)
-        assert rep.passed
+        assert not failed_names(rep.table_checks)
         assert found == oracle_order_mod_p(alpha, 17, cap=40).value == 16
         assert checks[:-1] == list(rep.table_checks)
         assert checks[-1].name == "oracle order divides n"
@@ -957,7 +957,7 @@ class TestAnalyze:
         real = ordersolver._lucas
         monkeypatch.setattr(ordersolver, "_lucas", lambda *args: calls.append(args) or real(*args))
         rep = analyze(alpha, p)
-        assert (rep.mode, rep.ell, rep.passed) == (mode, ell, True)
+        assert (rep.mode, rep.ell, failed_names(rep.table_checks)) == (mode, ell, ())
         assert len(calls) == len(set(calls)), sorted(calls)
         if p in (7, 769):
             assert any(c.name.endswith("(recorded)") for c in rep.table_checks)

@@ -1,5 +1,3 @@
-import math
-
 from quadorder.quadint import Mat2, QuadInt
 
 DS = [2, 3, 5, 6, 7, 13, -1, -2, -7]
@@ -97,10 +95,6 @@ def test_pow_matches_embedded_power():
             assert (alpha**n).embed() == alpha.embed() ** n
 
 
-def test_neg():
-    assert -QuadInt(1, 1, 2) == QuadInt(-1, -1, 2)
-
-
 def test_pell_power_frozen():
     r2 = QuadInt(1, 1, 2)
     assert r2**4 == QuadInt(17, 12, 2)
@@ -116,11 +110,6 @@ def test_in_order():
     assert alpha.in_order(6)
     assert not alpha.in_order(5)
     assert QuadInt(3, 0, 2).in_order(1000)
-
-
-def test_approx():
-    assert math.isclose(QuadInt(1, 1, 2).approx(), 1 + math.sqrt(2))
-    assert math.isclose(QuadInt(1, 1, 5).approx(), (1 + math.sqrt(5)) / 2)
 
 
 def test_str_frozen():

@@ -147,7 +147,7 @@ def _check_mod_p(alpha: QuadInt, p: int, factored, tally, mismatches) -> None:
     order = ref_q * _least(Mat2(lam, 0, 0, lam), p, p - 1, parts[0], _identity)
     if q != ref_q:
         mismatches.append(("q(p)", alpha, p, q, ref_q))
-    if not rep.passed:
+    if failed_names(rep.table_checks):
         mismatches.append(("report fails", alpha, p, failed_names(rep.table_checks)))
     if rep.bound_n is not None and rep.bound_n % order:
         mismatches.append(("order does not divide bound_n", alpha, p, rep.bound_n, order))

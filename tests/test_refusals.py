@@ -147,7 +147,6 @@ REFUSALS = [
     (operator.mul, (R2, QuadInt(1, 1, 3)), "cannot multiply integers from different fields"),
     (QuadInt.embed, (QuadInt(0, 0, 2),), "zero has no invertible matrix image"),
     (QuadInt.in_order, (R2, 0), _CONDUCTOR),
-    (QuadInt.approx, (QuadInt(1, 1, -1),), "no real value for a negative radicand"),
     # units: -1, -2, -7 and -15 are valid radicands; what fails is the field
     *[(fundamental_unit, (d,), _IMAGINARY.format(d)) for d in (-1, -2, -7, -15)],
     *[(fundamental_unit, (d,), _ZERO_OR_ONE) for d in (0, 1)],
@@ -195,29 +194,35 @@ class _Site:
         self.name = f"{path.stem}.{'.'.join(scope)}: {' '.join(words.split()[:6])}"
 
 
-class _Raises(ast.NodeVisitor):
-    """The raise statements of one module, each with the functions and classes around it."""
+class _Module(ast.NodeVisitor):
+    """One module's raise statements and defs, each with the functions and classes around it.
+
+    A def is keyed by its file and first line, the first decorator's when it has
+    any, which is its code object's (co_filename, co_firstlineno); its name is
+    module.Class.function. test_surface's function ledger reads these defs.
+    """
 
     def __init__(self, path):
-        self.path, self.scope, self.sites = path, [], []
+        self.path, self.scope, self.sites, self.defs = path, [], [], {}
         self.visit(ast.parse(path.read_text(encoding="utf-8")))
 
     def visit_FunctionDef(self, node):
+        first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+        self.defs[str(self.path), first] = ".".join([self.path.stem, *self.scope, node.name])
+        self.visit_ClassDef(node)
+
+    def visit_ClassDef(self, node):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
-
-    visit_ClassDef = visit_FunctionDef
 
     def visit_Raise(self, node):
         self.sites.append(_Site(self.path, self.scope, node))
 
 
-SITES = [
-    site
-    for path in sorted(Path(quadorder.__file__).parent.glob("*.py"))
-    for site in _Raises(path).sites
-]
+MODULES = [_Module(path) for path in sorted(Path(quadorder.__file__).parent.glob("*.py"))]
+SITES = [site for module in MODULES for site in module.sites]
+DEFS = {key: name for module in MODULES for key, name in module.defs.items()}
 
 
 def _raised_at(exc):

@@ -1,10 +1,13 @@
-"""The package's import surface: what the root exports, and what the benchmark tracer binds."""
+"""The package's surface: what the root exports, what the benchmark tracer binds, and
+what no command reaches, each unreached function with its reason."""
 
+import ast
 import copy
 import dataclasses
 import importlib
 import os
 import pickle
+import re
 import runpy
 import subprocess
 import sys
@@ -14,7 +17,9 @@ import pytest
 
 import quadorder
 import quadorder.cli  # noqa: F401  (the benchmark worker imports it before tracing)
-from quadorder import cheby
+from quadorder import cheby, cli, conductor, modarith, ordersolver, quadint
+from test_cli import CONTRACT, GOLDEN_SWEEP
+from test_refusals import DEFS
 
 ENTRY_POINTS = [
     "QuadInt",
@@ -48,7 +53,6 @@ MODULE_ONLY = {
         "ChainResult", "DivisorBound", "build_chain_s1", "build_chain_s_minus1", "table_check",
     ],
     "quadint": ["Mat2"],
-    "units": ["is_unit"],
     "value": ["Value"],
 }
 
@@ -81,7 +85,7 @@ RECORDS = {
     ("conductor", "MultiplicativeBound"): (("f", "g", "n_f", "n_g", "n_fg", "side_conditions"),
                                            {}),
     ("conductor", "PrimePowerBound"): (
-        ("p", "k", "f", "q_p", "n_f", "lhs", "rhs", "side_conditions", "checks"), {"checks": ()},
+        ("p", "k", "f", "q_p", "n_f", "lhs", "rhs", "side_conditions", "checks"), {},
     ),
     ("conductor", "ConductorReport"): (("f", "f0", "n_exact", "bound", "per_prime", "notes"), {}),
     ("oracle", "OracleResult"): (("value", "cap"), {}),
@@ -114,7 +118,77 @@ VALUE_TYPES = {
     ),
 }
 
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+DEEP = ROOT / "perfbench" / "deep.py"
+
+# Why a function that no command reaches is kept. The first two are computed from
+# perfbench's sources, never chosen: the tracer's tables, and deep.py's module.name
+# references (a class's covers its __init__).
+PERFBENCH = "perfbench binds it"
+DEEP_CALLS = "deep calls it"
+CROSS_ROUTE = "test cross-route"
+VALUE_TYPE = "value-type contract"
+AT_IMPORT = "runs at import"
+ENTRY_POINT = "console entry point"
+LIBRARY_API = "library API: "  # and the call it serves, which README.md names
+
+
+# Every src/ function that no command of the ledger enters, by module.Qualname. The
+# table only shrinks: an entry whose function is reached or gone fails the ledger.
+UNREACHED = {
+    "cheby.ChebyParams.__init__": DEEP_CALLS,
+    "cheby.compose_t": PERFBENCH,
+    "cheby.compose_u": PERFBENCH,
+    "cheby.eval_fast": PERFBENCH,
+    "cheby.t_exact": PERFBENCH,
+    "cheby.u_prev_exact": PERFBENCH,
+    "cli.entry": ENTRY_POINT,
+    "conductor.MultiplicativeBound.holds": LIBRARY_API + "bound_multiplicative",
+    "conductor.PrimePowerBound.holds": LIBRARY_API + "bound_prime_power",
+    "conductor._lift_diagnostics": LIBRARY_API + "bound_prime_power",
+    "conductor._shared_with_b": LIBRARY_API + "bound_multiplicative",
+    "conductor.bound_multiplicative": LIBRARY_API + "bound_multiplicative",
+    "conductor.bound_prime_power": LIBRARY_API + "bound_prime_power",
+    "conductor.n_of_f": PERFBENCH,
+    "modarith.legendre": PERFBENCH,
+    "modarith.sqrt_mod": PERFBENCH,
+    "oracle.oracle_q_of_p": DEEP_CALLS,
+    "ordersolver.build_chain_s1": PERFBENCH,
+    "ordersolver.build_chain_s_minus1": PERFBENCH,
+    "ordersolver.divisor_bound": PERFBENCH,
+    "ordersolver.table_check": LIBRARY_API + "table_check",
+    "quadint.Mat2.__init__": CROSS_ROUTE,
+    "quadint.Mat2.__mod__": CROSS_ROUTE,
+    "quadint.Mat2.__mul__": CROSS_ROUTE,
+    "quadint.Mat2.__pow__": CROSS_ROUTE,
+    "quadint.Mat2.det": CROSS_ROUTE,
+    "quadint.Mat2.identity": CROSS_ROUTE,
+    "quadint.Mat2.trace": CROSS_ROUTE,
+    "quadint.QuadInt.__mul__": PERFBENCH,
+    "quadint.QuadInt.__pow__": CROSS_ROUTE,
+    "quadint.QuadInt.embed": CROSS_ROUTE,
+    "quadint.QuadInt.in_order": CROSS_ROUTE,
+    "quadint.QuadInt.one": CROSS_ROUTE,
+    "value.Value.__delattr__": VALUE_TYPE,
+    "value.Value.__eq__": VALUE_TYPE,
+    "value.Value.__hash__": VALUE_TYPE,
+    "value.Value.__init_subclass__": AT_IMPORT,
+    "value.Value.__reduce__": VALUE_TYPE,
+    "value.Value.__repr__": VALUE_TYPE,
+    "value.Value.__setattr__": VALUE_TYPE,
+}
+
+# the ledger's commands: every CONTRACT row, and the JSON forms of three more
+LEDGER_COMMANDS = [command.split() for command, _, _ in CONTRACT] + [
+    GOLDEN_SWEEP + ["--format", "json"],
+    "identities --trials 5 --json".split(),
+    "fundunit --d 94 --json".split(),
+]
+
+# cleared before the run, so that no answer kept by an earlier test hides a function body
+LEDGER_CACHES = [modarith.factorize, ordersolver.q_of_p, conductor._entry_index,
+                 quadint._check_radicand, modarith._first_window, modarith._window_products]
 
 
 def test_root_exports_the_entry_points():
@@ -198,7 +272,7 @@ def test_quadint_construction_stays_countable(monkeypatch):
 
     monkeypatch.setattr(QuadInt, "__post_init__", counted)
     alpha = QuadInt(1, 1, 2)
-    made = [alpha, alpha * alpha, -alpha, copy.copy(alpha), copy.deepcopy(alpha),
+    made = [alpha, alpha * alpha, alpha**3, copy.copy(alpha), copy.deepcopy(alpha),
             pickle.loads(pickle.dumps(alpha))]
     assert len(calls) == len(made) and all(c is m for c, m in zip(calls, made))
 
@@ -222,17 +296,6 @@ def tracer_tables():
     return runpy.run_path(str(TRACER))
 
 
-def test_every_traced_function_resolves(tracer_tables):
-    spanned = [t for targets in tracer_tables["SPANS"].values() for t in targets]
-    for mod_name, attr in spanned + list(tracer_tables["COUNTED_FUNCTIONS"].values()):
-        assert callable(getattr(getattr(quadorder, mod_name), attr)), (mod_name, attr)
-
-
-def test_every_counted_method_is_defined_on_its_class(tracer_tables):
-    for cls_name, attr in tracer_tables["COUNTED_METHODS"].values():
-        assert callable(vars(getattr(quadorder.quadint, cls_name))[attr]), (cls_name, attr)
-
-
 def test_every_traced_cache_reports_its_info(tracer_tables):
     for mod_name, attr in tracer_tables["CACHES"].values():
         info = getattr(getattr(quadorder, mod_name), attr).cache_info()
@@ -243,3 +306,73 @@ def test_deep_certificate_call():
     # perfbench/deep.py certifies an index through this call; u_{n-1}(1; -1) is F_n
     assert cheby.eval_fast(cheby.ChebyParams(1, -1, 1000), 15).u_prev == 610
     assert cheby.eval_fast(cheby.ChebyParams(1, -1, 5), 5).u_prev == 0
+
+
+def _entered(capsys):
+    """The (file, first line) of every src/ def that a ledger command entered."""
+    for cache in LEDGER_CACHES:
+        cache.cache_clear()
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in LEDGER_COMMANDS:
+            cli.main(argv)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    # a comprehension or lambda may share a def's first line, but not its name
+    return {(c.co_filename, c.co_firstlineno) for c in codes
+            if DEFS.get((c.co_filename, c.co_firstlineno), "").rpartition(".")[2] == c.co_name}
+
+
+def _computed_reasons(tracer_tables):
+    """PERFBENCH for every def the tracer binds, else DEEP_CALLS for every one deep.py names."""
+    names = set(DEFS.values())
+    bound = {(module, attr): f"{module}.{attr}"
+             for targets in tracer_tables["SPANS"].values() for module, attr in targets}
+    bound.update({target: ".".join(target)
+                  for target in tracer_tables["COUNTED_FUNCTIONS"].values()})
+    bound.update({(cls, attr): f"quadint.{cls}.{attr}"
+                  for cls, attr in tracer_tables["COUNTED_METHODS"].values()})
+    unresolved = [target for target, name in bound.items() if name not in names]
+    assert not unresolved, f"the tracer binds what src/ does not define: {unresolved}"
+    tree = ast.parse(DEEP.read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "quadorder"
+               for alias in node.names}
+    called = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules}
+    called |= {f"{name}.__init__" for name in called}
+    reasons = dict.fromkeys(called & names, DEEP_CALLS)
+    reasons.update(dict.fromkeys(bound.values(), PERFBENCH))
+    return reasons
+
+
+def test_every_unreached_function_has_its_reason(capsys, tracer_tables):
+    entered = _entered(capsys)
+    unreached = {name for key, name in DEFS.items() if key not in entered}
+    computed = _computed_reasons(tracer_tables)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    served = {name: reason.removeprefix(LIBRARY_API) for name, reason in UNREACHED.items()
+              if reason.startswith(LIBRARY_API)}
+    found = {
+        "no command reaches it, and it has no entry": sorted(unreached - UNREACHED.keys()),
+        "reached or no longer defined": sorted(UNREACHED.keys() - unreached),
+        "its reason is not the computed one": sorted(
+            name for name, reason in UNREACHED.items()
+            if (name in computed or reason in (PERFBENCH, DEEP_CALLS))
+            and reason != computed.get(name)
+        ),
+        "README.md does not name the call it serves": sorted(
+            name for name, call in served.items() if not re.search(rf"\b{call}\b", readme)
+        ),
+    }
+    problems = {why: names for why, names in found.items() if names}
+    assert not problems, problems

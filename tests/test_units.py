@@ -10,7 +10,7 @@ from quadorder import units
 from quadorder.cli import main
 from quadorder.modarith import factorize
 from quadorder.quadint import QuadInt
-from quadorder.units import fundamental_unit, is_unit
+from quadorder.units import fundamental_unit
 
 # (d, a, b) in the storage convention: the element is (a + b sqrt(d)) / 2
 # when d == 1 mod 4 and a + b sqrt(d) otherwise
@@ -37,12 +37,14 @@ def test_fundamental_unit_frozen():
         eps = fundamental_unit(d)
         assert (eps.a, eps.b) == (a, b), d
         assert eps.norm == norm, d
-        assert is_unit(eps)
+        assert abs(eps.norm) == 1
 
 
 def test_fundamental_unit_exceeds_one():
     for d in (2, 3, 5, 6, 7, 10, 13, 94):
-        assert fundamental_unit(d).approx() > 1
+        # a unit above 1 has both coordinates positive, in either storage convention
+        eps = fundamental_unit(d)
+        assert eps.a > 0 and eps.b > 0
 
 
 def brute_minimal_unit(d, b_cap=10**6):
@@ -71,13 +73,6 @@ def test_minimality_small_range():
         eps = fundamental_unit(d)
         brute = brute_minimal_unit(d)
         assert eps == brute, d
-
-
-def test_is_unit():
-    assert is_unit(QuadInt(1, 1, 2))
-    assert is_unit(QuadInt(0, 1, -1))
-    assert not is_unit(QuadInt(1, 1, 3))
-    assert not is_unit(QuadInt(0, 0, 2))
 
 
 def norm_every_convergent(d):
