@@ -296,6 +296,17 @@ def tracer_tables():
     return runpy.run_path(str(TRACER))
 
 
+def test_every_traced_function_resolves(tracer_tables):
+    spanned = [t for targets in tracer_tables["SPANS"].values() for t in targets]
+    for mod_name, attr in spanned + list(tracer_tables["COUNTED_FUNCTIONS"].values()):
+        assert callable(getattr(getattr(quadorder, mod_name), attr)), (mod_name, attr)
+
+
+def test_every_counted_method_is_defined_on_its_class(tracer_tables):
+    for cls_name, attr in tracer_tables["COUNTED_METHODS"].values():
+        assert callable(vars(getattr(quadorder.quadint, cls_name))[attr]), (cls_name, attr)
+
+
 def test_every_traced_cache_reports_its_info(tracer_tables):
     for mod_name, attr in tracer_tables["CACHES"].values():
         info = getattr(getattr(quadorder, mod_name), attr).cache_info()
