@@ -985,6 +985,11 @@ GOLDEN_SWEEP = ["sweep", "--d-set", "2,5", "--coeff-bound", "2", "--p-max", "30"
          "fc9fb22ac48eec146c97d218f852f93cbd72b50f36174c0d101ac49c4071b7de"),
         (GOLDEN_SWEEP + ["--format", "json"],
          "1cd5d056f4920ee04f6fe3ddc3efdbe7a69cef86310fe5d1eafb16a5738cd181"),
+        # the same grid without the oracle: conjugate rows share their rendered line
+        (GOLDEN_SWEEP[:-1],
+         "382ed258ef0d3ec156961e2b5c0c80177a30d8e7822b04a6f037e71b307073e4"),
+        (GOLDEN_SWEEP[:-1] + ["--format", "json"],
+         "845355ea115eb26d990c90859f9403b4ba72ad2d505392eaf85f5ff1ba858c31"),
         # one row per report shape the rows above leave out: norm +1 with the
         # half bound and both recorded rows, general with ell = -1 and 1, the
         # norm -1 diagnostic, and an even conductor sharing a factor with b
