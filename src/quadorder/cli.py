@@ -22,14 +22,13 @@ from itertools import compress, count, product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
 from .cheby import _MN_BOUND, _S_BOUND, _X_BOUND, run_identity_trials
-from .checks import PASS, check, failed_names
+from .checks import FAIL, PASS, check, failed_names
 from .quadint import QuadInt
 
 CSV_COLUMNS = (
     "kind d a b p f x s ell mode m m_random bound n_exact f0 oracle tightness "
     "checks_passed checks_failed failed_names pass"
 ).split()
-_BLANK_ROW = dict.fromkeys(CSV_COLUMNS)
 
 
 def _printable_unit(d: int) -> QuadInt:
@@ -209,45 +208,53 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return _emit(args.json, "identities", inputs, [t._asdict() for t in tallies], ok, lines)
 
 
-def _tally(checks) -> dict:
-    """The last four columns: how many checks passed and failed, the failed names, and pass."""
-    failed = failed_names(checks)
-    tally = sum(c.status == PASS for c in checks), len(failed), ";".join(failed), not failed
-    return dict(zip(CSV_COLUMNS[-4:], tally))
+def _tally(checks) -> tuple:
+    """The last four cells: how many checks passed and failed, the failed names, and pass."""
+    passed, failed = 0, []
+    for c in checks:
+        passed += c.status == PASS
+        if c.status == FAIL:
+            failed.append(c.name)
+    return passed, len(failed), ";".join(failed), not failed
 
 
 def _tightness(claimed, bound) -> str | None:
     return None if claimed is None or bound is None else f"{claimed / bound:.6f}"
 
 
-def _row_part(alpha: QuadInt, report) -> tuple[dict, tuple, ordersolver.ChainResult | None]:
-    """The row conjugates share (b unset), tallied on the report's own checks; its claim, chain."""
+def _row_part(alpha: QuadInt, report) -> list:
+    """[the cells conjugates share, b unset, tallied on own checks; claim; chain; pair text]."""
     claim = _claim(report)
+    d, a, x, s = alpha.d, alpha.a, alpha.trace_x, alpha.norm
     if claim[0] == "p":  # an order row's tightness is the oracle's order, so _row sets it
-        kind, bound, claimed, chain = "order", report.bound_n, None, report.chain
-        columns = {"p": report.p, "ell": report.ell, "mode": report.mode, "m": chain and chain.m}
+        chain = report.chain
+        cells = ("order", d, a, None, report.p, None, x, s, report.ell, report.mode,
+                 chain and chain.m, None, report.bound_n, None, None, None, None)
     else:
-        kind, bound, claimed, chain = "conductor", report.bound, report.n_exact, None
-        columns = {"f": report.f, "n_exact": report.n_exact, "f0": report.f0}
-    return {**_BLANK_ROW, **columns, "kind": kind, "d": alpha.d, "a": alpha.a, "x": alpha.trace_x,
-            "s": alpha.norm, "bound": bound, "tightness": _tightness(claimed, bound),
-            **_tally(claim[-1])}, claim, chain
+        chain, bound = None, report.bound
+        cells = ("conductor", d, a, None, None, report.f, x, s, None, None, None, None, bound,
+                 report.n_exact, report.f0, None, _tightness(report.n_exact, bound))
+    return [cells + _tally(claim[-1]), claim, chain, None]
 
 
-def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> dict:
-    """alpha's row keyed by CSV_COLUMNS: the shared part, then its own b, oracle and re-draw."""
-    shared, claim, chain = part
-    row = {**shared, "b": alpha.b}
+def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> tuple:
+    """alpha's row in CSV_COLUMNS order: the shared cells, then its own b, oracle and re-draw."""
+    shared, claim, chain, _ = part
     if not (with_oracle or chain):
-        return row
-    checks, row["oracle"] = _checks(alpha, claim, with_oracle)
-    row["tightness"] = _tightness(row["oracle"] if claim[0] == "p" else claim[2], row["bound"])
+        return shared[:3] + (alpha.b,) + shared[4:]
+    checks, found = _checks(alpha, claim, with_oracle)
+    # the chain's start and ell are what its builder passed, so only the roots differ
+    m_random = chain and ordersolver._extend_chain(chain.chain[0], chain.ell, claim[1], rng).m
     if chain is not None:
-        # the chain's start and ell are what its builder passed, so only the roots differ
-        row["m_random"] = ordersolver._extend_chain(chain.chain[0], chain.ell, claim[1], rng).m
-        checks.append(check("chain length is root independent", row["m_random"] == chain.m))
-    row.update(_tally(checks))
-    return row
+        checks.append(check("chain length is root independent", m_random == chain.m))
+    tightness = _tightness(found, shared[12]) if claim[0] == "p" else shared[16]  # over bound
+    return (*shared[:3], alpha.b, *shared[4:11], m_random, *shared[12:15], found, tightness,
+            *_tally(checks))
+
+
+def _cells(row) -> list[str]:
+    return ["" if v is None else "true" if v is True else "false" if v is False else str(v)
+            for v in row]
 
 
 def _grid_reports(d_set, coeff_bound: int, primes, conductors):
@@ -281,21 +288,18 @@ def _grid_reports(d_set, coeff_bound: int, primes, conductors):
                     yield alpha, parts[-1]
 
 
-def run_sweep(
-    d_set, coeff_bound: int, p_max: int, f_max: int, seed: int, with_oracle: bool = False
-):
-    """An iterator over a deterministic grid of order and conductor rows, each made as read.
+def _sweep(d_set, coeff_bound, p_max, f_max, seed, with_oracle: bool, text: bool):
+    """An iterator over a deterministic grid of (row, its CSV line if text), made as read.
 
-    Iteration is lexicographic in (d, a, b), with order rows over odd
-    primes below p_max and conductor rows over f up to f_max; cases that
-    break a precondition are skipped rather than reported as failures.
-    Conjugates share their reports and their rows but for b, the oracle
-    scan and the chain re-draw. With the oracle, a first pass refuses an
-    over-budget grid before any scan, naming its row; it visits only the
-    moduli whose claims can exceed the cap, as an order claim is at most
-    p^2 - 1 (see analyze) and n(f) <= 6f^2 (see conductor), so p >= 709
-    and f >= 289. The rng only feeds the chain re-draw, so a fixed seed
-    reproduces the dataset byte for byte.
+    A row is a tuple in CSV_COLUMNS order. Iteration is lexicographic in (d, a,
+    b), with order rows over odd primes below p_max and conductor rows over f
+    up to f_max; cases that break a precondition are skipped. Conjugates share
+    their reports, and their rows but for b, the oracle scan and the chain
+    re-draw; without those a pair's text is rendered once. With the oracle, a
+    first pass on the call refuses an over-budget grid before any scan, naming
+    its row; it visits only the moduli whose claims can exceed the cap, as an
+    order claim is at most p^2 - 1 (see analyze) and n(f) <= 6f^2 (see
+    conductor), so p >= 709 and f >= 289. The rng only feeds the chain re-draw.
     """
     rng, grid = random.Random(seed), (d_set, coeff_bound)
     primes = list(compress(range(1, p_max, 2), modarith._odd_prime_flags(p_max)))
@@ -304,10 +308,30 @@ def run_sweep(
         over_p = [p for p in primes if _steps(p * p - 1) > oracle.DEFAULT_CAP]
         f_cut = next(f for f in count(1) if _steps(6 * f * f) > oracle.DEFAULT_CAP)
         over_f = range(f_cut, f_max + 1)  # the cap grows with f, so those past it are one range
-        for alpha, (_, claim, _) in _grid_reports(*grid, over_p, over_f):
+        for alpha, (_, claim, _, _) in _grid_reports(*grid, over_p, over_f):
             _oracle_cap(alpha, claim)
-    rows = _grid_reports(*grid, primes, range(1, f_max + 1))
-    return (_row(alpha, part, rng, with_oracle) for alpha, part in rows)
+
+    def rows():
+        for alpha, part in _grid_reports(*grid, primes, range(1, f_max + 1)):
+            row = _row(alpha, part, rng, with_oracle)
+            if not text:
+                yield row, None
+            elif with_oracle or part[2]:
+                yield row, ",".join(_cells(row)) + "\n"
+            else:
+                if part[3] is None:
+                    cells = _cells(part[0])
+                    part[3] = ",".join(cells[:3]) + ",", "," + ",".join(cells[4:]) + "\n"
+                yield row, part[3][0] + str(alpha.b) + part[3][1]
+
+    return rows()
+
+
+def run_sweep(d_set, coeff_bound: int, p_max: int, f_max: int, seed: int,
+              with_oracle: bool = False):
+    """_sweep's rows, each a dict keyed by CSV_COLUMNS."""
+    rows = _sweep(d_set, coeff_bound, p_max, f_max, seed, with_oracle, text=False)
+    return (dict(zip(CSV_COLUMNS, row)) for row, _ in rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -326,24 +350,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         raise ValueError(f"cannot write the output file {args.output}: {exc.strerror}") from exc
+    grid = (d_set, args.coeff_bound, args.p_max, args.f_max, args.seed, args.oracle)
     with out as stream:
         print(f"seed {args.seed}", file=sys.stderr)
-        rows = run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed, args.oracle)
         if args.format == "json":  # "pass" sorts before "results", so every row comes first
-            rows = list(rows)
-            inputs = {
-                "d_set": d_set, "coeff_bound": args.coeff_bound, "p_max": args.p_max,
-                "f_max": args.f_max, "seed": args.seed, "oracle": bool(args.oracle),
-            }
+            rows = list(run_sweep(*grid))
+            inputs = dict(zip("d_set coeff_bound p_max f_max seed oracle".split(), grid))
             return _emit(True, "sweep", inputs, rows, all(r["pass"] for r in rows), (), stream)
-        ok = True
+        lines, ok = _sweep(*grid, text=True), True  # a refused grid writes no header
         stream.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            ok &= row["pass"]
-            stream.write(",".join([
-                "" if v is None else "true" if v is True else "false" if v is False else str(v)
-                for v in row.values()
-            ]) + "\n")
+        for row, line in lines:
+            ok &= row[-1]
+            stream.write(line)
         return 0 if ok else 1
 
 

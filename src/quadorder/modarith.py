@@ -26,14 +26,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cache, lru_cache
-from itertools import compress, count, groupby
-from math import gcd, isqrt, prod
+from itertools import compress, groupby
+from math import gcd, isqrt, log, prod
 
 from .value import Value
 
 TRIAL_BOUND = 10**6
 _WINDOW = 1 << 10  # integers per window of the product table
 _RHO_STEPS = 1 << 16  # rho iterations one factorization may spend before it refuses
+_STRIKE = 1 << 16  # flags one sieve strike clears, so its zeros stay small beside the flags
+_BACH = 2  # under GRH the least non-residue mod p is <= 2 (ln p)^2 (Bach, Math. Comp. 55, 1990)
 
 # Miller-Rabin on these witnesses, which run from 2^64 up, is exact only below
 # psi_12, a composite is_prime accepts; adding 41 fixes it once perfbench's deep digest may move
@@ -111,8 +113,12 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 def _nonresidue(p: int) -> int:
-    """The least quadratic non-residue mod a proved odd prime p."""
-    return next(z for z in count(2) if _legendre(z, p) == -1)
+    """The least quadratic non-residue mod a proved odd prime p, refused past its budget."""
+    budget = int(_BACH * log(p) ** 2)
+    z = next((z for z in range(2, budget + 1) if _legendre(z, p) == -1), None)
+    if z is None:
+        raise ValueError(f"no quadratic non-residue mod p = {p} up to {_BACH} (ln p)^2 = {budget}")
+    return z
 
 
 def _sqrt_mod(a: int, p: int, z: int) -> int | None:
@@ -155,7 +161,8 @@ def _odd_prime_flags(limit: int) -> bytearray:
         flags[0] = 0  # 1 is not a prime
     for r in range(3, isqrt(max(limit, 0)) + 1, 2):
         if flags[r // 2]:
-            flags[r * r // 2 :: r] = bytes(len(range(r * r // 2, len(flags), r)))
+            for i in range(r * r // 2, len(flags), r * _STRIKE):
+                flags[i : i + r * _STRIKE : r] = bytes(len(range(i, len(flags), r)[:_STRIKE]))
     return flags
 
 

@@ -596,7 +596,8 @@ def _unshared_rows(d_set, coeff_bound, p_max, f_max, seed, with_oracle):
                 report = build(alpha, modulus)
             except ValueError:
                 continue
-            rows.append(cli._row(alpha, cli._row_part(alpha, report), rng, with_oracle))
+            row = cli._row(alpha, cli._row_part(alpha, report), rng, with_oracle)
+            rows.append(dict(zip(CSV_COLUMNS, row)))
     return rows
 
 
@@ -762,7 +763,8 @@ def test_sweep_wrong_oracle_answer_fails_only_its_own_row(capsys, monkeypatch):
     assert rows["order", "1", "-1", "17"]["oracle"] == "16"
 
 
-def test_sweep_chain_redraw_mismatch_fails_only_its_own_row(capsys, monkeypatch):
+def _redraw_one_link_long(monkeypatch, d, a, b, p):
+    """The sweep's chain re-draw for d, a, b at p gives one link too many."""
     current = []
     real_row, real_extend = cli._row, ordersolver._extend_chain
 
@@ -770,20 +772,65 @@ def test_sweep_chain_redraw_mismatch_fails_only_its_own_row(capsys, monkeypatch)
         current[:] = [alpha]
         return real_row(alpha, part, rng, with_oracle)
 
-    def longer_at_one_alpha(start, ell, p, rng):
-        result = real_extend(start, ell, p, rng)
-        if rng is not None and (current[0].a, current[0].b, p) == (1, 1, 17):
-            return result._replace(chain=result.chain + (0,))  # one link too many
+    def longer_at_one_alpha(start, ell, modulus, rng):
+        result = real_extend(start, ell, modulus, rng)
+        alpha = current[0]
+        if rng is not None and (alpha.d, alpha.a, alpha.b, modulus) == (d, a, b, p):
+            return result._replace(chain=result.chain + (0,))
         return result
 
     monkeypatch.setattr(cli, "_row", tracked_row)
     monkeypatch.setattr(ordersolver, "_extend_chain", longer_at_one_alpha)
+
+
+def test_sweep_chain_redraw_mismatch_fails_only_its_own_row(capsys, monkeypatch):
+    _redraw_one_link_long(monkeypatch, 2, 1, 1, 17)
     code, rows = _sweep_csv_rows(capsys)
     assert code == 1
     _fails_alone(rows, ("order", "1", "1", "17"), "chain length is root independent")
     row, conjugate = rows["order", "1", "1", "17"], rows["order", "1", "-1", "17"]
     assert int(row["m_random"]) == int(row["m"]) + 1
     assert conjugate["m_random"] == conjugate["m"]
+
+
+def _csv_cell(value) -> str:
+    """A JSON row value as its CSV cell: null blank, booleans in lower case."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("case", ["plain", "oracle", "redraw fails at b > 0"])
+def test_sweep_csv_lines_render_its_json_rows(capsys, monkeypatch, case, seed):
+    # a conjugate's line is its pair's text around its own b; a b > 0 row whose own
+    # re-draw fails would show a reused line as passing
+    if case.startswith("redraw"):
+        _redraw_one_link_long(monkeypatch, 2, 1, 1, 17)
+    argv = ["sweep", "--d-set", "-1,2,5,13", "--coeff-bound", "2", "--p-max", "40",
+            "--f-max", "12", "--seed", seed] + (["--oracle"] if case == "oracle" else [])
+    renders, real_cells = collections.Counter(), cli._cells
+
+    def counted_cells(row):
+        if row[3] is None:  # b unset: a pair's shared cells
+            renders[row[:3] + row[4:8]] += 1  # s tells |b| apart
+        return real_cells(row)
+
+    monkeypatch.setattr(cli, "_cells", counted_cells)
+    code, csv_out, _ = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, *argv, "--format", "json")
+    rows = json.loads(json_out)["results"]
+    assert code == json_code == (1 if case.startswith("redraw") else 0)
+    assert csv_out.splitlines() == [",".join(CSV_COLUMNS)] + [
+        ",".join(_csv_cell(row[name]) for name in CSV_COLUMNS) for row in rows
+    ]
+    assert any(row["b"] > 0 and row["m"] is not None for row in rows)
+    failed = [(row["d"], row["a"], row["b"], row["p"]) for row in rows if not row["pass"]]
+    assert failed == ([(2, 1, 1, 17)] if case.startswith("redraw") else [])
+    # each pair's text is rendered at most once, and only where no row scans the oracle
+    assert set(renders.values()) == (set() if case == "oracle" else {1})
 
 
 def test_sweep_output_file(tmp_path, capsys):
@@ -985,11 +1032,6 @@ GOLDEN_SWEEP = ["sweep", "--d-set", "2,5", "--coeff-bound", "2", "--p-max", "30"
          "fc9fb22ac48eec146c97d218f852f93cbd72b50f36174c0d101ac49c4071b7de"),
         (GOLDEN_SWEEP + ["--format", "json"],
          "1cd5d056f4920ee04f6fe3ddc3efdbe7a69cef86310fe5d1eafb16a5738cd181"),
-        # the same grid without the oracle: conjugate rows share their rendered line
-        (GOLDEN_SWEEP[:-1],
-         "382ed258ef0d3ec156961e2b5c0c80177a30d8e7822b04a6f037e71b307073e4"),
-        (GOLDEN_SWEEP[:-1] + ["--format", "json"],
-         "845355ea115eb26d990c90859f9403b4ba72ad2d505392eaf85f5ff1ba858c31"),
         # one row per report shape the rows above leave out: norm +1 with the
         # half bound and both recorded rows, general with ell = -1 and 1, the
         # norm -1 diagnostic, and an even conductor sharing a factor with b
@@ -1013,6 +1055,11 @@ GOLDEN_SWEEP = ["sweep", "--d-set", "2,5", "--coeff-bound", "2", "--p-max", "30"
          "b86853643614c837f85831da97e7d9ca1d4e05a13462ce536044ccd8bc77f797"),
         (["conductor", "--d", "2", "--alpha", "1,2", "--f", "12", "--oracle", "--json"],
          "1b904c259f90e94a10794a1bfa7d35dca8839d39ede162788711d17a7af22ec5"),
+        # the golden sweep's grid without the oracle: conjugate rows share their rendered line
+        (GOLDEN_SWEEP[:-1],
+         "382ed258ef0d3ec156961e2b5c0c80177a30d8e7822b04a6f037e71b307073e4"),
+        (GOLDEN_SWEEP[:-1] + ["--format", "json"],
+         "845355ea115eb26d990c90859f9403b4ba72ad2d505392eaf85f5ff1ba858c31"),
     ],
 )
 def test_readme_commands_golden_bytes(capsys, argv, digest):

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,17 @@ def test_sqrt_mod_large_prime_three_mod_four():
         r = sqrt_mod(a * a, p)
         assert r == min(a, p - a)
     assert sqrt_mod(-1, p) is None  # -1 is a non-residue when p == 3 mod 4
+
+
+def test_nonresidue_budget_edge(monkeypatch):
+    # 5 is the least non-residue mod 23, and (ln 23)^2 = 9.83: a budget of 5 finds it,
+    # one of 4 refuses, naming the budget
+    monkeypatch.setattr(modarith, "_BACH", 0.51)
+    assert modarith._nonresidue(23) == 5
+    monkeypatch.setattr(modarith, "_BACH", 0.5)
+    with pytest.raises(ValueError) as info:
+        modarith._nonresidue(23)
+    assert str(info.value) == "no quadratic non-residue mod p = 23 up to 0.5 (ln p)^2 = 4"
 
 
 def test_sqrt_mod_zero():
@@ -524,6 +536,20 @@ def test_odd_prime_flags_list_the_odd_primes_below_every_limit():
     for limit in range(-3, 6000):
         listed = itertools.compress(range(1, limit, 2), modarith._odd_prime_flags(limit))
         assert list(listed) == odd[: bisect.bisect_left(odd, limit)], limit
+
+
+def test_odd_prime_flags_strike_in_bounded_slices():
+    # 3 alone strikes 333,333 flags below 2 * 10^6, several slices of modarith._STRIKE
+    limit = 2 * 10**6
+    assert modarith._odd_prime_flags(limit) == sieve(limit)[1::2]
+    tracemalloc.start()
+    try:
+        flags = modarith._odd_prime_flags(2 * 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # zeros for the whole of 3's strike at once would add a third of the flags again
+    assert peak <= len(flags) + (1 << 20)
 
 
 def test_factorize_below_psi12_is_fast_and_builds_no_table():

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 import quadorder
-from quadorder import cli, ordersolver
+from quadorder import cli, modarith, ordersolver
 from quadorder.cheby import ChebyParams, eval_fast, run_identity_trials, u_odd_closed_form
 from quadorder.conductor import (
     bound_full,
@@ -47,6 +47,12 @@ def _divisor_bound_scanning_3(x, s, p, k):
     """divisor_bound with its preimage scan capped at 3 values; a real input would scan 10^6."""
     with mock.patch.object(ordersolver, "_SCAN_CAP", 3):
         return divisor_bound(x, s, p, k)
+
+
+def _sqrt_mod_budget_quartered(a, p):
+    """sqrt_mod with its non-residue search capped at 0.5 (ln p)^2, a quarter of the real cap."""
+    with mock.patch.object(modarith, "_BACH", 0.5):
+        return sqrt_mod(a, p)
 
 
 _CONDUCTOR = "the conductor must be at least 1"
@@ -94,6 +100,9 @@ REFUSALS = [
     *[(require_odd_prime, (p,), _NOT_ODD_PRIME.format(p)) for p in (2, 1, 0, -3, 9, 91)],
     (sqrt_mod, (4, 9), _NOT_ODD_PRIME.format(9)),
     (sqrt_mod, (1, 2), _NOT_ODD_PRIME.format(2)),
+    # 5, the least non-residue mod 23, lies past 0.5 (ln 23)^2 = 4.9
+    (_sqrt_mod_budget_quartered, (2, 23),
+     "no quadratic non-residue mod p = 23 up to 0.5 (ln p)^2 = 4"),
     (factorize, (0,), "cannot factor zero"),
     # rho spends its budget on this product of two 39-bit primes, below psi12
     (factorize, (274877906951 * 274878906989,),
