@@ -18,6 +18,7 @@ import random
 import re
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 from itertools import compress, count, product
 
 from . import conductor, modarith, oracle, ordersolver, quadint, units
@@ -222,26 +223,32 @@ def _tightness(claimed, bound) -> str | None:
     return None if claimed is None or bound is None else f"{claimed / bound:.6f}"
 
 
+@lru_cache(maxsize=8192)  # the default sweep's 11,280 conductor parts show 601 distinct tails
+def _conductor_tail(f0: int, n_exact: int, bound: int | None) -> list:
+    """[a conductor row's cells from ell on, tallied on its checks; their text, once asked]."""
+    checks = conductor.ConductorReport(0, f0, n_exact, bound, (), ()).checks  # reads n_exact, bound
+    cells = (None,) * 4 + (bound, n_exact, f0, None, _tightness(n_exact, bound), *_tally(checks))
+    return [cells, None]
+
+
 def _row_part(alpha: QuadInt, report) -> list:
-    """[the cells conjugates share, b unset, tallied on own checks; claim; chain; pair text]."""
-    claim = _claim(report)
+    """[cells conjugates share, b unset, tallied on own checks; report; chain; pair text; tail]."""
     d, a, x, s = alpha.d, alpha.a, alpha.trace_x, alpha.norm
-    if claim[0] == "p":  # an order row's tightness is the oracle's order, so _row sets it
-        chain = report.chain
-        cells = ("order", d, a, None, report.p, None, x, s, report.ell, report.mode,
-                 chain and chain.m, None, report.bound_n, None, None, None, None)
-    else:
-        chain, bound = None, report.bound
-        cells = ("conductor", d, a, None, None, report.f, x, s, None, None, None, None, bound,
-                 report.n_exact, report.f0, None, _tightness(report.n_exact, bound))
-    return [cells + _tally(claim[-1]), claim, chain, None]
+    if isinstance(report, conductor.ConductorReport):  # equal tails are made once
+        cells, _ = tail = _conductor_tail(*report[1:4])
+        return [("conductor", d, a, None, None, report.f, x, s) + cells, report, None, None, tail]
+    claim, chain = _claim(report), report.chain  # tightness: the oracle's order, set by _row
+    cells = ("order", d, a, None, report.p, None, x, s, report.ell, report.mode, chain and chain.m,
+             None, report.bound_n, None, None, None, None, *_tally(claim[-1]))
+    return [cells, report, chain, None, None]
 
 
 def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> tuple:
     """alpha's row in CSV_COLUMNS order: the shared cells, then its own b, oracle and re-draw."""
-    shared, claim, chain, _ = part
+    shared, report, chain = part[:3]
     if not (with_oracle or chain):
         return shared[:3] + (alpha.b,) + shared[4:]
+    claim = _claim(report)
     checks, found = _checks(alpha, claim, with_oracle)
     # the chain's start and ell are what its builder passed, so only the roots differ
     m_random = chain and ordersolver._extend_chain(chain.chain[0], chain.ell, claim[1], rng).m
@@ -289,7 +296,7 @@ def _grid_reports(d_set, coeff_bound: int, primes, conductors):
 
 
 def _sweep(d_set, coeff_bound, p_max, f_max, seed, with_oracle: bool, text: bool):
-    """An iterator over a deterministic grid of (row, its CSV line if text), made as read.
+    """An iterator over a deterministic grid's rows, or (pass, CSV line) if text, made as read.
 
     A row is a tuple in CSV_COLUMNS order. Iteration is lexicographic in (d, a,
     b), with order rows over odd primes below p_max and conductor rows over f
@@ -308,21 +315,25 @@ def _sweep(d_set, coeff_bound, p_max, f_max, seed, with_oracle: bool, text: bool
         over_p = [p for p in primes if _steps(p * p - 1) > oracle.DEFAULT_CAP]
         f_cut = next(f for f in count(1) if _steps(6 * f * f) > oracle.DEFAULT_CAP)
         over_f = range(f_cut, f_max + 1)  # the cap grows with f, so those past it are one range
-        for alpha, (_, claim, _, _) in _grid_reports(*grid, over_p, over_f):
-            _oracle_cap(alpha, claim)
+        for alpha, part in _grid_reports(*grid, over_p, over_f):
+            _oracle_cap(alpha, _claim(part[1]))
 
     def rows():
         for alpha, part in _grid_reports(*grid, primes, range(1, f_max + 1)):
-            row = _row(alpha, part, rng, with_oracle)
-            if not text:
-                yield row, None
-            elif with_oracle or part[2]:
-                yield row, ",".join(_cells(row)) + "\n"
-            else:
-                if part[3] is None:
-                    cells = _cells(part[0])
+            if not text or with_oracle or part[2]:
+                row = _row(alpha, part, rng, with_oracle)
+                yield (row[-1], ",".join(_cells(row)) + "\n") if text else row
+                continue
+            if part[3] is None:  # the row would be its pair's shared cells: no tuple, their text
+                cells, tail = part[0], part[4]
+                if tail:  # a conductor pair: its head here, its memo entry's cells once per tail
+                    tail[1] = tail[1] or ",".join(_cells(tail[0]))
+                    _, d, a, _, _, f, x, s = cells[:8]
+                    part[3] = f"conductor,{d},{a},", f",,{f},{x},{s},{tail[1]}\n"
+                else:
+                    cells = _cells(cells)
                     part[3] = ",".join(cells[:3]) + ",", "," + ",".join(cells[4:]) + "\n"
-                yield row, part[3][0] + str(alpha.b) + part[3][1]
+            yield part[0][-1], part[3][0] + str(alpha.b) + part[3][1]
 
     return rows()
 
@@ -331,14 +342,17 @@ def run_sweep(d_set, coeff_bound: int, p_max: int, f_max: int, seed: int,
               with_oracle: bool = False):
     """_sweep's rows, each a dict keyed by CSV_COLUMNS."""
     rows = _sweep(d_set, coeff_bound, p_max, f_max, seed, with_oracle, text=False)
-    return (dict(zip(CSV_COLUMNS, row)) for row, _ in rows)
+    return (dict(zip(CSV_COLUMNS, row)) for row in rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    refusal = f"--d-set must be a comma list of integers: {args.d_set!r}"
     try:
         d_set = [int(tok) for tok in args.d_set.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"--d-set must be a comma list of integers: {args.d_set!r}") from exc
+        raise ValueError(refusal) from exc
+    if not d_set:  # "," names no radicand
+        raise ValueError(refusal)
     for d in d_set:
         quadint._check_radicand(d)
     if min(args.coeff_bound, args.p_max, args.f_max) < 0:
@@ -359,8 +373,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return _emit(True, "sweep", inputs, rows, all(r["pass"] for r in rows), (), stream)
         lines, ok = _sweep(*grid, text=True), True  # a refused grid writes no header
         stream.write(",".join(CSV_COLUMNS) + "\n")
-        for row, line in lines:
-            ok &= row[-1]
+        for passed, line in lines:
+            ok &= passed
             stream.write(line)
         return 0 if ok else 1
 

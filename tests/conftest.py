@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import signal
 
 import pytest
@@ -28,6 +30,17 @@ class AcceptanceLog:
     def info(self, num: int, text: str) -> None:
         self._add(num, f"    {text}")
         print(text)
+
+
+def package_caches() -> list:
+    """Every cache in the quadorder modules: each module attribute with a cache_clear, once."""
+    import quadorder  # here, so that this file loads on its own (see test_time_limit.py)
+
+    modules = [importlib.import_module(f"quadorder.{info.name}")
+               for info in pkgutil.iter_modules(quadorder.__path__)]
+    found = {id(value): value for module in modules for value in vars(module).values()
+             if hasattr(value, "cache_clear")}
+    return list(found.values())
 
 
 _LOG = AcceptanceLog()

@@ -26,6 +26,7 @@ from quadorder.cheby import run_identity_trials
 from quadorder.cli import CSV_COLUMNS, build_parser, main, run_sweep
 from quadorder.quadint import QuadInt
 from quadorder.units import fundamental_unit
+from conftest import package_caches
 
 
 def run(capsys, *argv):
@@ -120,6 +121,8 @@ CONTRACT = [
      "error: composite cofactor 272000000999000000819 exceeds the trial bound 1000000\n"),
     ("identities --trials 0", 2, "error: trials must be at least 1\n"),
     ("sweep --d-set 2,x", 2, "error: --d-set must be a comma list of integers: '2,x'\n"),
+    # a list that names no radicand is refused, not swept as an empty grid
+    ("sweep --d-set ,", 2, "error: --d-set must be a comma list of integers: ','\n"),
     ("sweep --p-max -1", 2, "error: sweep bounds must be nonnegative\n"),
     ("fundunit --d 1000000007", 2,
      "error: the fundamental unit for d = 1000000007 has a coordinate past the 4300-digit "
@@ -678,7 +681,7 @@ def test_default_sweep_builds_each_conjugate_pairs_row_part_once(monkeypatch):
 
     def counted_part(alpha, report):
         part = real_part(alpha, report)
-        name, modulus = part[1][:2]
+        name, modulus = cli._claim(part[1])[:2]  # a part holds its report
         built[alpha.d, alpha.a, abs(alpha.b), name, modulus] += 1
         return part
 
@@ -774,8 +777,8 @@ def _redraw_one_link_long(monkeypatch, d, a, b, p):
 
     def longer_at_one_alpha(start, ell, modulus, rng):
         result = real_extend(start, ell, modulus, rng)
-        alpha = current[0]
-        if rng is not None and (alpha.d, alpha.a, alpha.b, modulus) == (d, a, b, p):
+        # only the sweep's own re-draw passes an rng, and only a _row re-draws
+        if rng is not None and (current[0].d, current[0].a, current[0].b, modulus) == (d, a, b, p):
             return result._replace(chain=result.chain + (0,))
         return result
 
@@ -811,11 +814,15 @@ def test_sweep_csv_lines_render_its_json_rows(capsys, monkeypatch, case, seed):
         _redraw_one_link_long(monkeypatch, 2, 1, 1, 17)
     argv = ["sweep", "--d-set", "-1,2,5,13", "--coeff-bound", "2", "--p-max", "40",
             "--f-max", "12", "--seed", seed] + (["--oracle"] if case == "oracle" else [])
-    renders, real_cells = collections.Counter(), cli._cells
+    renders, real_cells, tails = collections.Counter(), cli._cells, []
+    cli._conductor_tail.cache_clear()  # so that this sweep renders every conductor tail it shows
 
     def counted_cells(row):
-        if row[3] is None:  # b unset: a pair's shared cells
+        if len(row) == len(CSV_COLUMNS) and row[3] is None:  # b unset: an order pair's cells
             renders[row[:3] + row[4:8]] += 1  # s tells |b| apart
+        elif len(row) < len(CSV_COLUMNS):  # the tail of one memo entry, shared by its key's rows
+            tails.append(row)  # held, so that no later tuple takes its id
+            renders[id(row)] += 1
         return real_cells(row)
 
     monkeypatch.setattr(cli, "_cells", counted_cells)
@@ -829,7 +836,8 @@ def test_sweep_csv_lines_render_its_json_rows(capsys, monkeypatch, case, seed):
     assert any(row["b"] > 0 and row["m"] is not None for row in rows)
     failed = [(row["d"], row["a"], row["b"], row["p"]) for row in rows if not row["pass"]]
     assert failed == ([(2, 1, 1, 17)] if case.startswith("redraw") else [])
-    # each pair's text is rendered at most once, and only where no row scans the oracle
+    # each order pair's text, and each memo entry's tail, is rendered at most once, and only
+    # where no row scans the oracle
     assert set(renders.values()) == (set() if case == "oracle" else {1})
 
 
@@ -1082,12 +1090,34 @@ def test_conductor_json_nests_records_as_objects(capsys):
     assert results["notes"]["value"] == []
 
 
-CACHES = (modarith.factorize, ordersolver.q_of_p, conductor._entry_index,
-          quadint._check_radicand)
+def test_sweep_computes_each_conductor_tail_once(capsys):
+    # a conductor row's cells from ell on, and their text, are a function of f0, n_exact
+    # and bound: the default sweep's 11,280 conductor parts, from 913 distinct reports,
+    # show 601 such tails, and the memo computes each once
+    for cached in package_caches():
+        cached.cache_clear()
+    code, _, _ = run(capsys, "sweep")
+    assert code == 0
+    reports = set()
+    for d, a, b in itertools.product((2, 3, 5), range(-6, 7), range(-6, 0)):  # b < 0 builds
+        try:
+            alpha = QuadInt(a, b, d)
+        except ValueError:
+            continue
+        for f in range(1, 61):
+            try:
+                reports.add(conductor.bound_full(alpha, f))
+            except ValueError:
+                continue
+    info = cli._conductor_tail.cache_info()
+    assert len(reports) == 913
+    assert info.misses == len({report[1:4] for report in reports}) == 601
+    assert info.hits >= 10_000 and info.hits + info.misses == 11_280
+    assert info.maxsize is not None and info.maxsize > len(reports)
 
 
 def test_sweep_factors_each_argument_once(capsys):
-    for cached in CACHES:
+    for cached in package_caches():
         cached.cache_clear()
     body = modarith.factorize.__wrapped__.__code__
     factored = collections.Counter()
@@ -1110,7 +1140,7 @@ def _cold_work(capsys, monkeypatch, *argv):
     # the work of one command from empty caches: _lucas calls, through every module that
     # binds it, with their ladder length (the bit lengths of the indices they evaluate),
     # and is_prime calls; returns the exit code, stderr and the counts
-    for cached in CACHES:
+    for cached in package_caches():
         cached.cache_clear()
     calls = collections.Counter()
 

@@ -17,7 +17,8 @@ import pytest
 
 import quadorder
 import quadorder.cli  # noqa: F401  (the benchmark worker imports it before tracing)
-from quadorder import cheby, cli, conductor, modarith, ordersolver, quadint
+from quadorder import cheby, cli
+from conftest import package_caches
 from test_cli import CONTRACT, GOLDEN_SWEEP
 from test_refusals import DEFS
 
@@ -186,10 +187,6 @@ LEDGER_COMMANDS = [command.split() for command, _, _ in CONTRACT] + [
     "fundunit --d 94 --json".split(),
 ]
 
-# cleared before the run, so that no answer kept by an earlier test hides a function body
-LEDGER_CACHES = [modarith.factorize, ordersolver.q_of_p, conductor._entry_index,
-                 quadint._check_radicand, modarith._first_window, modarith._window_products]
-
 
 def test_root_exports_the_entry_points():
     assert quadorder.__all__ == ENTRY_POINTS
@@ -319,9 +316,22 @@ def test_deep_certificate_call():
     assert cheby.eval_fast(cheby.ChebyParams(1, -1, 5), 5).u_prev == 0
 
 
+def test_package_caches_finds_every_cache():
+    # found, not listed, so that a new cache is cleared too
+    found = {f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches()}
+    assert found == {
+        "quadorder.modarith.factorize", "quadorder.ordersolver.q_of_p",
+        "quadorder.conductor._entry_index", "quadorder.quadint._check_radicand",
+        "quadorder.modarith._first_window", "quadorder.modarith._window_products",
+        "quadorder.cli._conductor_tail",
+    }
+    assert len(package_caches()) == len(found)
+
+
 def _entered(capsys):
     """The (file, first line) of every src/ def that a ledger command entered."""
-    for cache in LEDGER_CACHES:
+    # every cache is cleared first, so that no answer kept by an earlier test hides a body
+    for cache in package_caches():
         cache.cache_clear()
     codes = set()
 
