@@ -92,7 +92,7 @@ def _claim(report) -> tuple[str, int, int | None, str, tuple]:
     if isinstance(report, ordersolver.OrderReport):
         what = {"general": "bound", "norm_minus_one_diagnostic": "2(p-ell)"}.get(report.mode, "n")
         return "p", report.p, report.bound_n, f"oracle order divides {what}", report.table_checks
-    return "f", report.f, report.n_exact, "oracle n(f) == n_exact", report.checks
+    return ("f", report.f) + _conductor_tail(*report[1:4], False)[1]
 
 
 def _steps(claimed: int) -> int:
@@ -224,31 +224,36 @@ def _tightness(claimed, bound) -> str | None:
 
 
 @lru_cache(maxsize=8192)  # the default sweep's 11,280 conductor parts show 601 distinct tails
-def _conductor_tail(f0: int, n_exact: int, bound: int | None) -> list:
-    """[a conductor row's cells from ell on, tallied on its checks; their text, once asked]."""
+def _conductor_tail(f0: int, n_exact: int, bound: int | None, plain: bool) -> tuple:
+    """A conductor row's cells from ell on, its claim from the index on, and if plain their text."""
     checks = conductor.ConductorReport(0, f0, n_exact, bound, (), ()).checks  # reads n_exact, bound
     cells = (None,) * 4 + (bound, n_exact, f0, None, _tightness(n_exact, bound), *_tally(checks))
-    return [cells, None]
+    return cells, (n_exact, "oracle n(f) == n_exact", checks), plain and ",".join(_cells(cells))
 
 
-def _row_part(alpha: QuadInt, report) -> list:
-    """[cells conjugates share, b unset, tallied on own checks; report; chain; pair text; tail]."""
+def _row_part(alpha: QuadInt, report, plain: bool = False) -> tuple:
+    """(cells conjugates share, b unset; claim; chain; in a plain sweep, the text each side of b).
+
+    The text is None for a chain part, whose rows re-draw their own chains.
+    """
     d, a, x, s = alpha.d, alpha.a, alpha.trace_x, alpha.norm
     if isinstance(report, conductor.ConductorReport):  # equal tails are made once
-        cells, _ = tail = _conductor_tail(*report[1:4])
-        return [("conductor", d, a, None, None, report.f, x, s) + cells, report, None, None, tail]
+        f = report.f
+        cells, claim, tail = _conductor_tail(*report[1:4], plain)
+        text = (f"conductor,{d},{a},", f",,{f},{x},{s},{tail}\n") if plain else None
+        return ("conductor", d, a, None, None, f, x, s) + cells, ("f", f) + claim, None, text
     claim, chain = _claim(report), report.chain  # tightness: the oracle's order, set by _row
     cells = ("order", d, a, None, report.p, None, x, s, report.ell, report.mode, chain and chain.m,
              None, report.bound_n, None, None, None, None, *_tally(claim[-1]))
-    return [cells, report, chain, None, None]
+    text = _cells(cells) if plain and chain is None else None
+    return cells, claim, chain, text and (",".join(text[:3]) + ",", "," + ",".join(text[4:]) + "\n")
 
 
 def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> tuple:
     """alpha's row in CSV_COLUMNS order: the shared cells, then its own b, oracle and re-draw."""
-    shared, report, chain = part[:3]
+    shared, claim, chain, _ = part
     if not (with_oracle or chain):
         return shared[:3] + (alpha.b,) + shared[4:]
-    claim = _claim(report)
     checks, found = _checks(alpha, claim, with_oracle)
     # the chain's start and ell are what its builder passed, so only the roots differ
     m_random = chain and ordersolver._extend_chain(chain.chain[0], chain.ell, claim[1], rng).m
@@ -264,7 +269,7 @@ def _cells(row) -> list[str]:
             for v in row]
 
 
-def _grid_reports(d_set, coeff_bound: int, primes, conductors):
+def _grid_reports(d_set, coeff_bound: int, primes, conductors, plain: bool):
     """(alpha, its _row_part) for every grid case that meets its preconditions, in row order.
 
     alpha = a + b*sqrt(d) and its conjugate share x and s, and so every report
@@ -291,58 +296,39 @@ def _grid_reports(d_set, coeff_bound: int, primes, conductors):
                         report = build(alpha, modulus)
                     except ValueError:
                         continue
-                    parts.append(_row_part(alpha, report))
+                    parts.append(_row_part(alpha, report, plain))
                     yield alpha, parts[-1]
 
 
-def _sweep(d_set, coeff_bound, p_max, f_max, seed, with_oracle: bool, text: bool):
-    """An iterator over a deterministic grid's rows, or (pass, CSV line) if text, made as read.
+def _sweep(d_set, coeff_bound, p_max, f_max, with_oracle: bool, plain: bool):
+    """A deterministic grid's (alpha, part) pairs, made as read; text parts only if plain.
 
-    A row is a tuple in CSV_COLUMNS order. Iteration is lexicographic in (d, a,
-    b), with order rows over odd primes below p_max and conductor rows over f
-    up to f_max; cases that break a precondition are skipped. Conjugates share
-    their reports, and their rows but for b, the oracle scan and the chain
-    re-draw; without those a pair's text is rendered once. With the oracle, a
-    first pass on the call refuses an over-budget grid before any scan, naming
-    its row; it visits only the moduli whose claims can exceed the cap, as an
-    order claim is at most p^2 - 1 (see analyze) and n(f) <= 6f^2 (see
-    conductor), so p >= 709 and f >= 289. The rng only feeds the chain re-draw.
+    Iteration is lexicographic in (d, a, b), with order rows over odd primes
+    below p_max and conductor rows over f up to f_max; cases that break a
+    precondition are skipped. Conjugates share their reports, and their rows
+    but for b, the oracle scan and the chain re-draw; a plain sweep (CSV with
+    no oracle) renders each pair's text once. With the oracle, a first pass
+    on the call refuses an over-budget grid before any scan, naming its row;
+    it visits only the moduli whose claims can exceed the cap, as an order
+    claim is at most p^2 - 1 (see analyze) and n(f) <= 6f^2 (see conductor),
+    so p >= 709 and f >= 289.
     """
-    rng, grid = random.Random(seed), (d_set, coeff_bound)
     primes = list(compress(range(1, p_max, 2), modarith._odd_prime_flags(p_max)))
     if with_oracle:
         # a pass of its own: holding every report for the rows would raise peak memory
         over_p = [p for p in primes if _steps(p * p - 1) > oracle.DEFAULT_CAP]
         f_cut = next(f for f in count(1) if _steps(6 * f * f) > oracle.DEFAULT_CAP)
         over_f = range(f_cut, f_max + 1)  # the cap grows with f, so those past it are one range
-        for alpha, part in _grid_reports(*grid, over_p, over_f):
-            _oracle_cap(alpha, _claim(part[1]))
-
-    def rows():
-        for alpha, part in _grid_reports(*grid, primes, range(1, f_max + 1)):
-            if not text or with_oracle or part[2]:
-                row = _row(alpha, part, rng, with_oracle)
-                yield (row[-1], ",".join(_cells(row)) + "\n") if text else row
-                continue
-            if part[3] is None:  # the row would be its pair's shared cells: no tuple, their text
-                cells, tail = part[0], part[4]
-                if tail:  # a conductor pair: its head here, its memo entry's cells once per tail
-                    tail[1] = tail[1] or ",".join(_cells(tail[0]))
-                    _, d, a, _, _, f, x, s = cells[:8]
-                    part[3] = f"conductor,{d},{a},", f",,{f},{x},{s},{tail[1]}\n"
-                else:
-                    cells = _cells(cells)
-                    part[3] = ",".join(cells[:3]) + ",", "," + ",".join(cells[4:]) + "\n"
-            yield part[0][-1], part[3][0] + str(alpha.b) + part[3][1]
-
-    return rows()
+        for alpha, part in _grid_reports(d_set, coeff_bound, over_p, over_f, False):
+            _oracle_cap(alpha, part[1])
+    return _grid_reports(d_set, coeff_bound, primes, range(1, f_max + 1), plain)
 
 
 def run_sweep(d_set, coeff_bound: int, p_max: int, f_max: int, seed: int,
               with_oracle: bool = False):
-    """_sweep's rows, each a dict keyed by CSV_COLUMNS."""
-    rows = _sweep(d_set, coeff_bound, p_max, f_max, seed, with_oracle, text=False)
-    return (dict(zip(CSV_COLUMNS, row)) for row in rows)
+    """The sweep's rows, each a dict keyed by CSV_COLUMNS; the seed only feeds the chain re-draw."""
+    rng, pairs = random.Random(seed), _sweep(d_set, coeff_bound, p_max, f_max, with_oracle, False)
+    return (dict(zip(CSV_COLUMNS, _row(alpha, part, rng, with_oracle))) for alpha, part in pairs)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -371,11 +357,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows = list(run_sweep(*grid))
             inputs = dict(zip("d_set coeff_bound p_max f_max seed oracle".split(), grid))
             return _emit(True, "sweep", inputs, rows, all(r["pass"] for r in rows), (), stream)
-        lines, ok = _sweep(*grid, text=True), True  # a refused grid writes no header
+        pairs = _sweep(*grid[:4], args.oracle, not args.oracle)  # a refused grid writes no header
+        rng, ok = random.Random(args.seed), True
         stream.write(",".join(CSV_COLUMNS) + "\n")
-        for passed, line in lines:
-            ok &= passed
-            stream.write(line)
+        for alpha, part in pairs:
+            if part[3]:  # the pair's text around its own b
+                ok &= part[0][-1]
+                stream.write(part[3][0] + str(alpha.b) + part[3][1])
+            else:
+                row = _row(alpha, part, rng, args.oracle)
+                ok &= row[-1]
+                stream.write(",".join(_cells(row)) + "\n")
         return 0 if ok else 1
 
 

@@ -679,9 +679,9 @@ def test_default_sweep_builds_each_conjugate_pairs_row_part_once(monkeypatch):
     built = collections.Counter()
     real_part = cli._row_part
 
-    def counted_part(alpha, report):
-        part = real_part(alpha, report)
-        name, modulus = cli._claim(part[1])[:2]  # a part holds its report
+    def counted_part(alpha, report, plain):
+        part = real_part(alpha, report, plain)
+        name, modulus = part[1][:2]  # a part holds its claim
         built[alpha.d, alpha.a, abs(alpha.b), name, modulus] += 1
         return part
 
@@ -708,6 +708,42 @@ def test_default_sweep_builds_each_conjugate_pairs_row_part_once(monkeypatch):
     assert set(built.values()) == {1}  # once per (d, a, |b|) and modulus
     assert sum(built.values()) == 15732
     assert by_sign == {False: 166, True: 166}
+
+
+def _frozen(value) -> bool:
+    """value is a tuple of frozen values all the way down, or a scalar."""
+    if isinstance(value, tuple):
+        return all(_frozen(v) for v in value)
+    return value is None or isinstance(value, (int, str))
+
+
+def test_oracle_sweep_makes_each_claim_once_per_order_part(monkeypatch):
+    # a part holds its claim, so oracle and chain rows make none of their own; a conductor
+    # part takes its claim from its tail's memo entry, and neither is changed once made
+    claimed, parts, tails = [], [], []
+    real_claim, real_part, real_tail = cli._claim, cli._row_part, cli._conductor_tail
+
+    def counted_claim(report):
+        claimed.append(report)
+        return real_claim(report)
+
+    def kept_part(alpha, report, *plain):
+        parts.append(real_part(alpha, report, *plain))
+        return parts[-1]
+
+    def kept_tail(*key):
+        tails.append(real_tail(*key))
+        return tails[-1]
+
+    monkeypatch.setattr(cli, "_claim", counted_claim)
+    monkeypatch.setattr(cli, "_row_part", kept_part)
+    monkeypatch.setattr(cli, "_conductor_tail", kept_tail)
+    rows = list(run_sweep([2, 3, 5], 2, 100, 20, 0, True))  # grid-oracle's grid
+    assert len(rows) == 2174
+    assert len(claimed) == 593 == sum(part[1][0] == "p" for part in parts)
+    assert len(tails) == len(parts) - 593 == 494
+    assert all(type(part) is tuple and _frozen(part) for part in parts)
+    assert all(type(tail) is tuple and _frozen(tail) for tail in tails)
 
 
 def test_oracle_sweep_scans_once_per_row_on_its_own_alpha(monkeypatch):
