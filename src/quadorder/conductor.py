@@ -87,13 +87,10 @@ def _entry_index(x: int, s: int, m: int) -> int:
 
 
 def n_of_f(alpha: QuadInt, f: int) -> int:
-    """Least nu >= 1 with alpha^nu in the order of conductor f."""
+    """Least nu >= 1 with alpha^nu in the order of conductor f: bound_full's n_exact."""
     if f < 1:
         raise ValueError("the conductor must be at least 1")
-    if f == 1 or alpha.b == 0:
-        return 1
-    _, _, f0 = reduce_f(alpha.b, f)
-    return _entry_index(*_pgl_class(alpha.trace_x, alpha.norm, f0), f0)
+    return 1 if alpha.b == 0 else bound_full(alpha, f).n_exact
 
 
 class MultiplicativeBound(NamedTuple):
@@ -206,6 +203,7 @@ class ConductorReport(NamedTuple):
     bound: int | None
     per_prime: tuple[PrimeBound, ...]
     notes: tuple[str, ...]
+    _BOUND_CHECKS = tuple((check("n_exact <= bound", ok),) for ok in (False, True))  # not a field
 
     @property
     def holds(self) -> bool:
@@ -214,7 +212,7 @@ class ConductorReport(NamedTuple):
     @property
     def checks(self) -> tuple[Check, ...]:
         """The product bound as a check; none when the bound is not claimed."""
-        return () if self.bound is None else (check("n_exact <= bound", self.holds),)
+        return () if self.bound is None else self._BOUND_CHECKS[self.holds]
 
 
 def bound_full(alpha: QuadInt, f: int) -> ConductorReport:

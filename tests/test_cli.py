@@ -746,6 +746,26 @@ def test_oracle_sweep_makes_each_claim_once_per_order_part(monkeypatch):
     assert all(type(tail) is tuple and _frozen(tail) for tail in tails)
 
 
+def test_conductor_claims_share_one_check_tuple_per_outcome(monkeypatch):
+    # the product bound's check is absent, passing or failing, so reports and memo
+    # entries share those tuples rather than each building a Check of its own
+    r2 = QuadInt(1, 1, 2)
+    assert conductor.bound_full(r2, 45).checks is conductor.bound_full(r2, 15).checks
+    unclaimed = conductor.bound_full(r2, 4)
+    assert unclaimed.bound is None and unclaimed.checks == ()
+    tails = []
+    real_tail = cli._conductor_tail
+
+    def kept_tail(*key):
+        tails.append(real_tail(*key))
+        return tails[-1]
+
+    monkeypatch.setattr(cli, "_conductor_tail", kept_tail)
+    list(run_sweep([2, 3, 5], 6, 3, 60, 0))  # the default grid's conductor half
+    assert tails
+    assert len({id(claim[2]) for _, claim, _ in tails}) <= 3
+
+
 def test_oracle_sweep_scans_once_per_row_on_its_own_alpha(monkeypatch):
     scans = []
 

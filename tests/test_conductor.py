@@ -238,6 +238,30 @@ def test_n_of_f_rational_integer():
     assert n_of_f(QuadInt(3, 0, 2), 77) == 1
 
 
+def test_n_of_f_reads_bound_full(monkeypatch):
+    # n(f) has one route: n_of_f answers 1 for b = 0 and otherwise asks bound_full once
+    calls = []
+    real = conductor.bound_full
+
+    def recorded(alpha, f):
+        calls.append((alpha, f, real(alpha, f)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(conductor, "bound_full", recorded)
+    for alpha, f in [(R2, 1), (R2, 4), (R2, 45), (PHI, 2), (QuadInt(1, 12, 2), 45)]:
+        calls.clear()
+        n = n_of_f(alpha, f)
+        assert [(a, g) for a, g, _ in calls] == [(alpha, f)]
+        assert n == calls[0][2].n_exact
+    calls.clear()
+    assert n_of_f(QuadInt(3, 0, 2), 77) == 1
+    for alpha in (R2, QuadInt(3, 0, 2)):
+        for f in (0, -3):
+            with pytest.raises(ValueError, match="^the conductor must be at least 1$"):
+                n_of_f(alpha, f)
+    assert calls == []
+
+
 def test_multiplicative_frozen():
     mb = bound_multiplicative(R2, 3, 5)
     assert (mb.n_f, mb.n_g, mb.n_fg) == (4, 3, 12)
