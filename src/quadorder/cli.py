@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sweep.add_argument("--d-set", type=str, default="2,3,5", help="comma list of radicands")
-    sweep._negative_number_matcher = re.compile(r"-\d")  # so "--d-set -1,-2" is a value, as -1 is
     sweep.add_argument("--coeff-bound", type=int, default=6, help="max |a|, |b|")
     sweep.add_argument("--p-max", type=int, default=100, help="primes below this")
     sweep.add_argument("--f-max", type=int, default=60, help="conductors up to this")
@@ -433,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     fund.add_argument("--json", action="store_true")
     fund.set_defaults(func=cmd_fundunit)
 
+    for command in sub.choices.values():  # so "--alpha -1,1" and "--d-set -1,-2" are values
+        command._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 

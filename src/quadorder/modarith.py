@@ -133,9 +133,11 @@ def _sqrt_mod(a: int, p: int, z: int) -> int | None:
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
-        while t2 != 1:
+        while t2 != 1 and i < m:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:  # mod a prime, t has order below 2^m once a passed Euler's test
+            raise ValueError(f"p = {p} is not an odd prime")
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return min(r, p - r)

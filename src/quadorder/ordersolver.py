@@ -57,10 +57,14 @@ def _power_is(alpha: QuadInt, pair: tuple[int, int], p: int, target: int) -> boo
     return (t - 2 * target) % p == 0 and u_prev * alpha.b % p == 0
 
 
-def _doubled(pair: tuple[int, int], s: int, k: int, p: int) -> tuple[int, int]:
-    # (t_2k, u_{2k-1}) from pair = (t_k, u_{k-1}): t_2k = t_k^2 - 2s^k, u_{2k-1} = u_{k-1}*t_k
-    t, u = pair
-    return (t * t - 2 * pow(s, k, p)) % p, u * t % p
+def _ladder(x: int, s: int, n: int, depth: int, p: int) -> list[tuple[int, int]]:
+    # [j] is (t_k, u_{k-1}) mod p at k = n >> j, j <= depth (2^depth | n): one ladder at the
+    # lowest index, then doublings up, t_2k = t_k^2 - 2s^k and u_{2k-1} = u_{k-1}*t_k
+    rungs = [_lucas(x, s, n >> depth, p)]
+    for j in range(depth, 0, -1):
+        t, u = rungs[0]
+        rungs.insert(0, ((t * t - 2 * pow(s, n >> j, p)) % p, u * t % p))
+    return rungs
 
 
 def _gate(alpha: QuadInt, p: int) -> int:
@@ -98,11 +102,10 @@ def _table_cells(alpha: QuadInt, p: int, ell: int) -> tuple[list[Check], tuple[i
     # table_check past its gate; also hands back the pair at p - ell, doubled from its half
     x, s = alpha.trace_x, alpha.norm
     sigma = 1 if ell == 1 else s
-    half = t_half, u_half = _lucas(x, s, (p - ell) // 2, p)
-    full = t_full, u_full = _doubled(half, s, (p - ell) // 2, p)
+    full, (t_half, u_half) = _ladder(x, s, p - ell, 1, p)
     out = [
-        check("t(p-ell) == 2*sigma", (t_full - 2 * sigma) % p == 0),
-        check("u(p-ell-1) == 0", u_full == 0),
+        check("t(p-ell) == 2*sigma", (full[0] - 2 * sigma) % p == 0),
+        check("u(p-ell-1) == 0", full[1] == 0),
     ]
     if _legendre(s, p) == 1:
         out.append(check("t((p-ell)/2)^2 == 4*sigma", (t_half * t_half - 4 * sigma) % p == 0))
@@ -156,7 +159,7 @@ def build_chain_s1(x: int, p: int, rng: random.Random | None = None) -> ChainRes
     ell = _legendre(x * x - 4, p)
     if ell == 0:
         raise ValueError("p divides x^2 - 4, so no chain is defined")
-    return _extend_chain(x, ell, p, rng)
+    return _unit_chain(x, 1, ell, p, rng)
 
 
 def build_chain_s_minus1(x: int, p: int, rng: random.Random | None = None) -> ChainResult:
@@ -176,11 +179,16 @@ def build_chain_s_minus1(x: int, p: int, rng: random.Random | None = None) -> Ch
         raise ValueError("p divides x^2 + 4, so no chain is defined")
     if ell == -1:
         raise ValueError("the norm -1 chain needs x^2 + 4 to be a residue mod p")
-    y0 = (x * x + 2) % p
-    result = _extend_chain(y0, ell, p, rng)
-    if result.m < 1:
+    return _unit_chain(x, -1, ell, p, rng)
+
+
+def _unit_chain(x: int, s: int, ell: int, p: int, rng: random.Random | None) -> ChainResult:
+    # the chain for norm s = +1 runs above x, for s = -1 (with ell = +1) above x^2 + 2,
+    # whose first link always exists, since x^2 + 4 is then a residue
+    chain = _extend_chain(x if s == 1 else x * x + 2, ell, p, rng)
+    if chain.m < 1 and s == -1:
         raise AssertionError("the norm -1 chain stopped before its first link")
-    return result
+    return chain
 
 
 def _chain_checks(chain: ChainResult, p: int) -> list[Check]:
@@ -208,10 +216,8 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> tuple[ChainResult, int, boo
     x, s = alpha.trace_x, alpha.norm
     if s == -1 and x % p == 0:
         raise ValueError("the chain needs x nonzero mod p")
-    chain = _extend_chain(x if s == 1 else x * x + 2, ell, p, None)
+    chain = _unit_chain(x, s, ell, p, None)
     m = chain.m
-    if m < 1 and s == -1:
-        raise AssertionError("the norm -1 chain stopped before its first link")
     shift = m if s == 1 else m - 1
     n = (p - ell) >> shift
     checks = _chain_checks(chain, p)
@@ -226,12 +232,10 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> tuple[ChainResult, int, boo
             )
         )
     half_applies = (p - ell) % (1 << (m + 1)) == 0
-    # rungs[k] is the pair at (p-ell) >> k, doubled up from one ladder at the lowest index
-    # used: n/4 for norm +1 when 2^{m+2} | p - ell (so the half bound applies), n/2 or n
+    # rungs[k] is the pair at (p-ell) >> k, down to n/4 for norm +1 when 2^{m+2} | p - ell
+    # (so the half bound applies), else to n/2 or n
     depth = shift + (2 if s == 1 and (p - ell) % (1 << (m + 2)) == 0 else half_applies)
-    rungs = [_lucas(x, s, (p - ell) >> depth, p)]
-    for k in range(depth, 0, -1):
-        rungs.insert(0, _doubled(rungs[0], s, (p - ell) >> k, p))
+    rungs = _ladder(x, s, p - ell, depth, p)
     for k in range(shift + 1):  # the last rung is n itself
         checks.append(check(f"t((p-ell)/2^{k}) == 2", (rungs[k][0] - 2) % p == 0))
     t_n, u_n = rungs[shift]
@@ -254,10 +258,7 @@ def _bound_unit(alpha: QuadInt, p: int, ell: int) -> tuple[ChainResult, int, boo
 def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> list[Check]:
     """The checks for norm -1 with no chain bound: the exclusion congruences, then
     alpha^{2(p-ell)} == 1 with its t and u rows, then t(p-ell) == 2*sigma."""
-    x, h = alpha.trace_x, (p - ell) // 2
-    half = t_n, u_n = _lucas(x, -1, h, p)
-    full = _doubled(half, -1, h, p)
-    double = t_double, u_double = _doubled(full, -1, 2 * h, p)
+    double, full, (t_n, u_n) = _ladder(alpha.trace_x, -1, 2 * (p - ell), 2, p)
     checks: list[Check] = []
     if p % 4 == 3:
         checks.append(check("t(n) == 0", t_n == 0))
@@ -267,8 +268,8 @@ def _norm_minus1_diagnostics(alpha: QuadInt, p: int, ell: int) -> list[Check]:
         checks.append(check("t(n)^2 == 4*ell", (t_n * t_n - 4 * ell) % p == 0))
         checks.append(check("u(n-1) == 0", u_n == 0))
         checks.append(check("alpha^(p-ell) == -1", _power_is(alpha, full, p, -1)))
-    checks.append(check("t(2(p-ell)) == 2", t_double == 2 % p))
-    checks.append(check("u(2(p-ell)-1) == 0", u_double == 0))
+    checks.append(check("t(2(p-ell)) == 2", double[0] == 2 % p))
+    checks.append(check("u(2(p-ell)-1) == 0", double[1] == 0))
     checks.append(check("alpha^(2(p-ell)) == 1", _power_is(alpha, double, p, 1)))
     checks.append(check("t(p-ell) == 2*sigma", (full[0] - 2 * ell) % p == 0))  # sigma = ell
     return checks
@@ -312,9 +313,8 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
         if x % p == 0:
             raise ValueError("with norm -1 the trace must be nonzero mod p")
     n = (p - ell) // k
-    pair = t_n, u_n = _lucas(x, s, n, p)
-    double = _doubled(pair, s, n, p)
-    if (double if s == ell == -1 else pair) != (2, 0):
+    double, (t_n, u_n) = _ladder(x, s, 2 * n, 1, p)
+    if (double if s == ell == -1 else (t_n, u_n)) != (2, 0):
         return None
     preimage = None
     for y in range(min(p, _SCAN_CAP)):
@@ -342,7 +342,7 @@ def divisor_bound(x: int, s: int, p: int, k: int) -> DivisorBound | None:
     return DivisorBound(k=k, n=n, preimage=preimage, checks=checks)
 
 
-@lru_cache(maxsize=4096)  # kept only for the cache_info() perfbench's tracer and tests read
+@lru_cache(maxsize=0)  # holds nothing; it counts calls for perfbench's tracer and the tests
 def q_of_p(x: int, s: int, p: int) -> int:
     """Least nu >= 1 with u_{nu-1}(x; s) == 0 mod p: conductor._entry_index at p.
 

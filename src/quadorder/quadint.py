@@ -106,8 +106,6 @@ class QuadInt(Value):
         """n-th power from (t_n, u_{n-1}) of the trace/norm pair, in O(log n) steps."""
         if n < 0:
             raise ValueError("negative powers are not integral in general")
-        if n == 0:
-            return QuadInt.one(self.d)
         t, u = _lucas(self.trace_x, self.norm, n)
         if self.r == 1:
             return QuadInt(t, u * self.b, self.d)

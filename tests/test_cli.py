@@ -86,6 +86,9 @@ CONTRACT = [
      "error: p = 3825123056546413051 is not an odd prime\n"),
     ("order --d 2 --alpha 1,1 --p 9", 2, "error: p = 9 is not an odd prime\n"),
     ("order --d 2 --alpha nope --p 7", 2, 'error: alpha must be given as "a,b"\n'),
+    # a negative a after a space is the option's value, as "--alpha=-1,1" is
+    ("order --d 2 --alpha -1,1 --p 7", 0, ""),
+    ("conductor --d 2 --alpha -1,1 --f 45", 0, ""),
     ("order --d 2 --alpha 1,x --p 17", 2, "error: alpha coefficients must be integers: '1,x'\n"),
     # a zero norm is refused first, then b = 0 as rational (not as "p must not divide
     # b"), then p | b
@@ -143,6 +146,15 @@ def test_command_line_contract(capsys, command, code, err):
     got_code, out, got_err = run(capsys, *command.split())
     assert (got_code, got_err) == (code, err)
     assert bool(out) == (code == 0)
+
+
+def test_square_root_at_psi12_refuses_p_as_not_prime(capsys):
+    # is_prime accepts psi12; the norm +1 chain's first root, of x + 2 = 14, then meets what
+    # no prime modulus allows, and p is refused by name rather than by a Python error
+    psi12 = 318665857834031151167461
+    assert run(capsys, "order", "--d", "35", "--alpha", "6,1", "--p", str(psi12)) == (
+        2, "", f"error: p = {psi12} is not an odd prime\n"
+    )
 
 
 def test_sweep_out_of_memory_exits_2(capsys, monkeypatch):

@@ -1123,3 +1123,34 @@ def test_doubled_pairs_match_one_ladder_per_index(monkeypatch):
     names = {c.name for report in fast if not isinstance(report, str) for c in report.table_checks}
     assert {"a^2 + 4 != 0 under the half-trace reading", "u(n/4-1) != 0 (recorded)",
             "(a^2-s)*u((p-ell)/2-1)^2 == sigma", "alpha^(n/2) == -1"} <= names
+
+
+def test_ladder_rung_j_is_the_pair_at_n_over_2_to_the_j():
+    rng = random.Random(20121130)
+    for p in filter(is_prime, range(3, 200)):
+        for depth in range(5):
+            for _ in range(3):
+                x, s = rng.randrange(p), rng.randrange(-p, p)
+                n = rng.randrange(3 * p) << depth
+                rungs = ordersolver._ladder(x, s, n, depth, p)
+                assert rungs == [cheby._lucas(x, s, n >> j, p) for j in range(depth + 1)], (
+                    x, s, n, depth, p)
+
+
+def test_unit_chain_is_the_builders_chain():
+    # above x for norm +1 and above x^2 + 2 for norm -1, root for root under one rng
+    built = {1: 0, -1: 0}
+    for p in filter(is_prime, range(3, 200)):
+        for s, build in ((1, build_chain_s1), (-1, build_chain_s_minus1)):
+            for x in range(p):
+                try:
+                    expected = build(x, p)
+                except ValueError:
+                    continue
+                built[s] += 1
+                assert expected.chain[0] == (x if s == 1 else x * x + 2) % p
+                assert ordersolver._unit_chain(x, s, expected.ell, p, None) == expected
+                rng_a, rng_b = random.Random(p * x), random.Random(p * x)
+                assert ordersolver._unit_chain(x, s, expected.ell, p, rng_a) == build(
+                    x, p, rng_b), (x, s, p)
+    assert built[1] > 3000 and built[-1] > 500

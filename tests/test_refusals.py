@@ -103,6 +103,10 @@ REFUSALS = [
     # 5, the least non-residue mod 23, lies past 0.5 (ln 23)^2 = 4.9
     (_sqrt_mod_budget_quartered, (2, 23),
      "no quadratic non-residue mod p = 23 up to 0.5 (ln p)^2 = 4"),
+    # psi12, a strong pseudoprime: 14 passes Euler's test, yet Tonelli-Shanks meets an
+    # element whose order a prime modulus would not allow
+    (modarith._sqrt_mod, (14, 318665857834031151167461, 2),
+     _NOT_ODD_PRIME.format(318665857834031151167461)),
     (factorize, (0,), "cannot factor zero"),
     # rho spends its budget on this product of two 39-bit primes, below psi12
     (factorize, (274877906951 * 274878906989,),
