@@ -255,8 +255,8 @@ def _row(alpha: QuadInt, part, rng: random.Random, with_oracle: bool) -> tuple:
     if not (with_oracle or chain):
         return shared[:3] + (alpha.b,) + shared[4:]
     checks, found = _checks(alpha, claim, with_oracle)
-    # the chain's start and ell are what its builder passed, so only the roots differ
-    m_random = chain and ordersolver._extend_chain(chain.chain[0], chain.ell, claim[1], rng).m
+    # the report's x, s and ell with an rng: only the roots differ from the report's chain
+    m_random = chain and ordersolver._unit_chain(*shared[6:8], chain.ell, claim[1], rng).m
     if chain is not None:
         checks.append(check("chain length is root independent", m_random == chain.m))
     tightness = _tightness(found, shared[12]) if claim[0] == "p" else shared[16]  # over bound

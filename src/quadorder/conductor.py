@@ -32,20 +32,6 @@ from .modarith import _legendre, factorize, require_odd_prime
 from .quadint import QuadInt
 
 
-def reduce_f(b: int, f: int) -> tuple[int, int, int]:
-    """Split f into its common part with b and the reduced conductor.
-
-    Returns (c, b0, f0) with c = gcd(b, f), b0 = b/c, f0 = f/c; the
-    reduced pair is coprime, so vanishing mod f0 is what n(f) measures.
-    """
-    if b == 0:
-        raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
-    if f < 1:
-        raise ValueError("the conductor must be at least 1")
-    c = gcd(b, f)
-    return c, b // c, f // c
-
-
 class PrimeBound(NamedTuple):
     p: int
     k: int
@@ -221,7 +207,13 @@ def bound_full(alpha: QuadInt, f: int) -> ConductorReport:
     The product bound is only claimed for odd f; an even conductor still
     gets its exact index, with bound None and a note saying why.
     """
-    c, _, f0 = reduce_f(alpha.b, f)
+    if alpha.b == 0:
+        raise ValueError("b = 0 is rational; n(f) = 1 for every conductor")
+    if f < 1:
+        raise ValueError("the conductor must be at least 1")
+    # f0 = f/c is coprime to b/c, c = gcd(b, f), so vanishing mod f0 is what n(f) measures
+    c = gcd(alpha.b, f)
+    f0 = f // c
     x, s = _pgl_class(alpha.trace_x, alpha.norm, f0)  # x == 1 spares each prime's inverse
     n_exact = _entry_index(x, s, f0)
     notes = []

@@ -130,23 +130,6 @@ def _table_cells(alpha: QuadInt, p: int, ell: int) -> tuple[list[Check], tuple[i
     return out, full
 
 
-def _extend_chain(start: int, ell: int, p: int, rng: random.Random | None) -> ChainResult:
-    # one root per link, from one non-residue for the chain, decides residuosity;
-    # p - ell is even, so the first pass always runs: its None is the stop at the start
-    chain, z = [start % p], _nonresidue(p)
-    while (p - ell) % (1 << len(chain)) == 0:
-        root = _sqrt_mod(chain[-1] + 2, p, z)
-        if root is None:
-            stop = STOP_NONRESIDUE_AT_START if len(chain) == 1 else STOP_NONRESIDUE_AT_K
-            return ChainResult(ell, tuple(chain), stop)
-        if root == 0:
-            raise AssertionError(f"no nonzero square root of {chain[-1]} + 2 mod {p}")
-        if rng is not None and rng.random() < 0.5:
-            root = p - root
-        chain.append(root)
-    return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO)
-
-
 def build_chain_s1(x: int, p: int, rng: random.Random | None = None) -> ChainResult:
     """Square-root chain above x for norm +1.
 
@@ -183,12 +166,24 @@ def build_chain_s_minus1(x: int, p: int, rng: random.Random | None = None) -> Ch
 
 
 def _unit_chain(x: int, s: int, ell: int, p: int, rng: random.Random | None) -> ChainResult:
-    # the chain for norm s = +1 runs above x, for s = -1 (with ell = +1) above x^2 + 2,
-    # whose first link always exists, since x^2 + 4 is then a residue
-    chain = _extend_chain(x if s == 1 else x * x + 2, ell, p, rng)
-    if chain.m < 1 and s == -1:
-        raise AssertionError("the norm -1 chain stopped before its first link")
-    return chain
+    # the chain for norm s = +1 runs above x, for s = -1 (with ell = +1) above x^2 + 2, whose
+    # first link exists, as x^2 + 4 is then a residue; one root per link, from one non-residue
+    # for the chain, decides residuosity, and as p - ell is even the first pass always runs
+    chain, z = [(x if s == 1 else x * x + 2) % p], _nonresidue(p)
+    while (p - ell) % (1 << len(chain)) == 0:
+        root = _sqrt_mod(chain[-1] + 2, p, z)
+        if root is None:
+            if len(chain) > 1:
+                return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_K)
+            if s == -1:
+                raise AssertionError("the norm -1 chain stopped before its first link")
+            return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_START)
+        if root == 0:
+            raise AssertionError(f"no nonzero square root of {chain[-1]} + 2 mod {p}")
+        if rng is not None and rng.random() < 0.5:
+            root = p - root
+        chain.append(root)
+    return ChainResult(ell, tuple(chain), STOP_POWER_OF_TWO)
 
 
 def _chain_checks(chain: ChainResult, p: int) -> list[Check]:

@@ -1,6 +1,7 @@
 import collections
 import csv
 import errno
+import functools
 import hashlib
 import io
 import itertools
@@ -698,21 +699,22 @@ def test_default_sweep_builds_each_conjugate_pairs_row_part_once(monkeypatch):
         return part
 
     redraws = []
-    real_extend = ordersolver._extend_chain
+    real_chain = ordersolver._unit_chain
 
-    def counted_extend(start, ell, p, rng):
+    def counted_chain(x, s, ell, p, rng):
         if rng is not None:  # the sweep's re-draw; the reports' own chains take no rng
-            redraws.append(p)
-        return real_extend(start, ell, p, rng)
+            redraws.append((x, s, p))
+        return real_chain(x, s, ell, p, rng)
 
     monkeypatch.setattr(cli, "_row_part", counted_part)
-    monkeypatch.setattr(ordersolver, "_extend_chain", counted_extend)
+    monkeypatch.setattr(ordersolver, "_unit_chain", counted_chain)
     args = build_parser().parse_args(["sweep"])
     d_set = [int(tok) for tok in args.d_set.split(",")]
     rows, by_sign = 0, collections.Counter()
     for row in run_sweep(d_set, args.coeff_bound, args.p_max, args.f_max, args.seed):
-        # each chain row re-draws its own chain while it is made, and no other row does
-        assert redraws == ([row["p"]] if row["m"] is not None else [])
+        # each chain row re-draws its own chain, from its x and s, while it is made,
+        # and no other row does
+        assert redraws == ([(row["x"], row["s"], row["p"])] if row["m"] is not None else [])
         by_sign[row["b"] > 0] += len(redraws)
         redraws.clear()
         rows += 1
@@ -837,21 +839,21 @@ def test_sweep_wrong_oracle_answer_fails_only_its_own_row(capsys, monkeypatch):
 def _redraw_one_link_long(monkeypatch, d, a, b, p):
     """The sweep's chain re-draw for d, a, b at p gives one link too many."""
     current = []
-    real_row, real_extend = cli._row, ordersolver._extend_chain
+    real_row, real_chain = cli._row, ordersolver._unit_chain
 
     def tracked_row(alpha, part, rng, with_oracle):
         current[:] = [alpha]
         return real_row(alpha, part, rng, with_oracle)
 
-    def longer_at_one_alpha(start, ell, modulus, rng):
-        result = real_extend(start, ell, modulus, rng)
+    def longer_at_one_alpha(x, s, ell, modulus, rng):
+        result = real_chain(x, s, ell, modulus, rng)
         # only the sweep's own re-draw passes an rng, and only a _row re-draws
         if rng is not None and (current[0].d, current[0].a, current[0].b, modulus) == (d, a, b, p):
             return result._replace(chain=result.chain + (0,))
         return result
 
     monkeypatch.setattr(cli, "_row", tracked_row)
-    monkeypatch.setattr(ordersolver, "_extend_chain", longer_at_one_alpha)
+    monkeypatch.setattr(ordersolver, "_unit_chain", longer_at_one_alpha)
 
 
 def test_sweep_chain_redraw_mismatch_fails_only_its_own_row(capsys, monkeypatch):
@@ -1081,68 +1083,83 @@ GOLDEN_SWEEP = ["sweep", "--d-set", "2,5", "--coeff-bound", "2", "--p-max", "30"
                 "--oracle"]
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle"],
-         "681242365263da8d63f95fb0c00bc681034938ec0bb1a6b55769fc80e697141b"),
-        (["order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle", "--json"],
-         "ec7e475b5dc9ea3b4dbcd6e25bb8e82c2595981575430b39bb4513730b8b38b8"),
-        (["order", "--d", "13", "--fundunit", "--p", "29"],
-         "65553213909a4cced48db3d09305050e160f7e0e6589e7f38ba0cc03bfeb0280"),
-        (["order", "--d", "13", "--fundunit", "--p", "29", "--json"],
-         "782bd8eea08466ac12f0198c63b72a99aa29acac7fbc5ea00478954966bec61e"),
-        (["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--oracle"],
-         "c7e9c96bac8f7a4644a2a63c5b8cd6d4390249bcb8010306d81a71293e3ea9ac"),
-        (["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--oracle", "--json"],
-         "290561e4f9bc61c507bc81097d2efd15eca1e51475195e24c6d31154bb4ffc42"),
-        (["fundunit", "--d", "94"],
-         "3918da88f83485b98831d7cb66bfa7a0326ed1581a7296abef7e82534e808fed"),
-        (["fundunit", "--d", "94", "--json"],
-         "56f14eec13db0a2e0eda3de8fd92b995dad5625077b0af59df4ac1194137ab9c"),
-        (["identities", "--trials", "2000", "--seed", "5"],
-         "464b7679f15d0eaf820b9828e72de12a2bffa1870c508cd725beba094b2f74a3"),
-        (["identities", "--trials", "2000", "--seed", "5", "--json"],
-         "cf1b39d007b903552ea8180b8e3aeb6774be9562177c3db0088a3eae619cbb36"),
-        (GOLDEN_SWEEP,
-         "fc9fb22ac48eec146c97d218f852f93cbd72b50f36174c0d101ac49c4071b7de"),
-        (GOLDEN_SWEEP + ["--format", "json"],
-         "1cd5d056f4920ee04f6fe3ddc3efdbe7a69cef86310fe5d1eafb16a5738cd181"),
-        # one row per report shape the rows above leave out: norm +1 with the
-        # half bound and both recorded rows, general with ell = -1 and 1, the
-        # norm -1 diagnostic, and an even conductor sharing a factor with b
-        (["order", "--d", "3", "--alpha", "2,1", "--p", "13", "--oracle"],
-         "55a3de70a4e248f3fbe3e330ba6a57aba8032fa95b17e04d558d54339871e049"),
-        (["order", "--d", "3", "--alpha", "2,1", "--p", "13", "--oracle", "--json"],
-         "fd697f926db5b40ee56edd052af8a54f74f484c558bf5c968109ba401fc1d2d1"),
-        (["order", "--d", "2", "--alpha", "3,1", "--p", "5", "--oracle"],
-         "5c7d76997f92d785ff1d19cf684659c10dba33daf673f91ee7573ef036d9a4fa"),
-        (["order", "--d", "2", "--alpha", "3,1", "--p", "5", "--oracle", "--json"],
-         "9e3f44ccf80dee56d32baf3c90fac9bce66cd281e5def3510c20c605a74b89c4"),
-        (["order", "--d", "2", "--alpha", "3,1", "--p", "17", "--oracle"],
-         "0b159e7bde9d16c4ab2852ad143681c4cb009384f9eb095f59190f6ae61605ea"),
-        (["order", "--d", "2", "--alpha", "3,1", "--p", "17", "--oracle", "--json"],
-         "77a05c8c4fd176e9de09b174be99c46d9d416eb1476c2b422c24908bcc44d905"),
-        (["order", "--d", "2", "--alpha", "1,1", "--p", "7", "--oracle"],
-         "6f2a13856be0cc91c78b727d9ea67be61d31ea08ea0011a53b26d1485f0b5a58"),
-        (["order", "--d", "2", "--alpha", "1,1", "--p", "7", "--oracle", "--json"],
-         "af057b63f6c61720f85ca67bfcf189f55f27c1a3987bf5248dbc5bc3adadc72e"),
-        (["conductor", "--d", "2", "--alpha", "1,2", "--f", "12", "--oracle"],
-         "b86853643614c837f85831da97e7d9ca1d4e05a13462ce536044ccd8bc77f797"),
-        (["conductor", "--d", "2", "--alpha", "1,2", "--f", "12", "--oracle", "--json"],
-         "1b904c259f90e94a10794a1bfa7d35dca8839d39ede162788711d17a7af22ec5"),
-        # the golden sweep's grid without the oracle: conjugate rows share their rendered line
-        (GOLDEN_SWEEP[:-1],
-         "382ed258ef0d3ec156961e2b5c0c80177a30d8e7822b04a6f037e71b307073e4"),
-        (GOLDEN_SWEEP[:-1] + ["--format", "json"],
-         "845355ea115eb26d990c90859f9403b4ba72ad2d505392eaf85f5ff1ba858c31"),
-    ],
-)
+# frozen sha256 of stdout: the README's output bytes change only on purpose
+GOLDEN_DIGESTS = [
+    (["order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle"],
+     "681242365263da8d63f95fb0c00bc681034938ec0bb1a6b55769fc80e697141b"),
+    (["order", "--d", "2", "--alpha", "1,1", "--p", "17", "--oracle", "--json"],
+     "ec7e475b5dc9ea3b4dbcd6e25bb8e82c2595981575430b39bb4513730b8b38b8"),
+    (["order", "--d", "13", "--fundunit", "--p", "29"],
+     "65553213909a4cced48db3d09305050e160f7e0e6589e7f38ba0cc03bfeb0280"),
+    (["order", "--d", "13", "--fundunit", "--p", "29", "--json"],
+     "782bd8eea08466ac12f0198c63b72a99aa29acac7fbc5ea00478954966bec61e"),
+    (["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--oracle"],
+     "c7e9c96bac8f7a4644a2a63c5b8cd6d4390249bcb8010306d81a71293e3ea9ac"),
+    (["conductor", "--d", "2", "--alpha", "1,1", "--f", "45", "--oracle", "--json"],
+     "290561e4f9bc61c507bc81097d2efd15eca1e51475195e24c6d31154bb4ffc42"),
+    (["fundunit", "--d", "94"],
+     "3918da88f83485b98831d7cb66bfa7a0326ed1581a7296abef7e82534e808fed"),
+    (["fundunit", "--d", "94", "--json"],
+     "56f14eec13db0a2e0eda3de8fd92b995dad5625077b0af59df4ac1194137ab9c"),
+    (["identities", "--trials", "2000", "--seed", "5"],
+     "464b7679f15d0eaf820b9828e72de12a2bffa1870c508cd725beba094b2f74a3"),
+    (["identities", "--trials", "2000", "--seed", "5", "--json"],
+     "cf1b39d007b903552ea8180b8e3aeb6774be9562177c3db0088a3eae619cbb36"),
+    (GOLDEN_SWEEP,
+     "fc9fb22ac48eec146c97d218f852f93cbd72b50f36174c0d101ac49c4071b7de"),
+    (GOLDEN_SWEEP + ["--format", "json"],
+     "1cd5d056f4920ee04f6fe3ddc3efdbe7a69cef86310fe5d1eafb16a5738cd181"),
+    # one row per report shape the rows above leave out: norm +1 with the
+    # half bound and both recorded rows, general with ell = -1 and 1, the
+    # norm -1 diagnostic, and an even conductor sharing a factor with b
+    (["order", "--d", "3", "--alpha", "2,1", "--p", "13", "--oracle"],
+     "55a3de70a4e248f3fbe3e330ba6a57aba8032fa95b17e04d558d54339871e049"),
+    (["order", "--d", "3", "--alpha", "2,1", "--p", "13", "--oracle", "--json"],
+     "fd697f926db5b40ee56edd052af8a54f74f484c558bf5c968109ba401fc1d2d1"),
+    (["order", "--d", "2", "--alpha", "3,1", "--p", "5", "--oracle"],
+     "5c7d76997f92d785ff1d19cf684659c10dba33daf673f91ee7573ef036d9a4fa"),
+    (["order", "--d", "2", "--alpha", "3,1", "--p", "5", "--oracle", "--json"],
+     "9e3f44ccf80dee56d32baf3c90fac9bce66cd281e5def3510c20c605a74b89c4"),
+    (["order", "--d", "2", "--alpha", "3,1", "--p", "17", "--oracle"],
+     "0b159e7bde9d16c4ab2852ad143681c4cb009384f9eb095f59190f6ae61605ea"),
+    (["order", "--d", "2", "--alpha", "3,1", "--p", "17", "--oracle", "--json"],
+     "77a05c8c4fd176e9de09b174be99c46d9d416eb1476c2b422c24908bcc44d905"),
+    (["order", "--d", "2", "--alpha", "1,1", "--p", "7", "--oracle"],
+     "6f2a13856be0cc91c78b727d9ea67be61d31ea08ea0011a53b26d1485f0b5a58"),
+    (["order", "--d", "2", "--alpha", "1,1", "--p", "7", "--oracle", "--json"],
+     "af057b63f6c61720f85ca67bfcf189f55f27c1a3987bf5248dbc5bc3adadc72e"),
+    (["conductor", "--d", "2", "--alpha", "1,2", "--f", "12", "--oracle"],
+     "b86853643614c837f85831da97e7d9ca1d4e05a13462ce536044ccd8bc77f797"),
+    (["conductor", "--d", "2", "--alpha", "1,2", "--f", "12", "--oracle", "--json"],
+     "1b904c259f90e94a10794a1bfa7d35dca8839d39ede162788711d17a7af22ec5"),
+    # the golden sweep's grid without the oracle: conjugate rows share their rendered line
+    (GOLDEN_SWEEP[:-1],
+     "382ed258ef0d3ec156961e2b5c0c80177a30d8e7822b04a6f037e71b307073e4"),
+    (GOLDEN_SWEEP[:-1] + ["--format", "json"],
+     "845355ea115eb26d990c90859f9403b4ba72ad2d505392eaf85f5ff1ba858c31"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS)
 def test_readme_commands_golden_bytes(capsys, argv, digest):
-    # frozen sha256 of stdout: the README's output bytes change only on purpose
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("maxsize", [0, 1, 16])
+def test_golden_sweep_bytes_hold_when_the_tail_memo_evicts(capsys, monkeypatch, maxsize):
+    # the golden sweep shows 44 distinct conductor tails, more than these memos hold, so
+    # its rows are also made after evictions, which no full-size memo meets
+    digests = {tuple(argv): digest for argv, digest in GOLDEN_DIGESTS}
+    evicting = functools.lru_cache(maxsize=maxsize)(cli._conductor_tail.__wrapped__)
+    monkeypatch.setattr(cli, "_conductor_tail", evicting)
+    for argv in (GOLDEN_SWEEP[:-1], GOLDEN_SWEEP, GOLDEN_SWEEP[:-1] + ["--format", "json"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[tuple(argv)], argv
+        assert evicting.cache_info().misses > maxsize  # more tails than the memo holds
+        evicting.cache_clear()
 
 
 def test_conductor_json_nests_records_as_objects(capsys):

@@ -12,7 +12,6 @@ from quadorder.conductor import (
     bound_multiplicative,
     bound_prime_power,
     n_of_f,
-    reduce_f,
 )
 from quadorder.modarith import factorize, is_prime, legendre
 from quadorder.oracle import oracle_n_of_f
@@ -24,21 +23,19 @@ PHI = QuadInt(1, 1, 5)
 
 
 def test_reduce_f_frozen():
-    assert reduce_f(1, 45) == (1, 1, 45)
-    assert reduce_f(12, 45) == (3, 4, 15)
-    assert reduce_f(45, 45) == (45, 1, 1)
-    assert reduce_f(-12, 45) == (3, -4, 15)
+    # f0 = f / gcd(b, f), and the common factor c = f // f0
+    for b, c, f0 in ((1, 1, 45), (12, 3, 15), (45, 45, 1), (-12, 3, 15)):
+        report = bound_full(QuadInt(1, b, 2), 45)
+        assert (45 // report.f0, report.f0) == (c, f0), b
 
 
-def test_rational_alpha_is_refused_by_reduce_f_alone():
-    # bound_full adds no check of its own: b = 0 is refused by reduce_f, with one text
+def test_rational_alpha_is_refused_before_the_conductor():
+    # b = 0 is refused first, with one text, even beside a conductor below 1
     text = "b = 0 is rational; n(f) = 1 for every conductor"
-    with pytest.raises(ValueError) as info:
-        reduce_f(0, 45)
-    assert str(info.value) == text
-    with pytest.raises(ValueError) as info:
-        bound_full(QuadInt(3, 0, 2), 45)
-    assert str(info.value) == text
+    for f in (45, 0):
+        with pytest.raises(ValueError) as info:
+            bound_full(QuadInt(3, 0, 2), f)
+        assert str(info.value) == text
 
 
 def test_n_of_f_frozen():
@@ -442,7 +439,7 @@ def test_bound_full_grid_against_oracle():
 def _records_by_second_factorization(alpha, f):
     # the product bound's records rebuilt from a factorization of their own
     x, s = alpha.trace_x, alpha.norm
-    _, _, f0 = reduce_f(alpha.b, f)
+    f0 = f // math.gcd(alpha.b, f)
     records = []
     for p, k in factorize(f0).factors:
         q = q_of_p(x, s, p)

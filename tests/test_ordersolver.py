@@ -89,16 +89,16 @@ class TestChains:
             for ell in (1, -1):
                 for x in range(p):
                     for seed in (None, p * 1000 + x):
-                        ours = _run_chain(ordersolver._extend_chain, x, ell, p, seed)
+                        ours = _run_chain(_norm_plus_one_chain, x, ell, p, seed)
                         assert ours == _run_chain(_reference_chain, x, ell, p, seed), (x, ell, p)
 
     def test_links_are_decided_without_a_separate_symbol(self, monkeypatch):
         monkeypatch.setattr(
-            ordersolver, "_legendre", lambda *args: pytest.fail("_extend_chain called _legendre")
+            ordersolver, "_legendre", lambda *args: pytest.fail("_unit_chain called _legendre")
         )
-        assert ordersolver._extend_chain(6, 1, 17, None).chain == (6, 5)
-        assert ordersolver._extend_chain(4, 1, 11, None).stop_reason == STOP_NONRESIDUE_AT_START
-        assert ordersolver._extend_chain(3, 1, 11, None).stop_reason == STOP_POWER_OF_TWO
+        assert ordersolver._unit_chain(6, 1, 1, 17, None).chain == (6, 5)
+        assert ordersolver._unit_chain(4, 1, 1, 11, None).stop_reason == STOP_NONRESIDUE_AT_START
+        assert ordersolver._unit_chain(3, 1, 1, 11, None).stop_reason == STOP_POWER_OF_TWO
 
     def test_links_share_one_nonresidue_and_no_proof_of_p(self, monkeypatch):
         # the caller has proved p prime, and one Tonelli-Shanks non-residue
@@ -107,11 +107,11 @@ class TestChains:
         found = []
         real = ordersolver._nonresidue
         monkeypatch.setattr(ordersolver, "_nonresidue", lambda p: found.append(p) or real(p))
-        assert ordersolver._extend_chain(24, 1, 257, None).chain == (24, 119, 11, 28, 95)
+        assert ordersolver._unit_chain(24, 1, 1, 257, None).chain == (24, 119, 11, 28, 95)
         assert found == [257]
 
     def test_analyze_builds_its_chain_without_the_public_builders(self, monkeypatch):
-        # analyze passes its own ell to _extend_chain; the validated builders,
+        # analyze passes its own ell to _unit_chain; the validated builders,
         # which re-prove p prime and recompute ell, give the same chain
         cases = [(alpha, p) for alpha in (QuadInt(2, 1, 3), QuadInt(1, 1, 2), QuadInt(3, 1, 5))
                  for p in SMALL_PRIMES[1:40]]
@@ -130,8 +130,8 @@ class TestChains:
         assert len(chained) > 20
 
     def test_rebuild_from_the_report_chain_matches_the_builder(self):
-        # the sweep's alternate-root rebuild starts from a report's chain[0] and
-        # ell; that must be the builder's own call, draw for draw
+        # the sweep's alternate-root rebuild takes a report's x, s and ell; that
+        # must be the builder's own call, draw for draw
         for d, a, b in itertools.product((2, 3, 5), range(-3, 4), range(-3, 4)):
             try:
                 alpha = QuadInt(a, b, d)
@@ -149,7 +149,7 @@ class TestChains:
                     continue
                 for seed in range(5):
                     rng_a, rng_b = random.Random(seed), random.Random(seed)
-                    rebuilt = ordersolver._extend_chain(rep.chain.chain[0], rep.chain.ell, p, rng_a)
+                    rebuilt = ordersolver._unit_chain(rep.x, rep.s, rep.chain.ell, p, rng_a)
                     assert rebuilt == build(rep.x, p, rng_b), (alpha, p, seed)
                     assert rng_a.random() == rng_b.random(), (alpha, p, seed)
 
@@ -159,7 +159,7 @@ SMALL_PRIMES = [p for p in range(3, 300, 2) if is_prime(p)]
 
 def _reference_chain(start, ell, p, rng):
     # reference loop: tests residuosity by a Legendre symbol at the start and
-    # before each root, then takes the root; _extend_chain must agree with it
+    # before each root, then takes the root; the norm +1 chain must agree with it
     chain = [start % p]
     if legendre(chain[0] + 2, p) == -1:
         return ChainResult(ell, tuple(chain), STOP_NONRESIDUE_AT_START)
@@ -176,6 +176,11 @@ def _reference_chain(start, ell, p, rng):
         if rng is not None and rng.random() < 0.5:
             root = p - root
         chain.append(root)
+
+
+def _norm_plus_one_chain(x, ell, p, rng):
+    # the walk above x itself, which takes every start
+    return ordersolver._unit_chain(x, 1, ell, p, rng)
 
 
 def _run_chain(build, x, ell, p, seed):
@@ -1035,7 +1040,7 @@ def reference_bound_unit(alpha, p, ell):
     x, s = alpha.trace_x, alpha.norm
     if s == -1 and x % p == 0:
         raise ValueError("the chain needs x nonzero mod p")
-    chain = ordersolver._extend_chain(x if s == 1 else x * x + 2, ell, p, None)
+    chain = ordersolver._unit_chain(x, s, ell, p, None)
     m = chain.m
     if m < 1 and s == -1:
         raise AssertionError("the norm -1 chain stopped before its first link")

@@ -13,10 +13,10 @@ M^nu is scalar mod m iff m divides the irrational coordinate of alpha^nu,
 b * u_{nu-1}: so "scalar mod p" is q(p) when p does not divide b, and
 "scalar mod f" is n(f).  "Identity mod p" is the order: q times the order
 of the scalar M^q mod p, found the same way from p - 1.  The reference never
-calls cheby, factorize, is_prime, q_of_p or reduce_f; only the code under
-test does.  A refusal by the code under test, and a draw whose multiple
-sympy cannot factor within _FACTOR_LIMIT, are counted by reason and bit
-size in the run summary; neither fails the test.
+calls cheby, factorize, is_prime or q_of_p; only the code under test does.
+A refusal by the code under test, and a draw whose multiple sympy cannot
+factor within _FACTOR_LIMIT, are counted by reason and bit size in the run
+summary; neither fails the test.
 """
 
 import functools

@@ -23,7 +23,6 @@ from quadorder.conductor import (
     bound_multiplicative,
     bound_prime_power,
     n_of_f,
-    reduce_f,
 )
 from quadorder.modarith import Factorization, factorize, require_odd_prime, sqrt_mod
 from quadorder.oracle import oracle_n_of_f
@@ -80,9 +79,8 @@ REFUSALS = [
     (u_odd_closed_form, (3, 2, 4), "n must be odd and at least 1"),
     (run_identity_trials, (0, 5), "trials must be at least 1"),
     # conductor
-    (reduce_f, (0, 45), "b = 0 is rational; n(f) = 1 for every conductor"),
-    (reduce_f, (12, 0), _CONDUCTOR),
     (bound_full, (QuadInt(3, 0, 2), 5), "b = 0 is rational; n(f) = 1 for every conductor"),
+    (bound_full, (R2, 0), _CONDUCTOR),
     (n_of_f, (R2, 0), _CONDUCTOR),
     (n_of_f, (R2, -3), _CONDUCTOR),
     # 5 divides the norm of 1 + sqrt(6) but not its trace

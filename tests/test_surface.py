@@ -43,7 +43,7 @@ MODULE_ONLY = {
         "run_identity_trials", "t_exact", "u_odd_closed_form", "u_prev_exact",
     ],
     "checks": ["FAIL", "NA", "PASS", "Check", "check", "failed_names"],
-    "conductor": ["MultiplicativeBound", "PrimeBound", "PrimePowerBound", "reduce_f"],
+    "conductor": ["MultiplicativeBound", "PrimeBound", "PrimePowerBound"],
     "modarith": [
         "Factorization", "factorize", "is_prime", "legendre", "require_odd_prime", "sqrt_mod",
     ],
@@ -60,7 +60,7 @@ MODULE_ONLY = {
 # analyze is the one route to a unit's order bound, and its mode strings have one spelling
 DELETED_FROM_ORDERSOLVER = [
     "bound_norm1", "bound_norm_minus1", "_unit_ell", "ell_symbol", "NORM_PLUS_ONE",
-    "NORM_MINUS_ONE",
+    "NORM_MINUS_ONE", "_extend_chain",
 ]
 
 # both factoring tables come from one unsegmented sieve, _odd_prime_flags
