@@ -265,6 +265,10 @@ def test_order_with_oracle(capsys):
         ("2", "1,1", "17", "n", 16),
         ("2", "1,1", "13", "2(p-ell)", 28),
         ("6", "1,1", "7", "bound", 24),
+        # odd orders: the scan finds them through its test against alpha^-1
+        ("2", "-3,2", "13", "n", 7),
+        ("2", "-1,3", "13", "bound", 21),
+        ("5", "-3,1", "13", "n", 7),
     ],
 )
 def test_order_oracle_divides(capsys, d, alpha, p, claim, order):

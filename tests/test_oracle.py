@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
@@ -5,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 import quadorder.cheby as cheby
 import quadorder.oracle as oracle_module
 from quadorder.modarith import is_prime
-from quadorder.oracle import oracle_n_of_f, oracle_order_mod_p, oracle_q_of_p
+from quadorder.oracle import DEFAULT_CAP, oracle_n_of_f, oracle_order_mod_p, oracle_q_of_p
 from quadorder.quadint import Mat2, QuadInt
 
 PRIMES_BELOW_5000 = [p for p in range(3, 5000) if is_prime(p)]
@@ -56,27 +57,48 @@ def test_scans_use_no_quadint_arithmetic_or_lucas(monkeypatch):
 
 @st.composite
 def _order_cases(draw):
-    # a mix of generic alpha, p | b (alpha is a rational residue) and alpha == 0 mod p
+    # generic alpha, p | b (alpha is a rational residue), alpha == 0 and +-1 mod p, a rational
+    # residue of odd order, p | d (alpha = a + b*sqrt(d) is nilpotent when also p | a), and
+    # alpha = r + sqrt(d) at a split p with r^2 == d, a zero divisor that is not 0 mod p
     p = draw(st.sampled_from(PRIMES_BELOW_5000))
     d = draw(st.sampled_from(RADICANDS))
-    kind = draw(st.sampled_from(["generic", "p | b", "zero"]))
+    kind = draw(
+        st.sampled_from(["generic", "p | b", "zero", "+-1", "odd", "p | d", "nilpotent", "split"])
+    )
     a, b = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
-    if kind != "generic":
+    if kind in ("p | b", "zero", "+-1", "odd"):
         b *= p
     if kind == "zero":
         a *= p
+    half = 2 if d % 4 == 1 else 1  # QuadInt(a, b, d) is (a + b*sqrt(d))/2 when d == 1 (mod 4)
+    if kind == "+-1":
+        a = draw(st.sampled_from([half, -half])) + a * p
+    if kind == "odd":
+        assume(a % p)
+        two_part = (p - 1) & (1 - p)  # 2^v exactly dividing p - 1, so a^(2^v) has odd order
+        a = half * pow(a, two_part, p)
+    if kind in ("p | d", "nilpotent"):
+        d = p * draw(st.sampled_from([1, -1, 2, -2]))
+        assume(b % p)
+    if kind == "nilpotent":
+        a *= p
+    if kind == "split":
+        a, b = next(((r, 1) for r in range(p) if (r * r - d) % p == 0), (0, 0))
     if d % 4 == 1 and (a + b) % 2:
         a += p  # p is odd: the parity flips and a keeps its residue
     assume((a, b) != (0, 0))
     return QuadInt(a, b, d), p
 
 
-@settings(max_examples=40, deadline=None)
-@given(_order_cases())
-def test_order_matches_matrix_scan_hypothesis(case):
+@settings(max_examples=80, deadline=None)
+@given(_order_cases(), st.data())
+def test_order_matches_matrix_scan_hypothesis(case, data):
+    # caps on both sides of the order reach both parities of the last exponent tested
     alpha, p = case
-    cap = 2 * p + 10
-    assert oracle_order_mod_p(alpha, p, cap).value == _matrix_order(alpha, p, cap)
+    order = _matrix_order(alpha, p, 2 * p + 10)
+    near = [] if order is None else [order - 1, order, order + 1]
+    cap = data.draw(st.sampled_from([0, 1, 2, 2 * p + 10] + near), label="cap")
+    assert oracle_order_mod_p(alpha, p, cap) == (_matrix_order(alpha, p, cap), cap)
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,6 +133,22 @@ def test_order_cap():
     res = oracle_order_mod_p(QuadInt(1, 1, 2), 17, cap=10)
     assert res.value is None
     assert res.cap == 10
+    # the cap counts exponents of both parities: -3 + 2*sqrt(2) has order 7 mod 13
+    assert oracle_order_mod_p(QuadInt(-3, 2, 2), 13, cap=6) == (None, 6)
+    assert oracle_order_mod_p(QuadInt(-3, 2, 2), 13, cap=7) == (7, 7)
+    assert oracle_order_mod_p(QuadInt(1, 1, 2), 17, cap=15) == (None, 15)
+    assert oracle_order_mod_p(QuadInt(1, 1, 2), 17, cap=16) == (16, 16)
+    assert oracle_order_mod_p(QuadInt(-1, 0, 2), 7, cap=1) == (None, 1)
+    assert oracle_order_mod_p(QuadInt(1, 0, 2), 7, cap=0) == (None, 0)
+
+
+def test_zero_divisors_return_at_once():
+    # sqrt(14) is nilpotent mod 7 and 3^2 == 2 mod 7 makes 3 + sqrt(2) a zero divisor:
+    # no power of either is 1, which the norm shows without walking the whole cap
+    for alpha in (QuadInt(0, 1, 14), QuadInt(3, 1, 2)):
+        t0 = time.perf_counter()
+        assert oracle_order_mod_p(alpha, 7) == (None, DEFAULT_CAP)
+        assert time.perf_counter() - t0 < 0.02
 
 
 def test_order_matches_matrix_scan():
