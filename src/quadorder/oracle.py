@@ -2,14 +2,15 @@
 
 Every bound elsewhere in the package is checked against these scans.
 Nothing here touches the fast polynomial evaluators or QuadInt arithmetic:
-orders come from repeated multiplication of coefficient pairs mod p, by
-alpha^2 with each odd exponent tested against alpha^-1, conductor indices
-from one product per exponent on pairs mod 2f, and q(p) from the bare
-recurrence mod p.  Every scan tests every exponent 1..cap in order.
+orders come from products of coefficient pairs mod p, a window of exponents
+at a time (Shanks's baby-step giant-step), conductor indices from one
+product per exponent on pairs mod 2f, and q(p) from the bare recurrence
+mod p.  Every scan tests every exponent 1..cap in order.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from .modarith import require_odd_prime
@@ -24,29 +25,33 @@ class OracleResult(NamedTuple):
 
 
 def oracle_order_mod_p(alpha: QuadInt, p: int, cap: int = DEFAULT_CAP) -> OracleResult:
-    """First nu with alpha^nu == 1 mod p, stepping pairs x + y*sqrt(d) by alpha^2 mod p.
+    """First nu with alpha^nu == 1 mod p, by windows of w exponents on pairs x + y*sqrt(d) mod p.
 
-    Each odd nu tests alpha^(nu-1) == alpha^-1 = conj(alpha) / N(alpha) instead.
+    A table maps the pair of alpha^-j to the least j <= w = isqrt(cap) + 1.  The pair of
+    alpha^(g*w), stepped by alpha^w, equals alpha^-j exactly when alpha^(g*w + j) == 1, so
+    each window g*w + 1 .. g*w + w is tested at once: about 2*sqrt(cap) products in all.
     """
     require_odd_prime(p)
     h = (p + 1) // 2 if alpha.r == 1 else 1  # 1/2 mod p halves (a + b*sqrt(d))/2
     x0, y0, d = alpha.a * h % p, alpha.b * h % p, alpha.d
     norm = (x0 * x0 - d * y0 * y0) % p
-    if norm == 0:  # alpha is a zero divisor mod p, so no power of it is 1
+    if norm == 0 or cap < 1:  # no exponent to test, or a zero divisor mod p: no power is 1
         return OracleResult(None, cap)
-    inv = pow(norm, -1, p)
-    ix, iy = x0 * inv % p, -y0 * inv % p
-    x2, y2, dy2 = (x0 * x0 + d * y0 * y0) % p, 2 * x0 * y0 % p, 2 * d * x0 * y0 % p
-    x, y, value = 1, 0, None  # x + y*sqrt(d) is alpha^(nu-1) for the odd nu
-    for nu in range(1, cap + 1, 2):
-        if x == ix and y == iy:
-            value = nu
-            break
-        x, y = (x * x2 + y * dy2) % p, (x * y2 + y * x2) % p
-        if x == 1 and y == 0:
-            value = nu + 1 if nu < cap else None
-            break
-    return OracleResult(value, cap)
+    inv, w = pow(norm, -1, p), isqrt(cap) + 1
+    ix, iy = x0 * inv % p, -y0 * inv % p  # alpha^-1 = conj(alpha) / N(alpha)
+    x, y, table, diy = 1, 0, {}, d * iy % p
+    for j in range(1, w + 1):
+        x, y = (x * ix + y * diy) % p, (x * iy + y * ix) % p
+        table.setdefault((x, y), j)
+    nw = pow(norm, w, p)  # alpha^w = conj(alpha^-w) / N(alpha^-w)
+    gx, gy = x * nw % p, -y * nw % p
+    x, y, dgy = 1, 0, d * gy % p
+    for base in range(0, cap, w):
+        j = table.get((x, y))
+        if j is not None:
+            return OracleResult(base + j if base + j <= cap else None, cap)
+        x, y = (x * gx + y * dgy) % p, (x * gy + y * gx) % p
+    return OracleResult(None, cap)
 
 
 def oracle_n_of_f(alpha: QuadInt, f: int, cap: int = DEFAULT_CAP) -> OracleResult:

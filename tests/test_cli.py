@@ -1141,6 +1141,9 @@ GOLDEN_DIGESTS = [
      "382ed258ef0d3ec156961e2b5c0c80177a30d8e7822b04a6f037e71b307073e4"),
     (GOLDEN_SWEEP[:-1] + ["--format", "json"],
      "845355ea115eb26d990c90859f9403b4ba72ad2d505392eaf85f5ff1ba858c31"),
+    # the default grid with the oracle: 8,788 order scans with caps up to about 2*10^4
+    (["sweep", "--oracle"],
+     "65608e8d4e19f7c0b6606c55167dc65cf329c61f910ee342fad16afdb1f933f5"),
 ]
 
 
